@@ -42,6 +42,30 @@ DEGENERATE_D_TOL = 1e-9
 POLE_TOL = 1e-9
 
 
+def pole_masks(denom, d, cross_ratio: float, pole_tol: float = POLE_TOL):
+    """Classify a vanishing phase-solution denominator, elementwise.
+
+    Every phase-solution route divides ``d - cross_ratio`` by its own
+    denominator D (b g3^2/g2^2 + d cot(theta4'), up to a positive factor).
+    Where |D| <= ``pole_tol`` the cell is either a removable 0/0 point,
+    because d equals the cross ratio g1 g3/(g2 g4) as well and the finite
+    limit cot(theta3) = 0 applies, or a genuine pole.
+
+    Args:
+        denom: the caller's denominator, scalar or array.
+        d: target entry d, broadcasting against ``denom``.
+        cross_ratio: g1 g3 / (g2 g4).
+        pole_tol: threshold on |denom|.
+
+    Returns:
+        (removable, pole) boolean masks; at most one is set per cell.
+    """
+    near = np.abs(denom) <= pole_tol
+    scale = np.maximum(np.maximum(np.abs(d), cross_ratio), 1.0)
+    removable = near & (np.abs(d - cross_ratio) <= 1e-9 * scale)
+    return removable, near & ~removable
+
+
 class DomainError(ValueError):
     """Base class for configuration/domain errors raised by this package."""
 

@@ -39,6 +39,7 @@ from .core import (
     SymplecticTarget,
     WeightConfig,
     arccot,
+    pole_masks,
     validate_target,
 )
 
@@ -53,7 +54,6 @@ __all__ = [
     "inf_norm",
     "optimize_theta4",
     "error_surface",
-    "theta4_candidates",
 ]
 
 MODE_GAUSSIAN_FIXED = "gaussian_fixed_phase"
@@ -61,8 +61,10 @@ MODE_GAUSSIAN_OPTIMIZED = "gaussian_optimized_phase"
 MODE_CUBIC_OPTIMIZED = "cubic_optimized_phase"
 MODES = (MODE_GAUSSIAN_FIXED, MODE_GAUSSIAN_OPTIMIZED, MODE_CUBIC_OPTIMIZED)
 
-_GOLDEN_ITERATIONS = 90
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# Newton steps that polish each closed-form root on its own polynomial.
+_NEWTON_STEPS = 2
+# Cells per optimizer block.
+_BLOCK_CELLS = 2048
 
 
 class OptimizeResult(NamedTuple):
@@ -104,10 +106,8 @@ def _solved_cot3(b, d, u4, w: WeightConfig, pole_tol: float = POLE_TOL):
     r2 = w.g3_over_g2
     ratio = w.cross_ratio
     denom = r2**2 * b + d * u4
-    near = np.abs(denom) <= pole_tol
-    scale = np.maximum(np.maximum(np.abs(d), ratio), 1.0)
-    resolvable = near & (np.abs(d - ratio) <= 1e-9 * scale)
-    pole = near & ~resolvable
+    removable, pole = pole_masks(denom, d, ratio, pole_tol)
+    near = removable | pole
     with np.errstate(divide="ignore", invalid="ignore"):
         cot3 = np.where(near, 0.0, (d - ratio) / np.where(near, 1.0, denom))
     return cot3, pole
@@ -155,14 +155,14 @@ def error_vector_gaussian(
 
     r2 = w.g3_over_g2
     denom = b + d * (g2 / g3) ** 2 * u4
-    if abs(denom) * r2**2 <= pole_tol:
-        scale = max(abs(d), w.cross_ratio, 1.0)
-        if abs(d - w.cross_ratio) <= 1e-9 * scale:
-            ex, ey = _components_from_cots(0.0, u4, w, 1.0)
-            return ErrorVector(float(ex), float(ey))
+    removable, pole = pole_masks(denom * r2**2, d, w.cross_ratio, pole_tol)
+    if pole:
         raise DenominatorPole(
             "error denominator b + d*(g2/g3)^2*cot(theta4') vanishes"
         )
+    if removable:
+        ex, ey = _components_from_cots(0.0, u4, w, 1.0)
+        return ErrorVector(float(ex), float(ey))
     ex = 1.0 / g3**2 + (g2 / g3) ** 2 * u4**2 \
         + g2**2 * (b * g4 / g1 + (g2 / g3) * u4) ** 2 \
         / (g3**2 * g4**2 * denom**2)
@@ -222,20 +222,127 @@ def error_vector_cubic(
     return ErrorVector(float(ex), float(ey))
 
 
-def theta4_candidates() -> np.ndarray:
-    """Sorted scan grid for cot(theta4'): symmetric log grid plus zero."""
-    positive = np.logspace(-6.0, 4.0, 101)
-    return np.concatenate([-positive[::-1], [0.0], positive])
-
-
 def _objective(b, d, u4, w: WeightConfig, mid_weight):
     cot3, pole = _solved_cot3(b, d, u4, w)
     ex, ey = _components_from_cots(cot3, u4, w, mid_weight)
     return np.where(pole, np.inf, np.maximum(ex, ey))
 
 
+def _horner(coeffs):
+    """(f, f') of a polynomial given highest power first, as one function."""
+    def value_and_slope(x):
+        f = coeffs[0]
+        df = np.zeros_like(x)
+        for c in coeffs[1:]:
+            df = df * x + f
+            f = f * x + c
+        return f, df
+    return value_and_slope
+
+
+def _newton(value_and_slope, x, steps=_NEWTON_STEPS):
+    """Newton steps on f, keeping each step only where it lowers |f|.
+
+    A guess at a flat point (f' ~ 0) or a non-finite guess is therefore
+    left where it is.
+    """
+    f, df = value_and_slope(x)
+    for _ in range(steps):
+        x_new = x - f / df
+        f_new, df_new = value_and_slope(x_new)
+        better = np.abs(f_new) < np.abs(f)
+        x = np.where(better, x_new, x)
+        f = np.where(better, f_new, f)
+        df = np.where(better, df_new, df)
+    return x
+
+
+def _largest_cubic_root(c2, c1, c0):
+    """Largest real root of x^3 + c2 x^2 + c1 x + c0, elementwise."""
+    p = c1 - c2 * c2 / 3.0
+    # Cubes are written as products: numpy's ** 3 goes through pow().
+    q = c0 - c2 * c1 / 3.0 + 2.0 * c2 * c2 * c2 / 27.0
+    disc = (q / 2.0) ** 2 + p * p * p / 27.0
+    # Three real roots (disc < 0, so p < 0): trigonometric form.
+    rp = np.sqrt(np.maximum(-p / 3.0, 0.0))
+    cube = np.where(disc < 0, rp * rp * rp, 1.0)
+    cos_arg = np.clip(-q / (2.0 * cube), -1.0, 1.0)
+    t_trig = 2.0 * rp * np.cos(np.arccos(cos_arg) / 3.0)
+    # One real root: Cardano, with the cube root taken on the side that
+    # does not cancel.
+    a = np.cbrt(-q / 2.0 - np.where(q < 0, -1.0, 1.0) * np.sqrt(np.abs(disc)))
+    t_card = a - p / (3.0 * np.where(a == 0, 1.0, a))
+    return np.where(disc < 0, t_trig, t_card) - c2 / 3.0
+
+
+def _quartic_candidates(coeffs):
+    """Real parts of the four roots of a quartic, per cell (Ferrari).
+
+    Complex pairs contribute their real part; cells whose leading
+    coefficient vanishes yield non-finite values.
+    """
+    c4, c3, c2, c1, c0 = coeffs
+    bb, cc, dd, ee = c3 / c4, c2 / c4, c1 / c4, c0 / c4
+    # Depressed quartic y^4 + P y^2 + Q y + R with x = y - bb/4.
+    bb2 = bb * bb
+    P = cc - 0.375 * bb2
+    Q = dd - 0.5 * bb * cc + 0.125 * bb2 * bb
+    R = ee - 0.25 * bb * dd + bb2 * cc / 16.0 - 3.0 * bb2 * bb2 / 256.0
+    # Largest root of the resolvent cubic m^3 + P m^2 + (P^2/4 - R) m - Q^2/8;
+    # it is >= 0 for real coefficients, and > 0 unless Q = 0.
+    resolvent = (np.ones_like(P), P, 0.25 * P * P - R, -0.125 * Q * Q)
+    m = np.maximum(
+        _newton(_horner(resolvent), _largest_cubic_root(*resolvent[1:])), 0.0
+    )
+    half_s = np.sqrt(0.5 * m)
+    # h = Q / (2 sqrt(2m)), which equals sign(Q) sqrt((P/2 + m)^2 - R) at
+    # the root m.  The quotient loses precision when m is tiny (m = 0 when
+    # Q = 0), the square root when the difference cancels: take the form
+    # whose relative conditioning is better.
+    mid = 0.5 * P + m
+    gap2 = mid * mid - R
+    use_quotient = m * (mid * mid + np.abs(R)) > np.maximum(gap2, 0.0) * (
+        np.abs(P) + m + np.sqrt(np.abs(R)))
+    h = np.where(use_quotient, Q / (4.0 * half_s),
+                 np.copysign(np.sqrt(np.maximum(gap2, 0.0)), Q))
+    # (y^2 + P/2 + m)^2 = 2m (y - Q/(4m))^2 splits into two quadratics.
+    rad_plus = np.sqrt(np.maximum(-0.5 * (P + m) - h, 0.0))
+    rad_minus = np.sqrt(np.maximum(-0.5 * (P + m) + h, 0.0))
+    shift = bb / 4.0
+    return (half_s + rad_plus - shift, half_s - rad_plus - shift,
+            -half_s + rad_minus - shift, -half_s - rad_minus - shift)
+
+
+def _trailing_quadratic_roots(coeffs):
+    """Both roots of the quadratic formed by the last three coefficients.
+
+    At d = 0 the quartics lose their leading terms (Q1 becomes linear,
+    Q2 quadratic) and these are their roots; for tiny |d| they are the
+    limits of the moderate roots, which Ferrari loses to cancellation.
+    The stable form gives the linear root when the u^2 term vanishes.
+    """
+    c2, c1, c0 = coeffs[-3:]
+    rad = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0))
+    q = -0.5 * (c1 + np.copysign(rad, c1))
+    return (q / c2, c0 / q)
+
+
 def _optimize_u(b, d, w: WeightConfig, mid_weight):
-    """Vectorised scan + golden-section refinement of cot(theta4').
+    """Exact minimum of max(ex, ey) over cot(theta4'), vectorised over cells.
+
+    With p = r2^2 b, beta = d - cross_ratio, s = p + d u and
+    N = cross_ratio u + p, the two components are
+
+        ex = N^2 / (g1^2 r2^2 s^2) + m u^2 / r2^2 + 1/g3^2
+        ey = r2^2 beta^2 / (g1^2 s^2) + m r2^2 + 1
+
+    with m = ``mid_weight``.  ey has no interior stationary point and
+    ex -> inf as |u| -> inf, so the minimum lies at a stationary point of
+    ex (a real root of Q1 = m g1^2 u s^3 - beta p N), at a crossing
+    ex = ey (a real root of Q2 = s^2 (ex - ey)), or at u = 0.  Every
+    candidate goes through ``_objective``, so pole and removable cells
+    are treated exactly as at a fixed phase, and u = 0 (theta4' = pi/2)
+    keeps the result at or below the fixed-phase error.
 
     Args:
         b, d: flat cell arrays.
@@ -248,31 +355,90 @@ def _optimize_u(b, d, w: WeightConfig, mid_weight):
     """
     b = np.asarray(b, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
-    cand = theta4_candidates()
-    vals = _objective(b[None, :], d[None, :], cand[:, None], w, mid_weight)
-    idx = np.argmin(vals, axis=0)
-    cells = np.arange(b.size)
-    best_val = vals[idx, cells]
-    best_u = cand[idx]
+    u_best = np.empty_like(b)
+    err_best = np.empty_like(b)
+    # Blocks keep the candidate arrays small enough to stay in cache.
+    for lo in range(0, b.size, _BLOCK_CELLS):
+        cells = slice(lo, lo + _BLOCK_CELLS)
+        u_best[cells], err_best[cells] = _optimize_block(
+            b[cells], d[cells], w, mid_weight
+        )
+    return u_best, err_best
 
-    lo = cand[np.maximum(idx - 1, 0)]
-    hi = cand[np.minimum(idx + 1, cand.size - 1)]
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1 = _objective(b, d, x1, w, mid_weight)
-    f2 = _objective(b, d, x2, w, mid_weight)
-    for _ in range(_GOLDEN_ITERATIONS):
-        take = f1 < f2
-        hi = np.where(take, x2, hi)
-        lo = np.where(take, lo, x1)
-        x1 = hi - _INVPHI * (hi - lo)
-        x2 = lo + _INVPHI * (hi - lo)
-        f1 = _objective(b, d, x1, w, mid_weight)
-        f2 = _objective(b, d, x2, w, mid_weight)
-    u_ref = 0.5 * (lo + hi)
-    f_ref = _objective(b, d, u_ref, w, mid_weight)
-    improved = f_ref < best_val
-    return np.where(improved, u_ref, best_u), np.where(improved, f_ref, best_val)
+
+def _optimize_block(b, d, w: WeightConfig, mid_weight):
+    """``_optimize_u`` on one block of cells."""
+    with np.errstate(all="ignore"):
+        cand = np.concatenate([
+            np.zeros((1, b.size)),
+            _critical_points(b, d, w, mid_weight),
+            _pole_window_edges(b, d, w),
+        ])
+        # Non-finite rows (Ferrari at d = 0, 0/0 roots) fall back to u = 0.
+        cand = np.where(np.isfinite(cand), cand, 0.0)
+        vals = _objective(b, d, cand, w, mid_weight)
+    # argmin keeps the first of equal values, so ties go to u = 0.
+    best = np.argmin(vals, axis=0)
+    cells = np.arange(b.size)
+    return cand[best, cells], vals[best, cells]
+
+
+def _pole_window_edges(b, d, w: WeightConfig):
+    """u just outside either edge of the window |s| <= POLE_TOL, per cell.
+
+    ``_objective`` treats that window as a pole, so where the continuous
+    minimum lies inside it (near b = d = 0, or with d within about 1e-5
+    of the cross ratio) the best admissible phase sits at an edge.
+    """
+    p = w.g3_over_g2**2 * b
+    eps = np.finfo(float).eps
+    # The margin covers the rounding of s = p + d u recomputed from u.
+    t = POLE_TOL * (1.0 + 8.0 * eps) + 8.0 * eps * np.abs(p)
+    return np.stack([(t - p) / d, (-t - p) / d])
+
+
+def _critical_points(b, d, w: WeightConfig, m):
+    """Real roots of Q1 and Q2 for each cell, shape (12, cells).
+
+    Complex roots contribute their real part and some rows are spurious
+    or non-finite; the caller evaluates every row and keeps the best.
+    """
+    g1, _, g3, _ = w.as_tuple()
+    r2 = w.g3_over_g2
+    ratio = w.cross_ratio
+    p = r2**2 * b
+    beta = d - ratio
+    k = m * g1**2
+    q1 = (k * d * d * d, 3.0 * k * d * d * p, 3.0 * k * d * p * p,
+          k * p * p * p - beta * p * ratio, -beta * p * p)
+    a = 1.0 / (g1**2 * r2**2)
+    c0 = 1.0 / g3**2 - m * r2**2 - 1.0
+    ey_num = r2**2 * beta**2 / g1**2
+    q2 = (m * d**2 / r2**2, 2.0 * m * d * p / r2**2,
+          m * p**2 / r2**2 + c0 * d**2 + ratio**2 * a,
+          2.0 * c0 * d * p + 2.0 * ratio * p * a,
+          c0 * p**2 + p**2 * a - ey_num)
+
+    def gap(u):
+        """ex - ey and its slope, unexpanded."""
+        s = p + d * u
+        n = ratio * u + p
+        num = a * n * n - ey_num
+        return (num / s**2 + m * u * u / r2**2 + c0,
+                (2.0 * a * ratio * n - 2.0 * d * num / s) / s**2
+                + 2.0 * m * u / r2**2)
+
+    # Both quartics at once: each coefficient is a (2, cells) array.
+    coeffs = tuple(np.stack(pair) for pair in zip(q1, q2))
+    guesses = np.stack(
+        _quartic_candidates(coeffs) + _trailing_quadratic_roots(coeffs)
+    )
+    u = _newton(_horner(coeffs), guesses)
+    # Q2 is s^2 (ex - ey) expanded, which cancels badly near the pole
+    # s = 0; a last step on the unexpanded gap puts each crossing at the
+    # precision of the objective itself.
+    u[:, 1] = _newton(gap, u[:, 1], steps=1)
+    return u.reshape(-1, b.size)
 
 
 def optimize_theta4(
@@ -283,6 +449,10 @@ def optimize_theta4(
 ) -> OptimizeResult:
     """Minimize the inf-norm error over the free phase theta4'.
 
+    The minimum is exact: it is taken over the closed-form stationary
+    points of ex, the crossings ex = ey and pi/2 (see ``_optimize_u``),
+    not over a scan grid.
+
     Args:
         target: symplectic target (only b, d enter the objective).
         w: cluster weights.
@@ -291,8 +461,8 @@ def optimize_theta4(
         cubic: required for the cubic mode, forbidden otherwise.
 
     Returns:
-        OptimizeResult(theta4p, err_inf).  Pi/2 is always among the
-        scanned candidates, so err_inf never exceeds the fixed-phase
+        OptimizeResult(theta4p, err_inf).  Pi/2 is always one of the
+        evaluated candidates, so err_inf never exceeds the fixed-phase
         value.
     """
     validate_target(target)

@@ -38,6 +38,7 @@ from .core import (
     SymplecticTarget,
     WeightConfig,
     arccot,
+    pole_masks,
     validate_target,
 )
 
@@ -152,10 +153,7 @@ def solve_cots(a, b, c, d, w: WeightConfig, cot4p, *,
     denom = (g3**2 / g2**2) * b + d * cot4p
 
     degenerate = np.abs(d) < degenerate_tol
-    near_pole = np.abs(denom) <= pole_tol
-    numerator_scale = np.maximum(np.maximum(np.abs(d), ratio), 1.0)
-    resolvable = near_pole & (np.abs(d - ratio) <= 1e-9 * numerator_scale)
-    pole = near_pole & ~resolvable
+    resolvable, pole = pole_masks(denom, d, ratio, pole_tol)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         cot2p = -(g1 * g2 / (g3 * g4)) * denom

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clustergauss import (
@@ -24,9 +24,16 @@ from clustergauss import (
     sample_targets,
     solve_phases,
 )
-from clustergauss.errormodel import theta4_candidates
+from clustergauss.core import POLE_TOL
 
 OP_POINT = CubicConfig(gamma=0.1, alpha=np.sqrt(125.0), i_m=37.5)
+
+# Middle-term weight of each optimized mode: 1, or 1/(12 gamma I_m) = 1/45.
+OPTIMIZED_MODES = [
+    pytest.param(MODE_GAUSSIAN_OPTIMIZED, None, 1.0, id="gaussian"),
+    pytest.param(MODE_CUBIC_OPTIMIZED, OP_POINT, 1.0 / 45.0, id="cubic"),
+]
+WEIGHT = st.floats(min_value=0.05, max_value=200.0)
 
 
 def _targets(n, seed):
@@ -182,10 +189,76 @@ class TestOptimizer:
         with pytest.raises(DomainError):
             optimize_theta4(generic_target, strong_weights, MODE_CUBIC_OPTIMIZED)
 
-    def test_candidate_grid_contains_half_pi_and_is_sorted(self):
-        cand = theta4_candidates()
-        assert 0.0 in cand
-        assert np.all(np.diff(cand) > 0)
+    @pytest.mark.parametrize("weights, mode, cubic, b, d, optimum", [
+        ((1.0, 1.0, 1.0, 1.0), MODE_CUBIC_OPTIMIZED, OP_POINT,
+         -2.55, 1.025, 1.151638),
+        ((5.0, 5.0, 4.0, 4.0), MODE_GAUSSIAN_OPTIMIZED, None,
+         -0.275, 1.825, 1.644357),
+    ])
+    def test_cells_a_candidate_scan_misses(self, weights, mode, cubic, b, d,
+                                           optimum):
+        # A 203-point log scan with golden refinement returned 1.996712
+        # and 1.646382 here: it settled in the wrong basin.
+        w = WeightConfig(*weights)
+        target = SymplecticTarget(1.0 / d, b, 0.0, d)
+        res = optimize_theta4(target, w, mode, cubic=cubic)
+        assert res.err_inf == pytest.approx(optimum, rel=1e-6)
+        assert res.err_inf <= _dense_minimum(b, d, w, 1.0 / 45.0 if cubic else 1.0)
+        if cubic is None:
+            ev = error_vector_gaussian(target, w, res.theta4p)
+        else:
+            ev = error_vector_cubic(target, w, None, res.theta4p, cubic)
+        assert ev.inf_norm == pytest.approx(res.err_inf, rel=1e-12)
+
+    def test_crossing_next_to_the_pole_is_balanced(self, unit_weights):
+        # The optimum is a crossing ex = ey at |b + d u| ~ 0.07, where the
+        # expanded crossing quartic cancels; it must still hold ex = ey to
+        # the precision of ex and ey themselves.
+        b, d = -2.65, 0.975
+        target = SymplecticTarget(1.0 / d, b, 0.0, d)
+        res = optimize_theta4(target, unit_weights, MODE_CUBIC_OPTIMIZED,
+                              cubic=OP_POINT)
+        ev = error_vector_cubic(target, unit_weights, None, res.theta4p,
+                                OP_POINT)
+        assert ev.ex == pytest.approx(ev.ey, rel=1e-14)
+
+    @pytest.mark.parametrize("mode, cubic, mid_weight", OPTIMIZED_MODES)
+    @settings(max_examples=150, deadline=None)
+    @given(weights=st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT),
+           b=st.floats(min_value=-5.0, max_value=5.0),
+           d=st.floats(min_value=-5.0, max_value=5.0))
+    def test_never_above_a_dense_scan(self, mode, cubic, mid_weight,
+                                      weights, b, d):
+        w = WeightConfig(*weights)
+        assume(abs(d) >= 1e-3)
+        # Within POLE_TOL of the pole the objective is cut out; near the
+        # removable set that window makes it discontinuous.
+        assume(abs(d - w.cross_ratio) >= 1e-6 * max(1.0, abs(d)))
+        res = optimize_theta4(SymplecticTarget(1.0 / d, b, 0.0, d), w,
+                              mode, cubic=cubic)
+        scan = _dense_minimum(b, d, w, mid_weight)
+        assert res.err_inf <= scan * (1.0 + 1e-12)
+
+
+def _dense_minimum(b, d, w, mid_weight, n=40_000, pole_tol=0.0):
+    """max(ex, ey) minimized over n phases evenly spaced in (0, pi) and pi/2.
+
+    Written from the closed form of ``error_vector_gaussian``, with the
+    middle terms scaled by ``mid_weight``; phases whose denominator
+    (scaled by g3^2/g2^2) is within ``pole_tol`` of zero are left out.
+    """
+    g1, g2, g3, g4 = w.as_tuple()
+    theta = (np.arange(n) + 0.5) * (np.pi / n)
+    u = np.append(np.cos(theta) / np.sin(theta), 0.0)
+    with np.errstate(all="ignore"):
+        denom = b + d * (g2 / g3) ** 2 * u
+        ex = 1.0 / g3**2 + mid_weight * (g2 / g3) ** 2 * u**2 \
+            + g2**2 * (b * g4 / g1 + (g2 / g3) * u) ** 2 \
+            / (g3**2 * g4**2 * denom**2)
+        ey = 1.0 + mid_weight * (g3 / g2) ** 2 \
+            + (d * (g2 / g3) * (g4 / g1) - 1.0) ** 2 / (g4**2 * denom**2)
+    in_window = np.abs(denom) * (g3 / g2) ** 2 <= pole_tol
+    return float(np.nanmin(np.where(in_window, np.inf, np.maximum(ex, ey))))
 
 
 def _spec(mode, w, cubic=None, n=11):
@@ -212,11 +285,46 @@ class TestErrorSurface:
         assert surf.n_invalid == 1
         assert not np.isfinite(surf.err_inf[5, 5])
 
-    def test_optimized_cellwise_at_most_fixed(self, strong_weights):
-        fixed = error_surface(_spec(MODE_GAUSSIAN_FIXED, strong_weights))
-        opt = error_surface(_spec(MODE_GAUSSIAN_OPTIMIZED, strong_weights))
-        both = np.isfinite(fixed.err_inf) & np.isfinite(opt.err_inf)
-        assert np.all(opt.err_inf[both] <= fixed.err_inf[both] + 1e-12)
+    @settings(max_examples=30, deadline=None)
+    @given(weights=st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT))
+    @example(weights=(5.0, 5.0, 4.0, 4.0))
+    def test_optimized_cellwise_at_most_fixed(self, weights):
+        # pi/2 is always a candidate, so there is no slack.
+        w = WeightConfig(*weights)
+        fixed = error_surface(_spec(MODE_GAUSSIAN_FIXED, w, n=21))
+        opt = error_surface(_spec(MODE_GAUSSIAN_OPTIMIZED, w, n=21))
+        valid = np.isfinite(fixed.err_inf)
+        assert np.all(np.isfinite(opt.err_inf[valid]))
+        assert np.all(opt.err_inf[valid] <= fixed.err_inf[valid])
+
+    @pytest.mark.parametrize("d", [0.0, 1e-15, -1e-7])
+    @pytest.mark.parametrize("mode, cubic, mid_weight", OPTIMIZED_MODES)
+    def test_rows_where_the_quartics_lose_degree(self, mode, cubic,
+                                                 mid_weight, d):
+        # At d = 0 the quartics drop to degree 1 and 2; for tiny |d| their
+        # leading coefficients vanish to rounding.  Weak weights keep the
+        # optimum away from pi/2.
+        w = WeightConfig(0.5, 1.0, 0.5, 1.0)
+        surf = error_surface(ErrorSurfaceSpec(
+            (-5.0, 5.0), (d, d), 21, 1, w, mode, cubic))
+        fixed = error_surface(ErrorSurfaceSpec(
+            (-5.0, 5.0), (d, d), 21, 1, w, MODE_GAUSSIAN_FIXED))
+        assert np.nanmin(fixed.err_inf - surf.err_inf) > 0.1
+        for b, err in zip(surf.b_values, surf.err_inf[:, 0]):
+            if b != 0.0:
+                scan = _dense_minimum(b, d, w, mid_weight)
+                assert err <= scan * (1.0 + 1e-12)
+
+    def test_minimum_inside_the_pole_window_moves_to_its_edge(
+            self, strong_weights):
+        # |b g3^2/g2^2 + d u| <= POLE_TOL counts as a pole; here that
+        # window holds the continuous minimum and pi/2.
+        b, d = 1e-10, 1e-9
+        surf = error_surface(ErrorSurfaceSpec(
+            (b, b), (d, d), 1, 1, strong_weights, MODE_GAUSSIAN_OPTIMIZED))
+        scan = _dense_minimum(b, d, strong_weights, 1.0, pole_tol=POLE_TOL)
+        assert np.isfinite(surf.err_inf[0, 0])
+        assert surf.err_inf[0, 0] <= scan * (1.0 + 1e-12)
 
     def test_cubic_cellwise_at_most_optimized(self, strong_weights):
         opt = error_surface(_spec(MODE_GAUSSIAN_OPTIMIZED, strong_weights))

@@ -148,7 +148,12 @@ class TestGainSurface:
             SQZ,
         )
         assert gs.max_ratio == pytest.approx(359.8595063639527, rel=1e-9)
-        assert gs.argmax_cell == (0.5, -5.0)
+        # b -> -b with theta4' -> pi - theta4' maps the objective onto
+        # itself, so the cells b = +-0.5 tie and argmax takes the first.
+        assert gs.argmax_cell == (-0.5, -5.0)
+        i_minus = int(np.flatnonzero(gs.b_values == -0.5)[0])
+        i_plus = int(np.flatnonzero(gs.b_values == 0.5)[0])
+        assert gs.ratio[i_plus, 0] == pytest.approx(gs.ratio[i_minus, 0], rel=1e-12)
 
     def test_pole_cells_are_nan_in_both(self, unit_weights, strong_weights):
         gs = gain_surface(
