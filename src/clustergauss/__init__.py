@@ -89,8 +89,6 @@ from .simulate import (
     linearization_check,
     replay_record,
     run,
-    run_cubic,
-    run_gaussian,
 )
 
 __version__ = "0.1.0"
@@ -121,7 +119,7 @@ __all__ = [
     "RECORD_COLUMNS", "SHOT_BLOCK", "VARIANTS", "VARIANT_CUBIC",
     "VARIANT_GAUSSIAN", "InputState", "LinearizationReport", "SimConfig",
     "SimSummary", "SmallDisplacementWarning", "linearization_check",
-    "replay_record", "run", "run_cubic", "run_gaussian",
+    "replay_record", "run",
     # grid-state correction
     "CORRECTION_VARIANCE_UNITS", "GKP_X_OFFSET", "GKP_Y_OFFSET",
     "GainSurface", "PerrInput", "gain_surface", "p_err", "p_err_values",

@@ -16,7 +16,8 @@ bit-for-bit: data outputs never contain timestamps.
 
 Exit codes: 0 success; 2 invalid input or configuration (a JSON object
 with ``error`` and ``message`` fields is printed to stderr); 3 for
-``simulate`` when a consistency z-score exceeds the gate.
+``simulate`` when a consistency z-score exceeds the gate, or when a
+z-score is not finite or a variance estimate is not positive.
 """
 
 from __future__ import annotations
@@ -378,6 +379,26 @@ _SIMULATE_DEFAULTS = {
 }
 
 
+def _gate_failure(summary, z_gate: float):
+    """(slug, message) when ``summary`` fails the statistical gate, else None.
+
+    A non-finite z-score or a variance estimate that is not positive fails
+    outright: no comparison with the gate can pass on them.
+    """
+    z = np.concatenate([summary.z_mean, summary.z_error_var])
+    if not np.all(np.isfinite(z)):
+        return "invalid-statistics", f"non-finite z-score in {z.tolist()!r}"
+    variances = np.concatenate([np.diag(summary.cov_out),
+                                np.diag(summary.error_cov)])
+    if not np.all(variances > 0.0):
+        return ("invalid-statistics",
+                f"variance estimate not positive in {variances.tolist()!r}")
+    worst = float(np.max(np.abs(z)))
+    if worst > z_gate:
+        return "z-gate-exceeded", f"max |z| = {worst!r} exceeds gate {z_gate!r}"
+    return None
+
+
 def cmd_simulate(args) -> int:
     _angles_to_radians(args)
     resolved = _resolve(args, _load_config(args.config), _SIMULATE_DEFAULTS)
@@ -418,12 +439,9 @@ def cmd_simulate(args) -> int:
     _deliver(_dumps(summary.to_dict()), resolved["out"])
     if resolved["out"] is not None:
         _write_manifest(resolved["out"], "simulate", resolved)
-    z_gate = float(resolved["z_gate"])
-    worst = float(max(np.max(np.abs(summary.z_mean)),
-                      np.max(np.abs(summary.z_error_var))))
-    if worst > z_gate:
-        _emit_error("z-gate-exceeded",
-                    f"max |z| = {worst!r} exceeds gate {z_gate!r}")
+    failure = _gate_failure(summary, float(resolved["z_gate"]))
+    if failure is not None:
+        _emit_error(*failure)
         return 3
     return 0
 

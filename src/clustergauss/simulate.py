@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -55,8 +55,6 @@ __all__ = [
     "SimConfig",
     "SimSummary",
     "LinearizationReport",
-    "run_gaussian",
-    "run_cubic",
     "run",
     "replay_record",
     "linearization_check",
@@ -299,11 +297,39 @@ def _run_params(config: SimConfig):
     return params, solved
 
 
-def _propagate_gaussian(q: np.ndarray, p: _Params) -> np.ndarray:
-    """Exact affine protocol on sampled quadratures; returns a record block.
+class _Shots(NamedTuple):
+    """Per-shot protocol quantities of one block, in RECORD_COLUMNS order.
 
-    ``q`` has shape (10, n) in _sample_block row order; the result has
-    shape (n, len(RECORD_COLUMNS)).
+    Each field is an array over the block's shots, except that
+    ``cot3_used`` is the scalar cot(theta3) in the Gaussian variant.
+    ``kept`` marks the shots that enter the statistics (None: all of
+    them); the stage-2 quantities of the others are meaningless.
+    """
+
+    i_in: np.ndarray
+    i_1: np.ndarray
+    i_2: np.ndarray
+    i_3: np.ndarray
+    i_m: np.ndarray
+    ff_x: np.ndarray
+    ff_y: np.ndarray
+    x_out: np.ndarray
+    y_out: np.ndarray
+    cot3_used: np.ndarray | float
+    kept: Optional[np.ndarray]
+
+
+# Record columns blanked (NaN) for discarded shots: the quantities that
+# depend on the per-shot mode-2 basis, which I_m <= 0 leaves undefined.
+_STAGE2_COLUMNS = [RECORD_COLUMNS.index(c) for c in (
+    "i_2", "i_3", "ff_x", "ff_y", "x_out", "y_out", "cot_theta3_used")]
+
+
+def _propagate_gaussian(q: np.ndarray, p: _Params) -> _Shots:
+    """Exact affine protocol on sampled quadratures.
+
+    ``q`` has shape (10, n) in _sample_block row order.  Every shot is
+    kept; the i_m field carries the first-pair x correction c1x.
     """
     x_in, y_in = q[0], q[1]
     x1, y1, x2, y2, x3, y3, x4, y4 = q[2:10]
@@ -331,30 +357,16 @@ def _propagate_gaussian(q: np.ndarray, p: _Params) -> np.ndarray:
 
     x_out = x4 - ff_x
     y_out = (y4 + p.g3 * x3) - ff_y
-
-    n = x_in.size
-    rec = np.empty((n, len(RECORD_COLUMNS)))
-    rec[:, 0:10] = q.T
-    rec[:, 10] = i_in
-    rec[:, 11] = i_1
-    rec[:, 12] = i_2
-    rec[:, 13] = i_3
-    rec[:, 14] = c1x
-    rec[:, 15] = ff_x
-    rec[:, 16] = ff_y
-    rec[:, 17] = x_out
-    rec[:, 18] = y_out
-    rec[:, 19] = p.cot3
-    rec[:, 20] = 0.0
-    return rec
+    return _Shots(i_in, i_1, i_2, i_3, c1x, ff_x, ff_y, x_out, y_out,
+                  p.cot3, None)
 
 
-def _propagate_cubic(q: np.ndarray, p: _Params) -> np.ndarray:
+def _propagate_cubic(q: np.ndarray, p: _Params) -> _Shots:
     """Exact nonlinear protocol with per-shot basis precompensation.
 
     Node 2 holds the displaced cubic-phase state; its x-quadrature feeds
-    the neighbours through the CZ couplings.  I_m <= 0 shots are marked
-    discarded: stage-2 columns are NaN and the flag column is 1.
+    the neighbours through the CZ couplings.  Shots with I_m <= 0 are
+    not kept.
     """
     x_in, y_in = q[0], q[1]
     x1, y1, x2, y2, x3, y3, x4, y4 = q[2:10]
@@ -392,52 +404,127 @@ def _propagate_cubic(q: np.ndarray, p: _Params) -> np.ndarray:
 
     x_out = x4 - ff_x
     y_out = (y4 + p.g3 * x3) - ff_y
+    return _Shots(i_in, i_1, i_2, i_3, i_m, ff_x, ff_y, x_out, y_out,
+                  cot3_used, valid)
 
-    nanmask = ~valid
-    for a in (i_2, i_3, ff_x, ff_y, x_out, y_out, cot3_used):
-        a[nanmask] = np.nan
 
-    n = x_in.size
-    rec = np.empty((n, len(RECORD_COLUMNS)))
+def _record_block(q: np.ndarray, shots: _Shots) -> np.ndarray:
+    """Per-shot record rows (n, len(RECORD_COLUMNS)) of one block.
+
+    Discarded shots have the flag column 1 and NaN stage-2 columns.
+    """
+    rec = np.empty((q.shape[1], len(RECORD_COLUMNS)))
     rec[:, 0:10] = q.T
-    rec[:, 10] = i_in
-    rec[:, 11] = i_1
-    rec[:, 12] = i_2
-    rec[:, 13] = i_3
-    rec[:, 14] = i_m
-    rec[:, 15] = ff_x
-    rec[:, 16] = ff_y
-    rec[:, 17] = x_out
-    rec[:, 18] = y_out
-    rec[:, 19] = cot3_used
-    rec[:, 20] = nanmask.astype(float)
+    for j, column in enumerate(shots[:10], start=10):
+        rec[:, j] = column
+    if shots.kept is None:
+        rec[:, 20] = 0.0
+    else:
+        discarded = ~shots.kept
+        rec[:, 20] = discarded
+        rec[np.ix_(discarded, _STAGE2_COLUMNS)] = np.nan
     return rec
 
 
-def _block_stats(rec: np.ndarray, u: np.ndarray):
-    """Per-block accumulators: counts and raw sums for mean/covariance."""
-    kept = rec[:, 20] == 0.0
-    out = rec[kept][:, 17:19]
-    xin = rec[kept][:, 0:2]
-    err = out - xin @ u.T
-    err2 = err * err
-    return {
-        "n_kept": int(np.count_nonzero(kept)),
-        "n_disc": int(np.count_nonzero(~kept)),
-        "sum_out": out.sum(axis=0),
-        "sum_outer_out": out.T @ out,
-        "sum_err": err.sum(axis=0),
-        "sum_outer_err": err.T @ err,
-        "sum_err3": (err2 * err).sum(axis=0),
-        "sum_err4": (err2 * err2).sum(axis=0),
-        "sum_im": float(rec[kept][:, 14].sum()),
-    }
+@dataclass(frozen=True)
+class _Moments:
+    """Count, means and centred moment sums of a set of kept shots.
+
+    ``c_out`` and ``c_err`` are the 2x2 co-moment sums
+    sum (v - mean)(v - mean)^T of the output and of the error
+    out - U @ (x_in, y_in); ``m3_err`` and ``m4_err`` are the per-component
+    sums of (err - mean)^3 and (err - mean)^4.  Keeping sums about the mean,
+    never raw power sums, is what keeps the statistics exact at any input
+    amplitude.
+    """
+
+    n: int
+    n_discarded: int
+    mean_out: np.ndarray
+    c_out: np.ndarray
+    mean_err: np.ndarray
+    c_err: np.ndarray
+    m3_err: np.ndarray
+    m4_err: np.ndarray
+    sum_im: float
 
 
-def _mean_cov(n, s1, s2):
-    mean = s1 / n
-    cov = (s2 - n * np.outer(mean, mean)) / (n - 1)
-    return mean, cov
+_NO_SHOTS = _Moments(0, 0, np.zeros(2), np.zeros((2, 2)), np.zeros(2),
+                     np.zeros((2, 2)), np.zeros(2), np.zeros(2), 0.0)
+
+
+def _centred(x: np.ndarray, y: np.ndarray):
+    """Means, co-moment matrix and the deviations of a pair of samples."""
+    mean = np.array([x.mean(), y.mean()])
+    dx, dy = x - mean[0], y - mean[1]
+    cxy = dx @ dy
+    return mean, np.array([[dx @ dx, cxy], [cxy, dy @ dy]]), dx, dy
+
+
+def _block_moments(q: np.ndarray, shots: _Shots, u: np.ndarray) -> _Moments:
+    """Two-pass moments of one block's kept shots."""
+    columns = (q[0], q[1], shots.x_out, shots.y_out, shots.i_m)
+    if shots.kept is not None:
+        columns = [a[shots.kept] for a in columns]
+    x_in, y_in, x_out, y_out, i_m = columns
+    n = x_out.size
+    n_discarded = q.shape[1] - n
+    if n == 0:
+        return replace(_NO_SHOTS, n_discarded=n_discarded)
+    err_x = x_out - (u[0, 0] * x_in + u[0, 1] * y_in)
+    err_y = y_out - (u[1, 0] * x_in + u[1, 1] * y_in)
+    mean_out, c_out, _, _ = _centred(x_out, y_out)
+    mean_err, c_err, dx, dy = _centred(err_x, err_y)
+    dx2, dy2 = dx * dx, dy * dy
+    return _Moments(
+        n=n,
+        n_discarded=n_discarded,
+        mean_out=mean_out,
+        c_out=c_out,
+        mean_err=mean_err,
+        c_err=c_err,
+        m3_err=np.array([dx2 @ dx, dy2 @ dy]),
+        m4_err=np.array([dx2 @ dx2, dy2 @ dy2]),
+        sum_im=float(i_m.sum()),
+    )
+
+
+def _merge(a: _Moments, b: _Moments) -> _Moments:
+    """Moments of the union of two disjoint shot sets.
+
+    Pairwise updates of Chan, Golub & LeVeque (Am. Stat. 37, 1983) for
+    means and co-moments and of Pebay (SAND2008-6212) for the third and
+    fourth moments; every term is a difference of means or a centred sum,
+    so nothing cancels at large amplitudes.
+    """
+    n_discarded = a.n_discarded + b.n_discarded
+    if b.n == 0:
+        return replace(a, n_discarded=n_discarded)
+    if a.n == 0:
+        return replace(b, n_discarded=n_discarded)
+    na, nb = float(a.n), float(b.n)
+    n = na + nb
+    d_out = b.mean_out - a.mean_out
+    d = b.mean_err - a.mean_err
+    m2a, m2b = a.c_err.diagonal(), b.c_err.diagonal()
+    m3 = (a.m3_err + b.m3_err
+          + d**3 * (na * nb * (na - nb) / n**2)
+          + 3.0 * d * (na * m2b - nb * m2a) / n)
+    m4 = (a.m4_err + b.m4_err
+          + d**4 * (na * nb * (na * na - na * nb + nb * nb) / n**3)
+          + 6.0 * d**2 * (na * na * m2b + nb * nb * m2a) / n**2
+          + 4.0 * d * (na * b.m3_err - nb * a.m3_err) / n)
+    return _Moments(
+        n=a.n + b.n,
+        n_discarded=n_discarded,
+        mean_out=a.mean_out + d_out * (nb / n),
+        c_out=a.c_out + b.c_out + np.outer(d_out, d_out) * (na * nb / n),
+        mean_err=a.mean_err + d * (nb / n),
+        c_err=a.c_err + b.c_err + np.outer(d, d) * (na * nb / n),
+        m3_err=m3,
+        m4_err=m4,
+        sum_im=a.sum_im + b.sum_im,
+    )
 
 
 def _predicted_error_cov(params: _Params, var_y: float,
@@ -459,23 +546,15 @@ def _predicted_error_cov(params: _Params, var_y: float,
     return m2 @ stage1 @ m2.T + stage2
 
 
-def _summarize(config: SimConfig, parts, u: np.ndarray, params: _Params,
-               solved, records: Optional[np.ndarray]) -> SimSummary:
-    n_kept = sum(p["n_kept"] for p in parts)
-    n_disc = sum(p["n_disc"] for p in parts)
+def _summarize(config: SimConfig, m: _Moments, u: np.ndarray,
+               params: _Params, solved,
+               records: Optional[np.ndarray]) -> SimSummary:
+    n_kept = m.n
     if n_kept < 2:
         raise DomainError("fewer than two kept shots; cannot form statistics")
-    sum_out = sum((p["sum_out"] for p in parts), np.zeros(2))
-    sum_outer_out = sum((p["sum_outer_out"] for p in parts), np.zeros((2, 2)))
-    sum_err = sum((p["sum_err"] for p in parts), np.zeros(2))
-    sum_outer_err = sum((p["sum_outer_err"] for p in parts), np.zeros((2, 2)))
-    sum_err3 = sum((p["sum_err3"] for p in parts), np.zeros(2))
-    sum_err4 = sum((p["sum_err4"] for p in parts), np.zeros(2))
-    sum_im = sum(p["sum_im"] for p in parts)
-
-    mean_out, cov_out = _mean_cov(n_kept, sum_out, sum_outer_out)
-    err_mean, err_cov = _mean_cov(n_kept, sum_err, sum_outer_err)
-    mean_im = sum_im / n_kept if config.variant == VARIANT_CUBIC else None
+    cov_out = m.c_out / (n_kept - 1)
+    err_cov = m.c_err / (n_kept - 1)
+    mean_im = m.sum_im / n_kept if config.variant == VARIANT_CUBIC else None
 
     var_y = config.squeezing.var_y
     pred_err_cov = _predicted_error_cov(params, var_y, mean_im)
@@ -489,27 +568,27 @@ def _summarize(config: SimConfig, parts, u: np.ndarray, params: _Params,
     # error; the fourth-moment formula is exact asymptotically for any
     # distribution and reduces to sqrt(2/n) in the Gaussian variant.
     se_mean = np.sqrt(np.diag(cov_out) / n_kept)
-    z_mean = (mean_out - pred_mean) / se_mean
+    z_mean = (m.mean_out - pred_mean) / se_mean
     pred_var = np.diag(pred_err_cov)
-    mu = sum_err / n_kept
-    m2 = sum_outer_err.diagonal() / n_kept - mu**2
-    m4 = (sum_err4 / n_kept - 4.0 * mu * sum_err3 / n_kept
-          + 6.0 * mu**2 * sum_outer_err.diagonal() / n_kept - 3.0 * mu**4)
+    m2 = m.c_err.diagonal() / n_kept
+    m4 = m.m4_err / n_kept
     se_var = np.sqrt(np.maximum(m4 - m2**2, 0.0) / n_kept)
     se_var = np.where(se_var > 0.0, se_var,
                       pred_var * np.sqrt(2.0 / (n_kept - 1)))
+    # An exact match with zero standard error (0/0) is a z of 0; any other
+    # non-finite z is kept so that the gate sees it.
+    diff = np.diag(err_cov) - pred_var
     with np.errstate(divide="ignore", invalid="ignore"):
-        z_err = (np.diag(err_cov) - pred_var) / se_var
-    z_err = np.where(np.isnan(z_err), 0.0, z_err)
+        z_err = np.where(diff == 0.0, 0.0, diff / se_var)
 
     return SimSummary(
         variant=config.variant,
         n_shots=config.n_shots,
         n_kept=n_kept,
-        n_discarded=n_disc,
-        mean_out=mean_out,
+        n_discarded=m.n_discarded,
+        mean_out=m.mean_out,
         cov_out=cov_out,
-        error_mean=err_mean,
+        error_mean=m.mean_err,
         error_cov=err_cov,
         predicted_mean=pred_mean,
         predicted_out_cov=pred_out_cov,
@@ -527,15 +606,19 @@ def run(config: SimConfig, n_workers: int = 1,
         record_shots: bool = False) -> SimSummary:
     """Run the Monte Carlo protocol described by ``config``.
 
-    Shots are generated in fixed blocks with counter-based seeding, and
-    block statistics are reduced in block order, so the summary is
-    bit-identical for any ``n_workers``.
+    Shots are generated in fixed blocks with counter-based seeding.  Each
+    block is reduced to centred moments (count, means, co-moment sums and
+    the error's third and fourth moment sums) as soon as it is
+    propagated, and the block moments are merged in block order on the
+    calling thread, so memory does not grow with ``n_shots`` and the
+    summary is bit-identical for any ``n_workers``.
 
     Args:
         config: run description.
-        n_workers: number of propagation threads.
-        record_shots: attach the full per-shot record array
-            (RECORD_COLUMNS order) to the summary.
+        n_workers: number of threads that sample, propagate and reduce
+            blocks.
+        record_shots: also build the per-shot record array
+            (RECORD_COLUMNS order) and attach it to the summary.
 
     Returns:
         SimSummary.
@@ -551,34 +634,28 @@ def run(config: SimConfig, n_workers: int = 1,
         for k in range(n_blocks)
     ]
 
-    def one_block(k: int) -> np.ndarray:
-        return propagate(_sample_block(config, k, sizes[k]), params)
+    def one_block(k: int):
+        q = _sample_block(config, k, sizes[k])
+        shots = propagate(q, params)
+        rec = _record_block(q, shots) if record_shots else None
+        return _block_moments(q, shots, u), rec
+
+    def reduce_in_order(results):
+        total, records = _NO_SHOTS, []
+        for moments, rec in results:
+            total = _merge(total, moments)
+            records.append(rec)
+        return total, records
 
     if n_workers <= 1 or n_blocks == 1:
-        blocks = [one_block(k) for k in range(n_blocks)]
+        total, records = reduce_in_order(map(one_block, range(n_blocks)))
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            blocks = list(pool.map(one_block, range(n_blocks)))
+            total, records = reduce_in_order(
+                pool.map(one_block, range(n_blocks)))
 
-    parts = [_block_stats(rec, u) for rec in blocks]
-    records = np.vstack(blocks) if record_shots else None
-    return _summarize(config, parts, u, params, solved, records)
-
-
-def run_gaussian(config: SimConfig, n_workers: int = 1,
-                 record_shots: bool = False) -> SimSummary:
-    """Run the Gaussian variant (config.variant must agree)."""
-    if config.variant != VARIANT_GAUSSIAN:
-        raise DomainError("run_gaussian requires variant='gaussian'")
-    return run(config, n_workers=n_workers, record_shots=record_shots)
-
-
-def run_cubic(config: SimConfig, n_workers: int = 1,
-              record_shots: bool = False) -> SimSummary:
-    """Run the cubic variant (config.variant must agree)."""
-    if config.variant != VARIANT_CUBIC:
-        raise DomainError("run_cubic requires variant='cubic'")
-    return run(config, n_workers=n_workers, record_shots=record_shots)
+    stacked = np.vstack(records) if record_shots else None
+    return _summarize(config, total, u, params, solved, stacked)
 
 
 def replay_record(config: SimConfig, record_row: np.ndarray):
@@ -592,7 +669,7 @@ def replay_record(config: SimConfig, record_row: np.ndarray):
     q = np.asarray(record_row, dtype=float)[:10].reshape(10, 1).copy()
     propagate = _propagate_gaussian if config.variant == VARIANT_GAUSSIAN \
         else _propagate_cubic
-    rec = propagate(q, params)
+    rec = _record_block(q, propagate(q, params))
     return float(rec[0, 17]), float(rec[0, 18])
 
 

@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from clustergauss import RECORD_COLUMNS
+from clustergauss import RECORD_COLUMNS, cli
 from clustergauss.cli import main
 
 D_OK = (1.0 + 0.5 * 0.3) / 1.2  # completes a=1.2, b=0.5, c=0.3
@@ -187,6 +188,25 @@ class TestSimulateCommand:
         code, _, err = _run(capsys, *self.BASE, "--z-gate", "0.0001")
         assert code == 3
         assert json.loads(err)["error"] == "z-gate-exceeded"
+
+    @pytest.mark.parametrize("field, value", [
+        ("z_error_var", [float("nan"), 0.0]),
+        ("z_mean", [0.0, float("inf")]),
+        ("cov_out", [[-0.1, 0.0], [0.0, 0.3]]),
+        ("error_cov", [[0.01, 0.0], [0.0, 0.0]]),
+    ])
+    def test_invalid_statistics_fail_the_gate(self, capsys, monkeypatch,
+                                              field, value):
+        real_run = cli.run
+
+        def corrupted_run(*args, **kwargs):
+            return dataclasses.replace(real_run(*args, **kwargs),
+                                       **{field: np.array(value)})
+
+        monkeypatch.setattr(cli, "run", corrupted_run)
+        code, _, err = _run(capsys, *self.BASE)
+        assert code == 3
+        assert json.loads(err)["error"] == "invalid-statistics"
 
     def test_records_csv(self, capsys, tmp_path):
         rec = tmp_path / "shots.csv"
