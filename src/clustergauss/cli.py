@@ -23,8 +23,8 @@ z-score is not finite or a variance estimate is not positive.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -46,6 +46,7 @@ from .core import (
     SqueezingSpec,
     SymplecticTarget,
     WeightConfig,
+    float_rows,
 )
 from .czgate import bloch_messiah, max_weight
 from .errormodel import (
@@ -75,6 +76,8 @@ WORKERS_ENV = "CLUSTERGAUSS_WORKERS"
 
 ERROR_SURFACE_HEADER = ("b", "d", "err_x", "err_y", "err_inf", "theta4p_used")
 GAIN_SURFACE_HEADER = ("b", "d", "p_err_base", "p_err_opt", "ratio")
+# Rows formatted and written per write call; bounds the text held at once.
+CSV_CHUNK_ROWS = 16384
 
 _ERROR_SLUGS = (
     (NotSymplectic, "not-symplectic"),
@@ -126,13 +129,22 @@ def _deliver(text: str, out) -> None:
         Path(out).write_text(text)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else repr(float(v)) for v in row])
-    return buf.getvalue()
+def _write_csv(header, rows, out) -> None:
+    """Write ``header`` and ``rows`` as CSV to ``out`` (stdout if None).
+
+    Rows hold Python floats, written as their repr, or None, written as
+    an empty field.  They are formatted and written CSV_CHUNK_ROWS at a
+    time, so an iterator of rows is never held whole.  Nothing needs
+    quoting: a float repr holds no comma, quote or newline, and "None"
+    occurs in no float repr.
+    """
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else open(out, "w")) as fh:
+        fh.write(",".join(header) + "\n")
+        it = iter(rows)
+        while chunk := list(itertools.islice(it, CSV_CHUNK_ROWS)):
+            fh.write("".join([",".join(map(repr, row)) + "\n"
+                              for row in chunk]).replace("None", ""))
 
 
 def _write_manifest(out, subcommand: str, resolved: dict) -> None:
@@ -299,8 +311,7 @@ def cmd_error_surface(args) -> int:
         cubic=_cubic_config(resolved, mode == MODE_CUBIC_OPTIMIZED),
     )
     surface = error_surface(spec, n_workers=workers)
-    _deliver(_csv_text(ERROR_SURFACE_HEADER, surface.to_rows()),
-             resolved["out"])
+    _write_csv(ERROR_SURFACE_HEADER, surface.to_rows(), resolved["out"])
     if resolved["out"] is not None:
         _write_manifest(resolved["out"], "error-surface", resolved)
     return 0
@@ -345,8 +356,7 @@ def cmd_gain_surface(args) -> int:
         **grid)
     squeezing = SqueezingSpec.from_db(float(resolved["db"]))
     gs = gain_surface(base_spec, opt_spec, squeezing, n_workers=workers)
-    Path(resolved["out"]).write_text(
-        _csv_text(GAIN_SURFACE_HEADER, gs.to_rows()))
+    _write_csv(GAIN_SURFACE_HEADER, gs.to_rows(), resolved["out"])
     _write_manifest(resolved["out"], "gain-surface", resolved)
     bmax, dmax = gs.argmax_cell
     sys.stdout.write(_dumps({
@@ -399,6 +409,12 @@ def _gate_failure(summary, z_gate: float):
     return None
 
 
+def _record_rows(records: np.ndarray):
+    """Rows of ``records``, built CSV_CHUNK_ROWS at a time."""
+    for start in range(0, len(records), CSV_CHUNK_ROWS):
+        yield from float_rows(*records[start:start + CSV_CHUNK_ROWS].T)
+
+
 def cmd_simulate(args) -> int:
     _angles_to_radians(args)
     resolved = _resolve(args, _load_config(args.config), _SIMULATE_DEFAULTS)
@@ -432,10 +448,8 @@ def cmd_simulate(args) -> int:
     want_records = resolved["records"] is not None
     summary = run(config, n_workers=workers, record_shots=want_records)
     if want_records:
-        rows = [[None if not math.isfinite(v) else v for v in row]
-                for row in summary.records.tolist()]
-        Path(resolved["records"]).write_text(
-            _csv_text(RECORD_COLUMNS, rows))
+        _write_csv(RECORD_COLUMNS, _record_rows(summary.records),
+                   resolved["records"])
     _deliver(_dumps(summary.to_dict()), resolved["out"])
     if resolved["out"] is not None:
         _write_manifest(resolved["out"], "simulate", resolved)

@@ -115,6 +115,23 @@ def arccot(value):
     return out if out.ndim else float(out)
 
 
+def float_rows(*columns) -> list:
+    """Zip equal-length columns into row lists of Python floats.
+
+    Non-finite entries become None (a missing value).  Each column is
+    converted with one ``tolist`` call, so the rows hold ``float``, never
+    ``np.float64``, whose repr differs under numpy 2.
+    """
+    lists = []
+    for col in columns:
+        col = np.asarray(col, dtype=float)
+        values = col.tolist()
+        for k in np.flatnonzero(~np.isfinite(col)).tolist():
+            values[k] = None
+        lists.append(values)
+    return list(map(list, zip(*lists)))
+
+
 def db_to_variance(db: float) -> float:
     """Convert squeezing in dB to the squeezed-quadrature variance.
 

@@ -39,6 +39,7 @@ from .core import (
     SymplecticTarget,
     WeightConfig,
     arccot,
+    float_rows,
     pole_masks,
     validate_target,
 )
@@ -571,32 +572,12 @@ class ErrorSurface:
 
         Missing cells yield None in the numeric fields.
         """
-        rows = []
-        for i, bv in enumerate(self.b_values):
-            for j, dv in enumerate(self.d_values):
-                vals = (self.ex[i, j], self.ey[i, j],
-                        self.err_inf[i, j], self.theta4p[i, j])
-                rows.append(
-                    [float(bv), float(dv)]
-                    + [float(v) if np.isfinite(v) else None for v in vals]
-                )
-        return rows
-
-    def to_json_dict(self) -> dict:
-        def cell(v):
-            return float(v) if np.isfinite(v) else None
-
-        return {
-            "mode": self.spec.mode,
-            "weights": list(self.spec.w.as_tuple()),
-            "b_values": [float(v) for v in self.b_values],
-            "d_values": [float(v) for v in self.d_values],
-            "ex": [[cell(v) for v in row] for row in self.ex],
-            "ey": [[cell(v) for v in row] for row in self.ey],
-            "err_inf": [[cell(v) for v in row] for row in self.err_inf],
-            "theta4p": [[cell(v) for v in row] for row in self.theta4p],
-            "n_invalid": self.n_invalid,
-        }
+        nb, nd = self.err_inf.shape
+        return float_rows(
+            np.repeat(self.b_values, nd), np.tile(self.d_values, nb),
+            self.ex.ravel(), self.ey.ravel(), self.err_inf.ravel(),
+            self.theta4p.ravel(),
+        )
 
 
 def _surface_chunk(b_flat, d_flat, w, mode, mid):

@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
-from .core import DomainError, SqueezingSpec
+from .core import DomainError, SqueezingSpec, float_rows
 from .errormodel import ErrorSurface, ErrorSurfaceSpec, error_surface
 
 __all__ = [
@@ -75,6 +74,10 @@ def p_err_values(x_er, y_er, var_s):
     of the two arguments; this is exactly 1 - erf*erf but immune to the
     cancellation both erf factors ~ 1 would cause.
     """
+    # Imported here, not at module level: scipy.special is most of the
+    # package's import time, and only the failure probabilities use it.
+    from scipy.special import erfc
+
     x_er = np.asarray(x_er, dtype=float)
     y_er = np.asarray(y_er, dtype=float)
     amp = np.sqrt(np.pi) / (2.0 * np.sqrt(2.0))
@@ -125,32 +128,11 @@ class GainSurface:
 
     def to_rows(self):
         """Flatten to (b, d, p_err_base, p_err_opt, ratio) rows, b-major."""
-        rows = []
-        for i, bv in enumerate(self.b_values):
-            for j, dv in enumerate(self.d_values):
-                vals = (self.p_base[i, j], self.p_opt[i, j], self.ratio[i, j])
-                rows.append(
-                    [float(bv), float(dv)]
-                    + [float(v) if np.isfinite(v) else None for v in vals]
-                )
-        return rows
-
-    def to_json_dict(self) -> dict:
-        def cell(v):
-            return float(v) if np.isfinite(v) else None
-
-        bmax, dmax = self.argmax_cell
-        return {
-            "baseline_mode": self.baseline.spec.mode,
-            "optimized_mode": self.optimized.spec.mode,
-            "squeezing_db": self.squeezing.db,
-            "b_values": [float(v) for v in self.b_values],
-            "d_values": [float(v) for v in self.d_values],
-            "ratio": [[cell(v) for v in row] for row in self.ratio],
-            "max_ratio": cell(self.max_ratio),
-            "argmax_b": cell(bmax),
-            "argmax_d": cell(dmax),
-        }
+        nb, nd = self.ratio.shape
+        return float_rows(
+            np.repeat(self.b_values, nd), np.tile(self.d_values, nb),
+            self.p_base.ravel(), self.p_opt.ravel(), self.ratio.ravel(),
+        )
 
 
 def gain_surface(

@@ -1,13 +1,26 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import contextlib
+import csv
 import dataclasses
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import clustergauss
 from clustergauss import RECORD_COLUMNS, cli
 from clustergauss.cli import main
+from clustergauss.simulate import SHOT_BLOCK
 
 D_OK = (1.0 + 0.5 * 0.3) / 1.2  # completes a=1.2, b=0.5, c=0.3
 
@@ -22,6 +35,39 @@ def _run_json(capsys, *argv):
     code, out, err = _run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def _csv_module_text(header, rows) -> str:
+    """CSV text of ``rows`` through the stdlib csv module, None -> empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if v is None else repr(float(v)) for v in row])
+    return buf.getvalue()
+
+
+# Finite floats of every magnitude (-0.0, subnormals and +-1e308 among
+# them), with NaN and +-inf mapped to None as the row builders do.
+CELL = st.one_of(
+    st.floats().map(lambda v: v if math.isfinite(v) else None),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308,
+                     -1e308, 1.0, -3.0, 2.0**53, 1e16, 0.1]),
+)
+# Rows as wide as the error-surface, gain-surface and records CSVs.
+ROWS = st.sampled_from([5, 6, 21]).flatmap(
+    lambda n: st.lists(st.lists(CELL, min_size=n, max_size=n), max_size=12))
+
+
+class TestWriteCsv:
+    @given(rows=ROWS, chunk=st.integers(1, 5))
+    def test_matches_the_csv_module(self, rows, chunk):
+        header = [f"c{k}" for k in range(len(rows[0]) if rows else 5)]
+        out = io.StringIO()
+        with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk), \
+                contextlib.redirect_stdout(out):
+            cli._write_csv(header, iter(rows), None)
+        assert out.getvalue() == _csv_module_text(header, rows)
 
 
 class TestSolvePhases:
@@ -216,6 +262,33 @@ class TestSimulateCommand:
         assert lines[0] == ",".join(RECORD_COLUMNS)
         assert len(lines) == 1 + 2000
 
+    def test_records_csv_of_a_cubic_run_with_discards(self, capsys,
+                                                       monkeypatch, tmp_path):
+        # 20 000 shots span three blocks; alpha = 5 makes the cubic gate
+        # discard shots, whose record fields are missing values.
+        summaries = []
+        real_run = cli.run
+
+        def keep_summary(*args, **kwargs):
+            summaries.append(real_run(*args, **kwargs))
+            return summaries[-1]
+
+        monkeypatch.setattr(cli, "run", keep_summary)
+        rec = tmp_path / "shots.csv"
+        code, _, _ = _run(
+            capsys, "simulate", "--a", "1.2", "--b", "0.5", "--c", "0.3",
+            "--d", repr(D_OK), "--g1", "5", "--g2", "5", "--g3", "4",
+            "--g4", "4", "--variant", "cubic", "--gamma", "0.1",
+            "--alpha", "5", "--shots", "20000", "--seed", "2",
+            "--records", str(rec))
+        assert code == 3
+        (summary,) = summaries
+        assert summary.n_discarded > 0
+        assert -(-20000 // SHOT_BLOCK) == 3
+        rows = [[v if math.isfinite(v) else None for v in row]
+                for row in summary.records.tolist()]
+        assert rec.read_text() == _csv_module_text(RECORD_COLUMNS, rows)
+
     def test_manifest_rerun_matches(self, capsys, tmp_path):
         out1 = tmp_path / "sim1.json"
         code, _, _ = _run(capsys, *self.BASE, "--out", str(out1))
@@ -281,6 +354,18 @@ class TestCzDecomposeCommand:
             "phase_left", "bs_left", "squeezer", "bs_right", "phase_right"
         }
         assert np.asarray(doc["factors"]["squeezer"]).shape == (4, 4)
+
+
+class TestImports:
+    @pytest.mark.parametrize("module", ["clustergauss", "clustergauss.cli"])
+    def test_import_leaves_scipy_unloaded(self, module):
+        src = str(Path(clustergauss.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "[]\n"
 
 
 class TestVersion:

@@ -350,14 +350,24 @@ class TestErrorSurface:
         assert origin[0] == 0.0 and origin[1] == 0.0
         assert origin[2] is None and origin[5] is None
 
-    def test_json_dict_round_trips_through_json(self, strong_weights):
-        import json
-
-        surf = error_surface(_spec(MODE_GAUSSIAN_OPTIMIZED, strong_weights, n=3))
-        text = json.dumps(surf.to_json_dict(), allow_nan=False)
-        back = json.loads(text)
-        assert back["n_invalid"] == 1
-        assert back["err_inf"][1][1] is None
+    def test_rows_are_python_floats_matching_cellwise_flattening(
+            self, strong_weights):
+        # The 7x7 grid has b = 0 and d = 0 lines, so it holds pole cells.
+        surf = error_surface(_spec(MODE_GAUSSIAN_OPTIMIZED, strong_weights, n=7))
+        assert surf.n_invalid > 0
+        expected = []
+        for i, bv in enumerate(surf.b_values):
+            for j, dv in enumerate(surf.d_values):
+                vals = (surf.ex[i, j], surf.ey[i, j],
+                        surf.err_inf[i, j], surf.theta4p[i, j])
+                expected.append(
+                    [float(bv), float(dv)]
+                    + [float(v) if np.isfinite(v) else None for v in vals]
+                )
+        rows = surf.to_rows()
+        assert rows == expected
+        assert {type(v) for row in rows for v in row} == {float, type(None)}
+        assert sum(row[4] is None for row in rows) == surf.n_invalid
 
     def test_spec_validation(self, strong_weights):
         with pytest.raises(DomainError):

@@ -1,6 +1,5 @@
 """Tests for the grid-state correction-failure model and gain surfaces."""
 
-import json
 import math
 
 import numpy as np
@@ -203,7 +202,7 @@ class TestGainSurface:
         three = gain_surface(*args, n_workers=3)
         np.testing.assert_array_equal(one.ratio, three.ratio)
 
-    def test_rows_and_json(self, unit_weights, strong_weights):
+    def test_rows(self, unit_weights, strong_weights):
         gs = gain_surface(
             _spec(unit_weights, MODE_GAUSSIAN_FIXED, n=5),
             _spec(strong_weights, MODE_GAUSSIAN_FIXED, n=5),
@@ -213,11 +212,9 @@ class TestGainSurface:
         assert len(rows) == 25
         assert rows[0][:2] == [-5.0, -5.0]
         assert rows[1][:2] == [-5.0, -2.5]
-        doc = json.loads(json.dumps(gs.to_json_dict(), allow_nan=False))
-        assert doc["max_ratio"] == pytest.approx(gs.max_ratio)
-        assert doc["squeezing_db"] == pytest.approx(-15.0)
-        # the b = 0 row holds the pole cells -> nulls in JSON
-        assert any(v is None for row in doc["ratio"] for v in row)
+        # the b = 0 row holds the pole cells -> missing values
+        assert all(row[2:] == [None] * 3 for row in rows[10:15])
+        assert rows[0][4] == float(gs.ratio[0, 0])
 
     def test_more_squeezing_smaller_failure_probability(self, unit_weights,
                                                         strong_weights):
