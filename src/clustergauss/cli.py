@@ -17,14 +17,16 @@ bit-for-bit: data outputs never contain timestamps.
 Exit codes: 0 success; 2 invalid input or configuration (a JSON object
 with ``error`` and ``message`` fields is printed to stderr); 3 for
 ``simulate`` when a consistency z-score exceeds the gate, or when a
-z-score is not finite or a variance estimate is not positive.
+z-score is not finite or a variance estimate is not positive.  Numeric
+values must be finite: a manifest is JSON, which has no NaN or infinity.
+So ``--z-gate`` must be finite and > 0, and ``inf`` does not mean "no
+gate".
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -46,7 +48,6 @@ from .core import (
     SqueezingSpec,
     SymplecticTarget,
     WeightConfig,
-    float_rows,
 )
 from .czgate import bloch_messiah, max_weight
 from .errormodel import (
@@ -76,8 +77,9 @@ WORKERS_ENV = "CLUSTERGAUSS_WORKERS"
 
 ERROR_SURFACE_HEADER = ("b", "d", "err_x", "err_y", "err_inf", "theta4p_used")
 GAIN_SURFACE_HEADER = ("b", "d", "p_err_base", "p_err_opt", "ratio")
-# Rows formatted and written per write call; bounds the text held at once.
-CSV_CHUNK_ROWS = 16384
+# Values formatted and written per write call; bounds the text held at
+# once, whatever the column count.
+CSV_CHUNK_VALUES = 2**17
 
 _ERROR_SLUGS = (
     (NotSymplectic, "not-symplectic"),
@@ -129,22 +131,56 @@ def _deliver(text: str, out) -> None:
         Path(out).write_text(text)
 
 
-def _write_csv(header, rows, out) -> None:
-    """Write ``header`` and ``rows`` as CSV to ``out`` (stdout if None).
+def _reprs(values: np.ndarray) -> list:
+    """repr of each float in ``values``; "" for a non-finite one."""
+    fields = list(map(repr, values.tolist()))
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        fields[k] = ""
+    return fields
 
-    Rows hold Python floats, written as their repr, or None, written as
-    an empty field.  They are formatted and written CSV_CHUNK_ROWS at a
-    time, so an iterator of rows is never held whole.  Nothing needs
-    quoting: a float repr holds no comma, quote or newline, and "None"
-    occurs in no float repr.
+
+def _csv_block(block: np.ndarray) -> str:
+    """CSV text of the rows of a C-contiguous float64 ``block``.
+
+    Values repeat a lot in the surface files (grid axes, err_inf equal to
+    err_x or err_y, theta4' = pi/2 cells).  When at most half of the
+    block's values are distinct, each distinct value is formatted once
+    and the strings are gathered by index.  Values are told apart by bit
+    pattern, which keeps -0.0 apart from 0.0.  The plain sort that counts
+    them costs about 1% of formatting a block whose values are all
+    distinct, such as a block of shot records.
     """
+    bits = block.view(np.int64).ravel()
+    ordered = np.sort(bits)
+    n_distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
+    if 2 * n_distinct <= bits.size:
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        strings = np.array(_reprs(distinct.view(np.float64)), dtype=object)
+        fields = strings[inverse].tolist()
+    else:
+        fields = _reprs(block.ravel())
+    rows = zip(*[iter(fields)] * block.shape[1])
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
+def _write_csv(header, columns, out) -> None:
+    """Write ``header`` and ``columns`` as CSV to ``out`` (stdout if None).
+
+    ``columns`` are equal-length float64 arrays in header order.  Each
+    value is written as the repr of its Python float, a non-finite one as
+    an empty field; nothing needs quoting.  The rows are formatted and
+    written about CSV_CHUNK_VALUES values at a time, so the text is never
+    held whole.
+    """
+    columns = [np.asarray(col, dtype=np.float64) for col in columns]
+    n_rows = len(columns[0])
+    chunk = max(1, CSV_CHUNK_VALUES // len(columns))
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w")) as fh:
         fh.write(",".join(header) + "\n")
-        it = iter(rows)
-        while chunk := list(itertools.islice(it, CSV_CHUNK_ROWS)):
-            fh.write("".join([",".join(map(repr, row)) + "\n"
-                              for row in chunk]).replace("None", ""))
+        for start in range(0, n_rows, chunk):
+            fh.write(_csv_block(np.column_stack(
+                [col[start:start + chunk] for col in columns])))
 
 
 def _write_manifest(out, subcommand: str, resolved: dict) -> None:
@@ -171,8 +207,17 @@ def _load_config(path):
     return data
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _resolve(args, config: dict, defaults: dict) -> dict:
-    """Merge flag values, config-file values, and defaults (in that order)."""
+    """Merge flag values, config-file values, and defaults (in that order).
+
+    A non-finite float is rejected wherever it comes from: the manifest
+    records the resolved values as JSON, which has no NaN or infinity, so
+    such a run could not be rerun from its manifest.
+    """
     unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise DomainError(f"unknown config keys: {unknown}")
@@ -181,6 +226,12 @@ def _resolve(args, config: dict, defaults: dict) -> dict:
         val = getattr(args, key)
         if val is None:
             val = config.get(key, default)
+        for v in val if isinstance(val, list) else (val,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise DomainError(f"{_flag(key)} must be finite, got {v!r}")
+        if key in ("out", "records") and val is not None \
+                and not isinstance(val, str):
+            raise DomainError(f"{_flag(key)} must be a path, got {val!r}")
         resolved[key] = val
     return resolved
 
@@ -188,15 +239,32 @@ def _resolve(args, config: dict, defaults: dict) -> dict:
 def _require(resolved: dict, *keys: str) -> None:
     missing = [k for k in keys if resolved[k] is None]
     if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
+        flags = ", ".join(_flag(k) for k in missing)
         raise DomainError(f"missing required value(s): {flags}")
 
 
+def _number(resolved: dict, key: str, kind=float):
+    """``resolved[key]`` as a finite ``kind`` (float or int).
+
+    A missing (null), non-numeric or non-finite value, from a flag or a
+    config file, is an invalid input.
+    """
+    val = resolved[key]
+    try:
+        num = kind(val)
+        ok = math.isfinite(num)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(
+            f"{_flag(key)} must be a finite {kind.__name__}, got {val!r}")
+    return num
+
+
 def _workers(resolved: dict) -> int:
-    val = resolved.get("workers")
-    if val is None:
-        val = os.environ.get(WORKERS_ENV, "1")
-    n = int(val)
+    if resolved.get("workers") is None:
+        resolved["workers"] = os.environ.get(WORKERS_ENV, "1")
+    n = _number(resolved, "workers", int)
     if n < 1:
         raise DomainError(f"workers must be >= 1, got {n}")
     resolved["workers"] = n
@@ -214,11 +282,21 @@ def _angles_to_radians(args) -> None:
 
 
 def _weight_config(resolved: dict, prefix: str = "g") -> WeightConfig:
-    return WeightConfig(
-        g1=float(resolved[prefix + "1"]),
-        g2=float(resolved[prefix + "2"]),
-        g3=float(resolved[prefix + "3"]),
-        g4=float(resolved[prefix + "4"]),
+    return WeightConfig(*(_number(resolved, f"{prefix}{k}")
+                          for k in range(1, 5)))
+
+
+def _target(resolved: dict) -> SymplecticTarget:
+    return SymplecticTarget(*(_number(resolved, k) for k in "abcd"))
+
+
+def _grid(resolved: dict) -> dict:
+    """ErrorSurfaceSpec keyword arguments of the (b, d) grid."""
+    return dict(
+        b_range=(_number(resolved, "b_min"), _number(resolved, "b_max")),
+        d_range=(_number(resolved, "d_min"), _number(resolved, "d_max")),
+        nb=_number(resolved, "nb", int),
+        nd=_number(resolved, "nd", int),
     )
 
 
@@ -226,11 +304,10 @@ def _cubic_config(resolved: dict, needed: bool):
     if not needed:
         return None
     _require(resolved, "gamma", "alpha")
-    im = resolved["im"]
     return CubicConfig(
-        gamma=float(resolved["gamma"]),
-        alpha=float(resolved["alpha"]),
-        i_m=None if im is None else float(im),
+        gamma=_number(resolved, "gamma"),
+        alpha=_number(resolved, "alpha"),
+        i_m=None if resolved["im"] is None else _number(resolved, "im"),
     )
 
 
@@ -249,10 +326,9 @@ def cmd_solve_phases(args) -> int:
     _angles_to_radians(args)
     resolved = _resolve(args, _load_config(args.config), _SOLVE_DEFAULTS)
     _require(resolved, "a", "b", "c", "d")
-    target = SymplecticTarget(float(resolved["a"]), float(resolved["b"]),
-                              float(resolved["c"]), float(resolved["d"]))
+    target = _target(resolved)
     w = _weight_config(resolved)
-    result = solve_phases(target, w, float(resolved["theta4p"]))
+    result = solve_phases(target, w, _number(resolved, "theta4p"))
     ph = result.phases
     payload = {
         "target": {"a": target.a, "b": target.b,
@@ -300,15 +376,13 @@ _SURFACE_DEFAULTS = {
 def cmd_error_surface(args) -> int:
     resolved = _resolve(args, _load_config(args.config), _SURFACE_DEFAULTS)
     workers = _workers(resolved)
+    _number(resolved, "db")  # only recorded, but it must rerun
     mode = str(resolved["mode"])
     spec = ErrorSurfaceSpec(
-        b_range=(float(resolved["b_min"]), float(resolved["b_max"])),
-        d_range=(float(resolved["d_min"]), float(resolved["d_max"])),
-        nb=int(resolved["nb"]),
-        nd=int(resolved["nd"]),
         w=_weight_config(resolved),
         mode=mode,
         cubic=_cubic_config(resolved, mode == MODE_CUBIC_OPTIMIZED),
+        **_grid(resolved),
     )
     surface = error_surface(spec, n_workers=workers)
     _write_csv(ERROR_SURFACE_HEADER, surface.to_rows(), resolved["out"])
@@ -338,12 +412,7 @@ def cmd_gain_surface(args) -> int:
     resolved = _resolve(args, _load_config(args.config), _GAIN_DEFAULTS)
     workers = _workers(resolved)
     _require(resolved, "out")
-    grid = dict(
-        b_range=(float(resolved["b_min"]), float(resolved["b_max"])),
-        d_range=(float(resolved["d_min"]), float(resolved["d_max"])),
-        nb=int(resolved["nb"]),
-        nd=int(resolved["nd"]),
-    )
+    grid = _grid(resolved)
     base_mode = str(resolved["base_mode"])
     opt_mode = str(resolved["opt_mode"])
     base_spec = ErrorSurfaceSpec(
@@ -354,7 +423,7 @@ def cmd_gain_surface(args) -> int:
         w=_weight_config(resolved, "opt_g"), mode=opt_mode,
         cubic=_cubic_config(resolved, opt_mode == MODE_CUBIC_OPTIMIZED),
         **grid)
-    squeezing = SqueezingSpec.from_db(float(resolved["db"]))
+    squeezing = SqueezingSpec.from_db(_number(resolved, "db"))
     gs = gain_surface(base_spec, opt_spec, squeezing, n_workers=workers)
     _write_csv(GAIN_SURFACE_HEADER, gs.to_rows(), resolved["out"])
     _write_manifest(resolved["out"], "gain-surface", resolved)
@@ -409,51 +478,42 @@ def _gate_failure(summary, z_gate: float):
     return None
 
 
-def _record_rows(records: np.ndarray):
-    """Rows of ``records``, built CSV_CHUNK_ROWS at a time."""
-    for start in range(0, len(records), CSV_CHUNK_ROWS):
-        yield from float_rows(*records[start:start + CSV_CHUNK_ROWS].T)
-
-
 def cmd_simulate(args) -> int:
     _angles_to_radians(args)
     resolved = _resolve(args, _load_config(args.config), _SIMULATE_DEFAULTS)
     workers = _workers(resolved)
     _require(resolved, "a", "b", "c", "d")
+    z_gate = _number(resolved, "z_gate")
+    if z_gate <= 0.0:
+        raise DomainError(f"--z-gate must be > 0, got {z_gate!r}")
     variant = str(resolved["variant"])
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
     cubic = None
     if variant == VARIANT_CUBIC:
         _require(resolved, "gamma", "alpha")
-        cubic = CubicConfig(gamma=float(resolved["gamma"]),
-                            alpha=float(resolved["alpha"]))
+        cubic = CubicConfig(gamma=_number(resolved, "gamma"),
+                            alpha=_number(resolved, "alpha"))
     config = SimConfig(
-        target=SymplecticTarget(float(resolved["a"]), float(resolved["b"]),
-                                float(resolved["c"]), float(resolved["d"])),
+        target=_target(resolved),
         w=_weight_config(resolved),
-        theta4p=float(resolved["theta4p"]),
-        squeezing=SqueezingSpec.from_db(float(resolved["db"])),
+        theta4p=_number(resolved, "theta4p"),
+        squeezing=SqueezingSpec.from_db(_number(resolved, "db")),
         variant=variant,
-        n_shots=int(resolved["shots"]),
-        seed=int(resolved["seed"]),
+        n_shots=_number(resolved, "shots", int),
+        seed=_number(resolved, "seed", int),
         cubic=cubic,
-        input_state=InputState(
-            mean_x=float(resolved["mean_x"]),
-            mean_y=float(resolved["mean_y"]),
-            var_x=float(resolved["var_x"]),
-            var_y=float(resolved["var_y"]),
-        ),
+        input_state=InputState(*(_number(resolved, k) for k in
+                                 ("mean_x", "mean_y", "var_x", "var_y"))),
     )
     want_records = resolved["records"] is not None
     summary = run(config, n_workers=workers, record_shots=want_records)
     if want_records:
-        _write_csv(RECORD_COLUMNS, _record_rows(summary.records),
-                   resolved["records"])
+        _write_csv(RECORD_COLUMNS, summary.records.T, resolved["records"])
     _deliver(_dumps(summary.to_dict()), resolved["out"])
     if resolved["out"] is not None:
         _write_manifest(resolved["out"], "simulate", resolved)
-    failure = _gate_failure(summary, float(resolved["z_gate"]))
+    failure = _gate_failure(summary, z_gate)
     if failure is not None:
         _emit_error(*failure)
         return 3
@@ -470,18 +530,16 @@ def cmd_weight_bound(args) -> int:
     resolved = _resolve(args, _load_config(args.config),
                         _WEIGHT_BOUND_DEFAULTS)
     _require(resolved, "db")
-    db = float(resolved["db"])
-    if not math.isfinite(db):
-        raise DomainError(f"--db must be finite, got {db!r}")
+    db = _number(resolved, "db")
     bound = max_weight(db)
     weights = resolved["g"] or []
+    if not isinstance(weights, list):
+        raise DomainError(f"--g must be a list of weights, got {weights!r}")
+    weights = [_number({"g": g}, "g") for g in weights]
     payload = {
         "db": db,
         "max_weight": bound,
-        "weights": [
-            {"g": float(g), "admissible": bool(float(g) <= bound)}
-            for g in weights
-        ],
+        "weights": [{"g": g, "admissible": g <= bound} for g in weights],
     }
     _deliver(_dumps(payload), resolved["out"])
     return 0
@@ -496,7 +554,7 @@ _CZ_DEFAULTS = {"g": None, "out": None}
 def cmd_cz_decompose(args) -> int:
     resolved = _resolve(args, _load_config(args.config), _CZ_DEFAULTS)
     _require(resolved, "g")
-    dec = bloch_messiah(float(resolved["g"]))
+    dec = bloch_messiah(_number(resolved, "g"))
     payload = {
         "g": dec.g,
         "s": dec.s,
@@ -619,7 +677,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--var-x", type=float, help="input variance of x")
     sp.add_argument("--var-y", type=float, help="input variance of y")
     sp.add_argument("--z-gate", type=float,
-                    help="max |z| before exit code 3 (default 5)")
+                    help="max |z| before exit code 3 (default 5); finite "
+                         "and > 0: inf is rejected because the manifest "
+                         "could not record it")
     _add_workers_opt(sp)
     sp.add_argument("--records", metavar="FILE",
                     help="also write per-shot records as CSV")
@@ -674,8 +734,13 @@ def main(argv=None) -> int:
     except DomainError as exc:
         _emit_error(_slug(exc), str(exc))
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         _emit_error("invalid-config", str(exc))
+        return 2
+    except ArithmeticError as exc:
+        # Float arithmetic overflowed or divided by zero on extreme inputs
+        # (say --db 1e308 or a weight of 5e-324).
+        _emit_error("invalid-config", f"input out of range: {exc}")
         return 2
 
 

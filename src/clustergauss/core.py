@@ -25,6 +25,7 @@ by angle quantisation.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,21 +116,17 @@ def arccot(value):
     return out if out.ndim else float(out)
 
 
-def float_rows(*columns) -> list:
-    """Zip equal-length columns into row lists of Python floats.
+def pool_threads(n_workers: int, n_tasks: int) -> int:
+    """Threads to start for ``n_tasks`` tasks when ``n_workers`` are asked.
 
-    Non-finite entries become None (a missing value).  Each column is
-    converted with one ``tolist`` call, so the rows hold ``float``, never
-    ``np.float64``, whose repr differs under numpy 2.
+    At most one per task and one per CPU this process may run on, and at
+    least one: more threads than that cannot run at once.
     """
-    lists = []
-    for col in columns:
-        col = np.asarray(col, dtype=float)
-        values = col.tolist()
-        for k in np.flatnonzero(~np.isfinite(col)).tolist():
-            values[k] = None
-        lists.append(values)
-    return list(map(list, zip(*lists)))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_workers, n_tasks, cpus))
 
 
 def db_to_variance(db: float) -> float:

@@ -39,8 +39,8 @@ from .core import (
     SymplecticTarget,
     WeightConfig,
     arccot,
-    float_rows,
     pole_masks,
+    pool_threads,
     validate_target,
 )
 
@@ -568,12 +568,13 @@ class ErrorSurface:
         return int(np.count_nonzero(~np.isfinite(self.err_inf)))
 
     def to_rows(self):
-        """Flatten to (b, d, ex, ey, err_inf, theta4p) rows, b-major.
+        """The CSV columns b, d, ex, ey, err_inf, theta4p, flattened b-major.
 
-        Missing cells yield None in the numeric fields.
+        A tuple of equal-length float64 arrays: entry k of each column
+        belongs to row k of the table.  Missing cells are NaN.
         """
         nb, nd = self.err_inf.shape
-        return float_rows(
+        return (
             np.repeat(self.b_values, nd), np.tile(self.d_values, nb),
             self.ex.ravel(), self.ey.ravel(), self.err_inf.ravel(),
             self.theta4p.ravel(),
@@ -607,7 +608,8 @@ def error_surface(spec: ErrorSurfaceSpec, n_workers: int = 1) -> ErrorSurface:
 
     Args:
         spec: grid specification.
-        n_workers: number of evaluation threads.
+        n_workers: number of evaluation threads, capped by
+            ``core.pool_threads`` at the cell count and the CPU count.
 
     Returns:
         ErrorSurface with NaN marking pole cells.
@@ -619,11 +621,11 @@ def error_surface(spec: ErrorSurfaceSpec, n_workers: int = 1) -> ErrorSurface:
     b_flat = B.ravel()
     d_flat = D.ravel()
 
-    if n_workers <= 1 or b_flat.size < 2:
+    n_workers = pool_threads(n_workers, b_flat.size)
+    if n_workers == 1:
         parts = [_surface_chunk(b_flat, d_flat, spec.w, spec.mode, mid)]
     else:
         chunks = np.array_split(np.arange(b_flat.size), n_workers)
-        chunks = [c for c in chunks if c.size]
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             futures = [
                 pool.submit(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, SqueezingSpec, float_rows
+from .core import DomainError, SqueezingSpec
 from .errormodel import ErrorSurface, ErrorSurfaceSpec, error_surface
 
 __all__ = [
@@ -127,9 +127,13 @@ class GainSurface:
         return (float(self.b_values[i]), float(self.d_values[j]))
 
     def to_rows(self):
-        """Flatten to (b, d, p_err_base, p_err_opt, ratio) rows, b-major."""
+        """The CSV columns b, d, p_err_base, p_err_opt, ratio, b-major.
+
+        A tuple of equal-length float64 arrays: entry k of each column
+        belongs to row k of the table.  Missing cells are NaN.
+        """
         nb, nd = self.ratio.shape
-        return float_rows(
+        return (
             np.repeat(self.b_values, nd), np.tile(self.d_values, nb),
             self.p_base.ravel(), self.p_opt.ravel(), self.ratio.ravel(),
         )

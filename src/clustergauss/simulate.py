@@ -41,6 +41,7 @@ from .core import (
     SqueezingSpec,
     SymplecticTarget,
     WeightConfig,
+    pool_threads,
 )
 from .phases import solve_phases
 
@@ -616,7 +617,8 @@ def run(config: SimConfig, n_workers: int = 1,
     Args:
         config: run description.
         n_workers: number of threads that sample, propagate and reduce
-            blocks.
+            blocks, capped by ``core.pool_threads`` at the block count and
+            the CPU count.
         record_shots: also build the per-shot record array
             (RECORD_COLUMNS order) and attach it to the summary.
 
@@ -647,7 +649,8 @@ def run(config: SimConfig, n_workers: int = 1,
             records.append(rec)
         return total, records
 
-    if n_workers <= 1 or n_blocks == 1:
+    n_workers = pool_threads(n_workers, n_blocks)
+    if n_workers == 1:
         total, records = reduce_in_order(map(one_block, range(n_blocks)))
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:

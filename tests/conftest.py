@@ -1,9 +1,13 @@
+import os
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
 import acceptance_log
 
 from clustergauss import SqueezingSpec, SymplecticTarget, WeightConfig
+from clustergauss import errormodel, simulate
 
 
 @pytest.fixture
@@ -37,6 +41,42 @@ def complete_target(a, b, c):
 @pytest.fixture
 def make_target():
     return complete_target
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Record the ``max_workers`` of every thread pool, starting no thread.
+
+    The pools of ``errormodel`` and ``simulate`` become an inline
+    stand-in that runs each task on the calling thread, and the process
+    appears to have three CPUs.  Returns the list of recorded sizes.
+    """
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    for module in (errormodel, simulate):
+        monkeypatch.setattr(module, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    return sizes
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

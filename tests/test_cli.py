@@ -9,18 +9,21 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import clustergauss
-from clustergauss import RECORD_COLUMNS, cli
+from clustergauss import RECORD_COLUMNS, WeightConfig, cli
 from clustergauss.cli import main
-from clustergauss.simulate import SHOT_BLOCK
+from clustergauss.errormodel import MODES, ErrorSurfaceSpec, error_surface
+from clustergauss.simulate import SHOT_BLOCK, VARIANTS
 
 D_OK = (1.0 + 0.5 * 0.3) / 1.2  # completes a=1.2, b=0.5, c=0.3
 
@@ -37,37 +40,97 @@ def _run_json(capsys, *argv):
     return json.loads(out)
 
 
-def _csv_module_text(header, rows) -> str:
-    """CSV text of ``rows`` through the stdlib csv module, None -> empty."""
+def _csv_module_text(header, columns) -> str:
+    """CSV text of ``columns`` through the stdlib csv module.
+
+    Each value is the repr of its Python float; a non-finite one is an
+    empty field.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else repr(float(v)) for v in row])
+    for row in zip(*(np.asarray(col).tolist() for col in columns)):
+        writer.writerow([repr(v) if math.isfinite(v) else "" for v in row])
     return buf.getvalue()
 
 
-# Finite floats of every magnitude (-0.0, subnormals and +-1e308 among
-# them), with NaN and +-inf mapped to None as the row builders do.
-CELL = st.one_of(
-    st.floats().map(lambda v: v if math.isfinite(v) else None),
-    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308,
-                     -1e308, 1.0, -3.0, 2.0**53, 1e16, 0.1]),
-)
-# Rows as wide as the error-surface, gain-surface and records CSVs.
-ROWS = st.sampled_from([5, 6, 21]).flatmap(
-    lambda n: st.lists(st.lists(CELL, min_size=n, max_size=n), max_size=12))
+def _written_csv(header, columns) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_csv(header, columns, None)
+    return out.getvalue()
+
+
+# Bit patterns a value-based comparison would merge or lose: -0.0 next to
+# 0.0, NaNs with distinct payloads and signs, +-inf, subnormals, +-1e308.
+POOL = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -1e-310, 2.2250738585072014e-308,
+     1e308, -1e308, 1.0, -3.0, 0.1, 2.0**53, 1e16],
+    np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+              -0x0008000000000000], dtype=np.int64).view(np.float64),
+])
+
+
+def _tables(n_cols: int, n_rows: int):
+    size = n_rows * n_cols
+    # Few distinct values drive the dedup branch, mostly distinct ones
+    # drive the direct branch.
+    pooled = st.lists(st.integers(0, len(POOL) - 1), min_size=size,
+                      max_size=size).map(lambda idx: POOL[idx])
+    distinct = st.lists(st.one_of(st.floats(), st.sampled_from(POOL)),
+                        min_size=size, max_size=size, unique=True
+                        ).map(lambda v: np.array(v, dtype=float))
+    return st.one_of(pooled, distinct).map(
+        lambda flat: flat.reshape(n_rows, n_cols))
+
+
+# Tables as wide as the gain-surface, error-surface and records CSVs.
+TABLES = st.tuples(st.sampled_from([5, 6, 21]), st.integers(0, 40)).flatmap(
+    lambda shape: _tables(*shape))
 
 
 class TestWriteCsv:
-    @given(rows=ROWS, chunk=st.integers(1, 5))
-    def test_matches_the_csv_module(self, rows, chunk):
-        header = [f"c{k}" for k in range(len(rows[0]) if rows else 5)]
-        out = io.StringIO()
-        with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk), \
-                contextlib.redirect_stdout(out):
-            cli._write_csv(header, iter(rows), None)
-        assert out.getvalue() == _csv_module_text(header, rows)
+    @given(table=TABLES, chunk=st.integers(1, 60))
+    def test_matches_the_csv_module(self, table, chunk):
+        header = [f"c{k}" for k in range(table.shape[1])]
+        with mock.patch.object(cli, "CSV_CHUNK_VALUES", chunk):
+            text = _written_csv(header, table.T)
+        assert text == _csv_module_text(header, table.T)
+
+    @pytest.mark.parametrize("values, dedup", [
+        (np.tile([0.0, -0.0, 1.5], 40), True),
+        (np.arange(120) / 7.0, False),
+    ])
+    def test_formats_repeated_values_once(self, values, dedup):
+        columns = values.reshape(-1, 6).T
+        with mock.patch.object(cli.np, "unique", wraps=np.unique) as unique:
+            text = _written_csv([f"c{k}" for k in range(6)], columns)
+        assert unique.called == dedup
+        assert text == _csv_module_text([f"c{k}" for k in range(6)], columns)
+
+    @pytest.mark.parametrize("chunk", [cli.CSV_CHUNK_VALUES, 600])
+    def test_optimized_map_matches_the_row_recipe(self, tmp_path, chunk):
+        out = tmp_path / "map.csv"
+        argv = ["error-surface", "--mode", "gaussian_optimized_phase",
+                "--g1", "5", "--g2", "5", "--g3", "4", "--g4", "4",
+                "--nb", "41", "--nd", "41", "--out", str(out)]
+        with mock.patch.object(cli, "CSV_CHUNK_VALUES", chunk):
+            assert main(argv) == 0
+        surf = error_surface(ErrorSurfaceSpec(
+            (-5.0, 5.0), (-5.0, 5.0), 41, 41, WeightConfig(5.0, 5.0, 4.0, 4.0),
+            "gaussian_optimized_phase"))
+        assert surf.n_invalid > 0
+        rows = []
+        for i, bv in enumerate(surf.b_values.tolist()):
+            for j, dv in enumerate(surf.d_values.tolist()):
+                cells = [surf.ex[i, j], surf.ey[i, j], surf.err_inf[i, j],
+                         surf.theta4p[i, j]]
+                rows.append([bv, dv] + [float(v) if math.isfinite(v) else None
+                                        for v in cells])
+        expected = ",".join(cli.ERROR_SURFACE_HEADER) + "\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in rows
+        ).replace("None", "")
+        assert out.read_text() == expected
 
 
 class TestSolvePhases:
@@ -164,6 +227,16 @@ class TestErrorCodes:
         assert code == 2
         assert json.loads(err)["error"] == "invalid-config"
 
+    @pytest.mark.parametrize("flag", ["--db=nan", "--db=inf", "--gamma=nan"])
+    def test_nonfinite_recorded_value_rejected(self, capsys, tmp_path, flag):
+        # A manifest records NaN and infinity as null, which cannot rerun.
+        out = tmp_path / "surf.csv"
+        code, _, err = _run(capsys, "error-surface", "--nb", "3", "--nd", "3",
+                            flag, "--out", str(out))
+        assert code == 2
+        assert json.loads(err)["error"] == "invalid-config"
+        assert not out.exists()
+
     def test_missing_required_out(self, capsys):
         code, _, err = _run(capsys, "gain-surface", "--nb", "3", "--nd", "3")
         assert code == 2
@@ -254,6 +327,27 @@ class TestSimulateCommand:
         assert code == 3
         assert json.loads(err)["error"] == "invalid-statistics"
 
+    @pytest.mark.parametrize("gate", ["nan", "inf", "-1", "0"])
+    def test_z_gate_must_be_finite_and_positive(self, capsys, tmp_path, gate):
+        out = tmp_path / "sim.json"
+        code, _, err = _run(capsys, *self.BASE, f"--z-gate={gate}",
+                            "--out", str(out))
+        assert code == 2
+        assert json.loads(err)["error"] == "invalid-config"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("z_gate", None), ("db", None), ("mean_x", None), ("workers", [2]),
+        ("records", 5),
+    ])
+    def test_config_value_of_the_wrong_type_is_invalid(self, capsys,
+                                                       tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, _, err = _run(capsys, *self.BASE, "--config", str(cfg))
+        assert code == 2
+        assert json.loads(err)["error"] == "invalid-config"
+
     def test_records_csv(self, capsys, tmp_path):
         rec = tmp_path / "shots.csv"
         code, _, _ = _run(capsys, *self.BASE, "--records", str(rec))
@@ -285,9 +379,8 @@ class TestSimulateCommand:
         (summary,) = summaries
         assert summary.n_discarded > 0
         assert -(-20000 // SHOT_BLOCK) == 3
-        rows = [[v if math.isfinite(v) else None for v in row]
-                for row in summary.records.tolist()]
-        assert rec.read_text() == _csv_module_text(RECORD_COLUMNS, rows)
+        assert rec.read_text() == _csv_module_text(RECORD_COLUMNS,
+                                                   summary.records.T)
 
     def test_manifest_rerun_matches(self, capsys, tmp_path):
         out1 = tmp_path / "sim1.json"
@@ -374,3 +467,136 @@ class TestVersion:
             main(["--version"])
         assert exc.value.code == 0
         assert "0.1.0" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed invocations: whatever the numeric inputs, a subcommand exits 0, 2
+# or 3, writes nothing or one JSON error line to stderr, and never raises.
+
+# Non-finite, zero, negative, huge and subnormal values, plus a few sane ones.
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                               -7.5, 1e308, -1e308, 5e-324, 0.3, 1.0, 4.0])
+# A config file may also hold what is no number at all.
+CONFIG_JUNK = st.sampled_from(["abc", "", "nan", "1.5", None, True, [1.0], {}])
+# Size-like integers stay tiny: grids of at most 3 x 3, at most two shot
+# blocks, at most 4 workers.
+SMALL_INTS = {
+    "nb": st.integers(-1, 3), "nd": st.integers(-1, 3),
+    "shots": st.sampled_from([-1, 0, 1, 2, SHOT_BLOCK + 1, 2 * SHOT_BLOCK]),
+    "seed": st.integers(-2, 3), "workers": st.integers(-1, 4),
+}
+
+CUBIC_POINT = {"gamma": 0.1, "alpha": math.sqrt(125.0)}
+SURFACE_GRID = {"nb": 3, "nd": 3, "b_min": -2.0, "b_max": 2.0,
+                "d_min": -2.0, "d_max": 2.0}
+FUZZ_BASES = {
+    "solve-phases": {"a": 1.2, "b": 0.5, "c": 0.3, "d": D_OK, "g1": 5.0,
+                     "g2": 5.0, "g3": 4.0, "g4": 4.0, "theta4p": 1.1},
+    "error-surface": {**SURFACE_GRID, "g1": 5.0, "g2": 5.0, "g3": 4.0,
+                      "g4": 4.0, "db": -15.0, "im": 7.5, **CUBIC_POINT,
+                      "workers": 2},
+    "gain-surface": {**SURFACE_GRID, "db": -15.0, "base_g1": 1.0,
+                     "opt_g1": 5.0, "opt_g3": 4.0, "im": 7.5, **CUBIC_POINT,
+                     "workers": 2},
+    "simulate": {"a": 1.2, "b": 0.5, "c": 0.3, "d": D_OK, "g1": 5.0,
+                 "g2": 5.0, "g3": 4.0, "g4": 4.0, "theta4p": 1.1,
+                 "db": -15.0, "shots": 2000, "seed": 3, **CUBIC_POINT,
+                 "mean_x": 0.0, "mean_y": 0.0, "var_x": 0.25, "var_y": 0.25,
+                 "z_gate": 5.0, "workers": 2},
+    "weight-bound": {"db": -15.0, "g": [5.4]},
+    "cz-decompose": {"g": 1.0},
+}
+FUZZ_CHOICES = {
+    "error-surface": {"mode": MODES},
+    "gain-surface": {"base_mode": MODES, "opt_mode": MODES},
+    "simulate": {"variant": VARIANTS},
+}
+WRITES_MANIFEST = ("error-surface", "gain-surface", "simulate")
+
+
+def _fuzz_value(key, in_config):
+    if key in SMALL_INTS:
+        ints = SMALL_INTS[key]
+        return st.one_of(ints, CONFIG_JUNK) if in_config else ints
+    if key == "g" and not in_config:  # weight-bound's repeatable --g
+        return st.lists(EDGE_FLOATS, max_size=2)
+    return st.one_of(EDGE_FLOATS, CONFIG_JUNK) if in_config else EDGE_FLOATS
+
+
+@st.composite
+def invocations(draw, command):
+    """(flags, config) of one fuzzed ``command`` call."""
+    values = dict(FUZZ_BASES[command])
+    numeric = sorted(values)
+    values.update({key: draw(st.sampled_from(opts))
+                   for key, opts in FUZZ_CHOICES.get(command, {}).items()})
+    flags, config = {}, {}
+    for key in draw(st.lists(st.sampled_from(numeric), max_size=3,
+                             unique=True)):
+        in_config = draw(st.booleans())
+        values[key] = draw(_fuzz_value(key, in_config))
+        if in_config:
+            config[key] = values.pop(key)
+    flags.update(values)
+    return flags, config
+
+
+def _argv(command, flags, config_path):
+    argv = [command]
+    for key, val in flags.items():
+        for v in val if isinstance(val, list) else [val]:
+            text = v if isinstance(v, str) else repr(v)
+            argv.append(f"--{key.replace('_', '-')}={text}")
+    if config_path is not None:
+        argv += ["--config", str(config_path)]
+    return argv
+
+
+def _call(argv):
+    # Python warnings (the cubic operating point warns by design) are kept
+    # apart from what the CLI itself writes to stderr.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_outcome(command, code, err):
+    assert code in ((0, 2, 3) if command == "simulate" else (0, 2)), err
+    assert "Traceback" not in err
+    if err:
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        assert set(json.loads(err)) == {"error", "message"}
+    else:
+        assert code == 0
+
+
+class TestFuzzedInvocations:
+    @pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+    def test_exits_cleanly(self, command):
+        @settings(max_examples=40, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(call=invocations(command))
+        def fuzz(call):
+            flags, config = call
+            with tempfile.TemporaryDirectory() as tmp:
+                tmp = Path(tmp)
+                if command in WRITES_MANIFEST:
+                    flags = {**flags, "out": str(tmp / "out")}
+                cfg = None
+                if config:
+                    cfg = tmp / "cfg.json"
+                    cfg.write_text(json.dumps(config))
+                code, _, err = _call(_argv(command, flags, cfg))
+                _check_outcome(command, code, err)
+                manifest = tmp / "out.manifest.json"
+                if code != 2 and command in WRITES_MANIFEST:
+                    # Every recorded run reruns from its manifest.
+                    rerun = _call([command, "--config", str(manifest),
+                                   "--out", str(tmp / "rerun")])
+                    assert rerun[0] == code, rerun[2]
+                    assert ((tmp / "rerun").read_bytes()
+                            == (tmp / "out").read_bytes())
+
+        fuzz()

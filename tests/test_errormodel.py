@@ -340,34 +340,44 @@ class TestErrorSurface:
         np.testing.assert_array_equal(one.err_inf, three.err_inf)
         np.testing.assert_array_equal(one.theta4p, three.theta4p)
 
-    def test_rows_are_b_major_with_none_for_missing(self, strong_weights):
+    @pytest.mark.parametrize("n, workers, threads", [
+        (3, 1_000_000, [3]),  # capped at the CPU count
+        (3, 2, [2]),
+        (1, 1_000_000, []),  # one cell: no pool
+    ])
+    def test_thread_count_is_capped(self, strong_weights, pool_sizes,
+                                    n, workers, threads):
+        spec = _spec(MODE_GAUSSIAN_OPTIMIZED, strong_weights, n=n)
+        capped = error_surface(spec, n_workers=workers)
+        assert pool_sizes == threads
+        np.testing.assert_array_equal(capped.err_inf,
+                                      error_surface(spec).err_inf)
+
+    def test_rows_are_b_major_with_nan_for_missing(self, strong_weights):
         surf = error_surface(_spec(MODE_GAUSSIAN_OPTIMIZED, strong_weights, n=3))
-        rows = surf.to_rows()
-        assert len(rows) == 9
+        rows = np.column_stack(surf.to_rows())
+        assert rows.shape == (9, 6)
         assert rows[0][0] == -5.0 and rows[0][1] == -5.0
         assert rows[1][0] == -5.0 and rows[1][1] == 0.0
         origin = rows[4]
         assert origin[0] == 0.0 and origin[1] == 0.0
-        assert origin[2] is None and origin[5] is None
+        assert np.isnan(origin[2]) and np.isnan(origin[5])
 
-    def test_rows_are_python_floats_matching_cellwise_flattening(
-            self, strong_weights):
+    def test_to_rows_columns_match_cellwise_flattening(self, strong_weights):
         # The 7x7 grid has b = 0 and d = 0 lines, so it holds pole cells.
         surf = error_surface(_spec(MODE_GAUSSIAN_OPTIMIZED, strong_weights, n=7))
         assert surf.n_invalid > 0
-        expected = []
-        for i, bv in enumerate(surf.b_values):
-            for j, dv in enumerate(surf.d_values):
-                vals = (surf.ex[i, j], surf.ey[i, j],
-                        surf.err_inf[i, j], surf.theta4p[i, j])
-                expected.append(
-                    [float(bv), float(dv)]
-                    + [float(v) if np.isfinite(v) else None for v in vals]
-                )
-        rows = surf.to_rows()
-        assert rows == expected
-        assert {type(v) for row in rows for v in row} == {float, type(None)}
-        assert sum(row[4] is None for row in rows) == surf.n_invalid
+        expected = [
+            [surf.b_values[i], surf.d_values[j], surf.ex[i, j], surf.ey[i, j],
+             surf.err_inf[i, j], surf.theta4p[i, j]]
+            for i in range(7) for j in range(7)
+        ]
+        columns = surf.to_rows()
+        assert len(columns) == 6
+        assert all(col.dtype == np.float64 and col.shape == (49,)
+                   for col in columns)
+        np.testing.assert_array_equal(np.column_stack(columns), expected)
+        assert np.isnan(columns[4]).sum() == surf.n_invalid
 
     def test_spec_validation(self, strong_weights):
         with pytest.raises(DomainError):

@@ -208,13 +208,13 @@ class TestGainSurface:
             _spec(strong_weights, MODE_GAUSSIAN_FIXED, n=5),
             SQZ,
         )
-        rows = gs.to_rows()
-        assert len(rows) == 25
-        assert rows[0][:2] == [-5.0, -5.0]
-        assert rows[1][:2] == [-5.0, -2.5]
+        b, d, p_base, p_opt, ratio = gs.to_rows()
+        assert all(col.shape == (25,) for col in (b, d, p_base, p_opt, ratio))
+        assert [b[0], d[0]] == [-5.0, -5.0]
+        assert [b[1], d[1]] == [-5.0, -2.5]
         # the b = 0 row holds the pole cells -> missing values
-        assert all(row[2:] == [None] * 3 for row in rows[10:15])
-        assert rows[0][4] == float(gs.ratio[0, 0])
+        assert np.isnan(np.stack([p_base, p_opt, ratio])[:, 10:15]).all()
+        assert ratio[0] == gs.ratio[0, 0]
 
     def test_more_squeezing_smaller_failure_probability(self, unit_weights,
                                                         strong_weights):

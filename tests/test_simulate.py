@@ -62,6 +62,18 @@ class TestDeterminism:
             np.testing.assert_array_equal(a.error_cov, b.error_cov)
             np.testing.assert_array_equal(a.z_error_var, b.z_error_var)
 
+    @pytest.mark.parametrize("shots, workers, threads", [
+        (30_000, 1_000_000, [3]),  # four blocks, capped at the CPU count
+        (10_000, 1_000_000, [2]),  # capped at the block count
+        (500, 4, []),  # one block: no pool
+    ])
+    def test_thread_count_is_capped(self, strong_weights, pool_sizes,
+                                    shots, workers, threads):
+        cfg = _gauss_config(OP_TARGET, strong_weights, 1.1, shots, seed=5)
+        capped = run(cfg, n_workers=workers)
+        assert pool_sizes == threads
+        np.testing.assert_array_equal(capped.cov_out, run(cfg).cov_out)
+
     def test_same_seed_same_result(self, strong_weights):
         cfg = _gauss_config(OP_TARGET, strong_weights, 1.1, 5_000, seed=7)
         a, b = run(cfg), run(cfg)
