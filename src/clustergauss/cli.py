@@ -21,6 +21,11 @@ z-score is not finite or a variance estimate is not positive.  Numeric
 values must be finite: a manifest is JSON, which has no NaN or infinity.
 So ``--z-gate`` must be finite and > 0, and ``inf`` does not mean "no
 gate".
+
+``simulate --records`` streams each shot block's records to the file as
+the block is simulated, so the file is complete before the gate verdict
+(exit 3 included); a run that ends in exit 2 after sampling, with fewer
+than two kept shots, leaves the records it wrote.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .core import (
     SqueezingSpec,
     SymplecticTarget,
     WeightConfig,
+    usable_cpus,
 )
 from .czgate import bloch_messiah, max_weight
 from .errormodel import (
@@ -61,6 +67,7 @@ from .errormodel import (
 from .gkp import gain_surface
 from .phases import solve_phases, theta2_unprimed, theta4_unprimed
 from .simulate import (
+    MAX_DRAW_HELPERS,
     RECORD_COLUMNS,
     VARIANT_CUBIC,
     VARIANT_GAUSSIAN,
@@ -78,8 +85,10 @@ WORKERS_ENV = "CLUSTERGAUSS_WORKERS"
 ERROR_SURFACE_HEADER = ("b", "d", "err_x", "err_y", "err_inf", "theta4p_used")
 GAIN_SURFACE_HEADER = ("b", "d", "p_err_base", "p_err_opt", "ratio")
 # Values formatted and written per write call; bounds the text held at
-# once, whatever the column count.
-CSV_CHUNK_VALUES = 2**17
+# once, whatever the column count.  A chunk's Python floats and strings
+# take about 100 bytes a value, so 2**14 values hold under 2 MB; the maps
+# also write faster in chunks of this size than in larger ones.
+CSV_CHUNK_VALUES = 2**14
 
 _ERROR_SLUGS = (
     (NotSymplectic, "not-symplectic"),
@@ -163,24 +172,40 @@ def _csv_block(block: np.ndarray) -> str:
     return "\n".join(map(",".join, rows)) + "\n"
 
 
-def _write_csv(header, columns, out) -> None:
-    """Write ``header`` and ``columns`` as CSV to ``out`` (stdout if None).
+@contextlib.contextmanager
+def _csv_writer(header, out):
+    """Open ``out`` (stdout if None), write ``header``, yield a row writer.
 
-    ``columns`` are equal-length float64 arrays in header order.  Each
-    value is written as the repr of its Python float, a non-finite one as
-    an empty field; nothing needs quoting.  The rows are formatted and
+    The writer takes a C-contiguous float64 block of rows in header order.
+    Each value is written as the repr of its Python float, a non-finite
+    one as an empty field; nothing needs quoting.  Rows are formatted and
     written about CSV_CHUNK_VALUES values at a time, so the text is never
     held whole.
     """
-    columns = [np.asarray(col, dtype=np.float64) for col in columns]
-    n_rows = len(columns[0])
-    chunk = max(1, CSV_CHUNK_VALUES // len(columns))
+    chunk = max(1, CSV_CHUNK_VALUES // len(header))
+
+    def write_rows(block: np.ndarray) -> None:
+        for start in range(0, len(block), chunk):
+            fh.write(_csv_block(block[start:start + chunk]))
+
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w")) as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, chunk):
-            fh.write(_csv_block(np.column_stack(
-                [col[start:start + chunk] for col in columns])))
+        yield write_rows
+
+
+def _write_csv(header, columns, out) -> None:
+    """Write ``header`` and equal-length float64 ``columns`` as CSV.
+
+    ``out`` is a path, or None for stdout.  The columns are stacked into
+    rows one writer chunk at a time.
+    """
+    columns = [np.asarray(col, dtype=np.float64) for col in columns]
+    chunk = max(1, CSV_CHUNK_VALUES // len(columns))
+    with _csv_writer(header, out) as write_rows:
+        for start in range(0, len(columns[0]), chunk):
+            write_rows(np.column_stack(
+                [col[start:start + chunk] for col in columns]))
 
 
 def _write_manifest(out, subcommand: str, resolved: dict) -> None:
@@ -261,9 +286,14 @@ def _number(resolved: dict, key: str, kind=float):
     return num
 
 
-def _workers(resolved: dict) -> int:
+def _workers(resolved: dict, default: int = 1) -> int:
+    """The resolved worker count: flag, config, $CLUSTERGAUSS_WORKERS, default.
+
+    The count is written back into ``resolved``, so the manifest records
+    the number the run used.
+    """
     if resolved.get("workers") is None:
-        resolved["workers"] = os.environ.get(WORKERS_ENV, "1")
+        resolved["workers"] = os.environ.get(WORKERS_ENV, default)
     n = _number(resolved, "workers", int)
     if n < 1:
         raise DomainError(f"workers must be >= 1, got {n}")
@@ -481,7 +511,7 @@ def _gate_failure(summary, z_gate: float):
 def cmd_simulate(args) -> int:
     _angles_to_radians(args)
     resolved = _resolve(args, _load_config(args.config), _SIMULATE_DEFAULTS)
-    workers = _workers(resolved)
+    workers = _workers(resolved, usable_cpus())
     _require(resolved, "a", "b", "c", "d")
     z_gate = _number(resolved, "z_gate")
     if z_gate <= 0.0:
@@ -506,10 +536,10 @@ def cmd_simulate(args) -> int:
         input_state=InputState(*(_number(resolved, k) for k in
                                  ("mean_x", "mean_y", "var_x", "var_y"))),
     )
-    want_records = resolved["records"] is not None
-    summary = run(config, n_workers=workers, record_shots=want_records)
-    if want_records:
-        _write_csv(RECORD_COLUMNS, summary.records.T, resolved["records"])
+    records = resolved["records"]
+    with (contextlib.nullcontext() if records is None
+          else _csv_writer(RECORD_COLUMNS, records)) as write_records:
+        summary = run(config, n_workers=workers, record_sink=write_records)
     _deliver(_dumps(summary.to_dict()), resolved["out"])
     if resolved["out"] is not None:
         _write_manifest(resolved["out"], "simulate", resolved)
@@ -532,7 +562,8 @@ def cmd_weight_bound(args) -> int:
     _require(resolved, "db")
     db = _number(resolved, "db")
     bound = max_weight(db)
-    weights = resolved["g"] or []
+    # null, from a config file, means "not given", as for every other key.
+    weights = [] if resolved["g"] is None else resolved["g"]
     if not isinstance(weights, list):
         raise DomainError(f"--g must be a list of weights, got {weights!r}")
     weights = [_number({"g": g}, "g") for g in weights]
@@ -582,9 +613,10 @@ def _add_config_opt(sp) -> None:
                          "a run manifest (*.manifest.json) is accepted")
 
 
-def _add_workers_opt(sp) -> None:
+def _add_workers_opt(sp, what: str = "thread count",
+                     default: str = "1") -> None:
     sp.add_argument("--workers", type=int,
-                    help=f"thread count (default: ${WORKERS_ENV} or 1)")
+                    help=f"{what} (default: ${WORKERS_ENV} or {default})")
 
 
 def _add_target_opts(sp) -> None:
@@ -680,9 +712,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="max |z| before exit code 3 (default 5); finite "
                          "and > 0: inf is rejected because the manifest "
                          "could not record it")
-    _add_workers_opt(sp)
+    _add_workers_opt(sp, f"threads: the calling thread plus up to "
+                         f"{MAX_DRAW_HELPERS} that draw shot blocks ahead",
+                     "the CPUs this process may use")
     sp.add_argument("--records", metavar="FILE",
-                    help="also write per-shot records as CSV")
+                    help="also write per-shot records as CSV, streamed "
+                         "block by block; written in full before the gate "
+                         "verdict")
     sp.add_argument("--out", metavar="FILE",
                     help="write the JSON summary here (plus a manifest "
                          "sidecar) instead of stdout")

@@ -116,17 +116,21 @@ def arccot(value):
     return out if out.ndim else float(out)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, where there is one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def pool_threads(n_workers: int, n_tasks: int) -> int:
     """Threads to start for ``n_tasks`` tasks when ``n_workers`` are asked.
 
     At most one per task and one per CPU this process may run on, and at
     least one: more threads than that cannot run at once.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(n_workers, n_tasks, cpus))
+    return max(1, min(n_workers, n_tasks, usable_cpus()))
 
 
 def db_to_variance(db: float) -> float:

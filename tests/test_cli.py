@@ -289,6 +289,17 @@ class TestErrorSurfaceCommand:
         assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_default_workers_stay_one(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("CLUSTERGAUSS_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        out = tmp_path / "surf.csv"
+        code, _, _ = _run(capsys, "error-surface", "--nb", "3", "--nd", "3",
+                          "--out", str(out))
+        assert code == 0
+        manifest = json.loads((tmp_path / "surf.csv.manifest.json").read_text())
+        assert manifest["resolved_config"]["workers"] == 1
+
 
 class TestSimulateCommand:
     BASE = [
@@ -360,11 +371,14 @@ class TestSimulateCommand:
                                                        monkeypatch, tmp_path):
         # 20 000 shots span three blocks; alpha = 5 makes the cubic gate
         # discard shots, whose record fields are missing values.
-        summaries = []
+        summaries, blocks = [], []
         real_run = cli.run
 
-        def keep_summary(*args, **kwargs):
-            summaries.append(real_run(*args, **kwargs))
+        def keep_summary(*args, record_sink, **kwargs):
+            def tee(block):
+                blocks.append(block)
+                record_sink(block)
+            summaries.append(real_run(*args, record_sink=tee, **kwargs))
             return summaries[-1]
 
         monkeypatch.setattr(cli, "run", keep_summary)
@@ -379,8 +393,21 @@ class TestSimulateCommand:
         (summary,) = summaries
         assert summary.n_discarded > 0
         assert -(-20000 // SHOT_BLOCK) == 3
+        assert len(blocks) == 3
         assert rec.read_text() == _csv_module_text(RECORD_COLUMNS,
-                                                   summary.records.T)
+                                                   np.vstack(blocks).T)
+
+    def test_records_stay_when_too_few_shots_are_kept(self, capsys,
+                                                      tmp_path):
+        # Records stream while the run goes; the statistics fail after.
+        rec = tmp_path / "shots.csv"
+        code, out, err = _run(capsys, *self.BASE, "--shots", "1",
+                              "--records", str(rec))
+        assert code == 2 and out == ""
+        assert "fewer than two kept shots" in json.loads(err)["message"]
+        lines = rec.read_text().split("\n")
+        assert lines[0] == ",".join(RECORD_COLUMNS)
+        assert len(lines) == 1 + 1 + 1  # header, one shot, final newline
 
     def test_manifest_rerun_matches(self, capsys, tmp_path):
         out1 = tmp_path / "sim1.json"
@@ -402,6 +429,23 @@ class TestSimulateCommand:
         assert doc["variant"] == "cubic"
         assert doc["mean_im"] is not None
         assert doc["n_kept"] + doc["n_discarded"] == 2000
+
+    def test_default_workers_are_the_usable_cpus(self, capsys, monkeypatch,
+                                                 tmp_path):
+        monkeypatch.delenv("CLUSTERGAUSS_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        out1 = tmp_path / "sim1.json"
+        code, _, _ = _run(capsys, *self.BASE, "--out", str(out1))
+        assert code == 0
+        manifest = tmp_path / "sim1.json.manifest.json"
+        resolved = json.loads(manifest.read_text())["resolved_config"]
+        assert resolved["workers"] == 3
+        out2 = tmp_path / "sim2.json"
+        code, _, _ = _run(capsys, "simulate", "--config", str(manifest),
+                          "--out", str(out2))
+        assert code == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_workers_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CLUSTERGAUSS_WORKERS", "3")
@@ -436,6 +480,20 @@ class TestWeightBoundCommand:
         results = {r["g"]: r["admissible"] for r in doc["weights"]}
         assert results[5.4] is True
         assert results[5.6] is False
+
+    @pytest.mark.parametrize("g", [0.0, "", 5.0, "5.4", True, {}])
+    def test_config_weights_must_be_a_list(self, capsys, tmp_path, g):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"db": -15, "g": g}))
+        code, out, err = _run(capsys, "weight-bound", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "invalid-config"
+
+    def test_config_weights_null_means_none_given(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"db": -15, "g": None}))
+        doc = _run_json(capsys, "weight-bound", "--config", str(cfg))
+        assert doc["weights"] == []
 
 
 class TestCzDecomposeCommand:

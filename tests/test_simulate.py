@@ -6,13 +6,19 @@ predictions at frozen seeds as well as its determinism contract.
 """
 
 import json
+import os
+import sys
+import threading
+import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from clustergauss import (
     RECORD_COLUMNS,
+    SHOT_BLOCK,
     VARIANT_CUBIC,
     VARIANT_GAUSSIAN,
     CubicConfig,
@@ -28,6 +34,7 @@ from clustergauss import (
     run,
     sample_targets,
 )
+from clustergauss import simulate
 from clustergauss.cli import main
 
 SQZ = SqueezingSpec.from_db(-15.0)
@@ -40,6 +47,12 @@ def _gauss_config(target, w, theta4p, n_shots, seed, **kw):
         target=target, w=w, theta4p=theta4p, squeezing=SQZ,
         variant=VARIANT_GAUSSIAN, n_shots=n_shots, seed=seed, **kw,
     )
+
+
+def _run_recorded(cfg, **kw):
+    """(summary, record blocks) of a run whose records go to a list sink."""
+    blocks = []
+    return run(cfg, record_sink=blocks.append, **kw), blocks
 
 
 def _cubic_config(n_shots, seed, cubic=OP_CUBIC, target=OP_TARGET, **kw):
@@ -62,9 +75,11 @@ class TestDeterminism:
             np.testing.assert_array_equal(a.error_cov, b.error_cov)
             np.testing.assert_array_equal(a.z_error_var, b.z_error_var)
 
+    # ``threads`` lists the pool sizes: the helpers that draw blocks ahead
+    # of the calling thread, one fewer than the threads in all.
     @pytest.mark.parametrize("shots, workers, threads", [
-        (30_000, 1_000_000, [3]),  # four blocks, capped at the CPU count
-        (10_000, 1_000_000, [2]),  # capped at the block count
+        (30_000, 1_000_000, [2]),  # four blocks, capped at the CPU count
+        (10_000, 1_000_000, [1]),  # capped at the block count
         (500, 4, []),  # one block: no pool
     ])
     def test_thread_count_is_capped(self, strong_weights, pool_sizes,
@@ -73,6 +88,75 @@ class TestDeterminism:
         capped = run(cfg, n_workers=workers)
         assert pool_sizes == threads
         np.testing.assert_array_equal(capped.cov_out, run(cfg).cov_out)
+
+    @pytest.mark.parametrize("slow", ["propagate", "draw"])
+    @pytest.mark.parametrize("variant, shots", [
+        (VARIANT_GAUSSIAN, 5 * SHOT_BLOCK + 123),  # partial last block
+        (VARIANT_GAUSSIAN, 2 * SHOT_BLOCK + 7),  # 3 blocks, 4 ring slots
+        (VARIANT_CUBIC, 50_000),  # discards, 7 blocks
+    ])
+    def test_real_helper_threads_change_nothing(self, monkeypatch,
+                                                strong_weights, variant,
+                                                shots, slow):
+        if variant == VARIANT_GAUSSIAN:
+            cfg = _gauss_config(OP_TARGET, strong_weights, 1.1, shots,
+                                seed=9, input_state=InputState(mean_x=3.0,
+                                                               mean_y=-2.0))
+        else:
+            cfg = _cubic_config(shots, seed=2,
+                                cubic=CubicConfig(gamma=0.1, alpha=5.0))
+        serial, serial_blocks = _run_recorded(cfg, n_workers=1)
+
+        # Three CPUs give two helper threads, and a sleep makes one side
+        # of the ring lag: helpers wait for free slots when propagation
+        # is slow, the calling thread waits for drawn blocks when drawing
+        # is.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        drawing_threads = set()
+        draw = simulate._draw_block
+
+        def tracked_draw(*args):
+            drawing_threads.add(threading.get_ident())
+            return draw(*args)
+
+        def slowed(fn):
+            def slow_call(*args):
+                time.sleep(0.003)
+                return fn(*args)
+            return slow_call
+
+        monkeypatch.setattr(simulate, "_draw_block", slowed(tracked_draw)
+                            if slow == "draw" else tracked_draw)
+        if slow == "propagate":
+            for name in ("_propagate_gaussian", "_propagate_cubic"):
+                monkeypatch.setattr(simulate, name,
+                                    slowed(getattr(simulate, name)))
+        # The run goes on its own thread, so that a hang fails the test
+        # instead of stalling it; a short switch interval interleaves the
+        # threads finely.
+        results = []
+        caller = threading.Thread(
+            target=lambda: results.append(_run_recorded(cfg, n_workers=3)),
+            daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            caller.start()
+            caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        (threaded, threaded_blocks), = results
+
+        assert drawing_threads
+        assert caller.ident not in drawing_threads
+        assert threaded.to_dict() == serial.to_dict()
+        assert len(threaded_blocks) == len(serial_blocks) == \
+            -(-shots // SHOT_BLOCK)
+        for a, b in zip(threaded_blocks, serial_blocks):
+            np.testing.assert_array_equal(a, b)
 
     def test_same_seed_same_result(self, strong_weights):
         cfg = _gauss_config(OP_TARGET, strong_weights, 1.1, 5_000, seed=7)
@@ -99,17 +183,17 @@ class TestReplay:
             SymplecticTarget(1.0, 0.0, 0.0, 1.0), unit_weights, np.pi / 2,
             500, seed=11,
         )
-        summary = run(cfg, record_shots=True)
-        assert summary.records.shape == (500, len(RECORD_COLUMNS))
-        for row in summary.records[::97]:
+        _, (records,) = _run_recorded(cfg)
+        assert records.shape == (500, len(RECORD_COLUMNS))
+        for row in records[::97]:
             x_out, y_out = replay_record(cfg, row)
             assert x_out == row[17]
             assert y_out == row[18]
 
     def test_cubic_records_replay_exactly(self):
         cfg = _cubic_config(2_000, seed=5)
-        summary = run(cfg, record_shots=True)
-        kept = summary.records[summary.records[:, 20] == 0.0]
+        _, (records,) = _run_recorded(cfg)
+        kept = records[records[:, 20] == 0.0]
         for row in kept[::397]:
             x_out, y_out = replay_record(cfg, row)
             assert x_out == row[17]
@@ -120,7 +204,10 @@ class TestReplay:
             SymplecticTarget(1.0, 0.0, 0.0, 1.0), unit_weights, np.pi / 2,
             100, seed=1,
         )
-        assert run(cfg).records is None
+        # Without a sink no record array is built.
+        with mock.patch.object(simulate, "_record_block",
+                               side_effect=AssertionError):
+            run(cfg)
 
 
 class TestGaussianAgreement:
@@ -233,14 +320,15 @@ class TestCubicAgreement:
     def test_negative_photocurrent_shots_are_discarded_not_clamped(self):
         cfg = _cubic_config(20_000, seed=2,
                             cubic=CubicConfig(gamma=0.1, alpha=5.0))
-        s = run(cfg, record_shots=True)
+        s, blocks = _run_recorded(cfg)
+        records = np.vstack(blocks)
         assert s.n_discarded > 0
         assert s.n_kept + s.n_discarded == s.n_shots
-        disc = s.records[s.records[:, 20] == 1.0]
+        disc = records[records[:, 20] == 1.0]
         assert len(disc) == s.n_discarded
         assert np.all(disc[:, 14] <= 0.0)
         assert np.all(np.isnan(disc[:, 17]))
-        kept = s.records[s.records[:, 20] == 0.0]
+        kept = records[records[:, 20] == 0.0]
         assert np.all(kept[:, 14] > 0.0)
 
     def test_mean_photocurrent_tracks_displacement_and_spread(self):
@@ -260,8 +348,11 @@ class TestStreamingReduction:
             cfg = _cubic_config(20_000, seed=2,
                                 cubic=CubicConfig(gamma=0.1, alpha=5.0))
         plain = run(cfg)
-        recorded = run(cfg, record_shots=True)
-        assert recorded.records.shape == (20_000, len(RECORD_COLUMNS))
+        recorded, blocks = _run_recorded(cfg)
+        # One array per block.
+        assert [b.shape for b in blocks] == [
+            (SHOT_BLOCK, len(RECORD_COLUMNS))] * 2 + [
+            (20_000 - 2 * SHOT_BLOCK, len(RECORD_COLUMNS))]
         assert plain.to_dict() == recorded.to_dict()
 
     def test_summary_matches_direct_moments_of_records(self):
@@ -269,8 +360,9 @@ class TestStreamingReduction:
         # summary rests on from the kept record rows in one pass.
         cfg = _cubic_config(20_000, seed=2,
                             cubic=CubicConfig(gamma=0.1, alpha=5.0))
-        s = run(cfg, record_shots=True)
-        kept = s.records[s.records[:, 20] == 0.0]
+        s, blocks = _run_recorded(cfg)
+        records = np.vstack(blocks)
+        kept = records[records[:, 20] == 0.0]
         assert s.n_discarded > 0 and len(kept) == s.n_kept
         out = kept[:, 17:19]
         err = out - kept[:, 0:2] @ s.realized.as_matrix().T
