@@ -16,7 +16,6 @@ from .core import (
     DenominatorPole,
     DomainError,
     ErrorVector,
-    InvalidReflectivity,
     NonpositiveIm,
     NotSymplectic,
     PhaseSet,
@@ -27,13 +26,11 @@ from .core import (
     cot,
     db_to_variance,
     validate_target,
-    variance_to_db,
 )
 from .czgate import (
     CzDecomposition,
     bloch_messiah,
     cz_matrix,
-    inline_squeezer,
     max_weight,
     squeeze_ratio,
 )
@@ -65,10 +62,8 @@ from .phases import (
     ArbitrarinessReport,
     SolverResult,
     check_arbitrariness,
-    corrected_theta3,
     forward_entries,
     forward_matrix,
-    precompensated_cot3,
     sample_targets,
     solve_cots,
     solve_phases,
@@ -98,23 +93,22 @@ __all__ = [
     # core types and conversions
     "CubicConfig", "ErrorVector", "PhaseSet", "SqueezingSpec",
     "SymplecticTarget", "WeightConfig", "arccot", "cot",
-    "db_to_variance", "validate_target", "variance_to_db",
+    "db_to_variance", "validate_target",
     # errors
-    "DomainError", "DegenerateD", "DenominatorPole", "InvalidReflectivity",
-    "NonpositiveIm", "NotSymplectic",
+    "DomainError", "DegenerateD", "DenominatorPole", "NonpositiveIm",
+    "NotSymplectic",
     # phase solving
     "ArbitrarinessReport", "SolverResult", "check_arbitrariness",
-    "corrected_theta3", "forward_entries", "forward_matrix",
-    "precompensated_cot3", "sample_targets", "solve_cots", "solve_phases",
-    "theta2_unprimed", "theta4_unprimed",
+    "forward_entries", "forward_matrix", "sample_targets", "solve_cots",
+    "solve_phases", "theta2_unprimed", "theta4_unprimed",
     # error model
     "MODES", "MODE_CUBIC_OPTIMIZED", "MODE_GAUSSIAN_FIXED",
     "MODE_GAUSSIAN_OPTIMIZED", "ErrorSurface", "ErrorSurfaceSpec",
     "OptimizeResult", "error_surface", "error_vector_cubic",
     "error_vector_gaussian", "error_vector_raw", "optimize_theta4",
     # CZ gate decomposition
-    "CzDecomposition", "bloch_messiah", "cz_matrix", "inline_squeezer",
-    "max_weight", "squeeze_ratio",
+    "CzDecomposition", "bloch_messiah", "cz_matrix", "max_weight",
+    "squeeze_ratio",
     # simulation
     "RECORD_COLUMNS", "SHOT_BLOCK", "VARIANTS", "VARIANT_CUBIC",
     "VARIANT_GAUSSIAN", "InputState", "LinearizationReport", "SimConfig",

@@ -14,8 +14,9 @@ A run manifest written next to a previous output (``<out>.manifest.json``)
 is accepted directly as a config file, which reproduces that run
 bit-for-bit: data outputs never contain timestamps.
 
-Exit codes: 0 success; 2 invalid input or configuration (a JSON object
-with ``error`` and ``message`` fields is printed to stderr); 3 for
+Exit codes: 0 success; 2 invalid input or configuration, usage errors
+such as an unknown flag included (a JSON object with ``error`` and
+``message`` fields is printed to stderr); 3 for
 ``simulate`` when a consistency z-score exceeds the gate, or when a
 z-score is not finite or a variance estimate is not positive.  Numeric
 values must be finite: a manifest is JSON, which has no NaN or infinity.
@@ -47,7 +48,6 @@ from .core import (
     DegenerateD,
     DenominatorPole,
     DomainError,
-    InvalidReflectivity,
     NonpositiveIm,
     NotSymplectic,
     SqueezingSpec,
@@ -95,7 +95,6 @@ _ERROR_SLUGS = (
     (DegenerateD, "degenerate-d"),
     (DenominatorPole, "denominator-pole"),
     (NonpositiveIm, "nonpositive-im"),
-    (InvalidReflectivity, "invalid-reflectivity"),
 )
 
 
@@ -286,14 +285,14 @@ def _number(resolved: dict, key: str, kind=float):
     return num
 
 
-def _workers(resolved: dict, default: int = 1) -> int:
-    """The resolved worker count: flag, config, $CLUSTERGAUSS_WORKERS, default.
+def _workers(resolved: dict) -> int:
+    """The thread count: flag, config, $CLUSTERGAUSS_WORKERS or usable CPUs.
 
     The count is written back into ``resolved``, so the manifest records
     the number the run used.
     """
     if resolved.get("workers") is None:
-        resolved["workers"] = os.environ.get(WORKERS_ENV, default)
+        resolved["workers"] = os.environ.get(WORKERS_ENV, usable_cpus())
     n = _number(resolved, "workers", int)
     if n < 1:
         raise DomainError(f"workers must be >= 1, got {n}")
@@ -398,14 +397,19 @@ _SURFACE_DEFAULTS = {
     "d_min": -5.0, "d_max": 5.0, "nd": 101,
     "db": -15.0,
     "gamma": None, "alpha": None, "im": None,
-    "workers": None,
     "out": None,
 }
 
 
+def _surface_config(path) -> dict:
+    """A surface config, less the thread count older manifests recorded."""
+    config = _load_config(path)
+    config.pop("workers", None)
+    return config
+
+
 def cmd_error_surface(args) -> int:
-    resolved = _resolve(args, _load_config(args.config), _SURFACE_DEFAULTS)
-    workers = _workers(resolved)
+    resolved = _resolve(args, _surface_config(args.config), _SURFACE_DEFAULTS)
     _number(resolved, "db")  # only recorded, but it must rerun
     mode = str(resolved["mode"])
     spec = ErrorSurfaceSpec(
@@ -414,7 +418,7 @@ def cmd_error_surface(args) -> int:
         cubic=_cubic_config(resolved, mode == MODE_CUBIC_OPTIMIZED),
         **_grid(resolved),
     )
-    surface = error_surface(spec, n_workers=workers)
+    surface = error_surface(spec)
     _write_csv(ERROR_SURFACE_HEADER, surface.to_rows(), resolved["out"])
     if resolved["out"] is not None:
         _write_manifest(resolved["out"], "error-surface", resolved)
@@ -433,14 +437,12 @@ _GAIN_DEFAULTS = {
     "b_min": -5.0, "b_max": 5.0, "nb": 101,
     "d_min": -5.0, "d_max": 5.0, "nd": 101,
     "gamma": None, "alpha": None, "im": None,
-    "workers": None,
     "out": None,
 }
 
 
 def cmd_gain_surface(args) -> int:
-    resolved = _resolve(args, _load_config(args.config), _GAIN_DEFAULTS)
-    workers = _workers(resolved)
+    resolved = _resolve(args, _surface_config(args.config), _GAIN_DEFAULTS)
     _require(resolved, "out")
     grid = _grid(resolved)
     base_mode = str(resolved["base_mode"])
@@ -454,7 +456,7 @@ def cmd_gain_surface(args) -> int:
         cubic=_cubic_config(resolved, opt_mode == MODE_CUBIC_OPTIMIZED),
         **grid)
     squeezing = SqueezingSpec.from_db(_number(resolved, "db"))
-    gs = gain_surface(base_spec, opt_spec, squeezing, n_workers=workers)
+    gs = gain_surface(base_spec, opt_spec, squeezing)
     _write_csv(GAIN_SURFACE_HEADER, gs.to_rows(), resolved["out"])
     _write_manifest(resolved["out"], "gain-surface", resolved)
     bmax, dmax = gs.argmax_cell
@@ -511,7 +513,7 @@ def _gate_failure(summary, z_gate: float):
 def cmd_simulate(args) -> int:
     _angles_to_radians(args)
     resolved = _resolve(args, _load_config(args.config), _SIMULATE_DEFAULTS)
-    workers = _workers(resolved, usable_cpus())
+    workers = _workers(resolved)
     _require(resolved, "a", "b", "c", "d")
     z_gate = _number(resolved, "z_gate")
     if z_gate <= 0.0:
@@ -613,12 +615,6 @@ def _add_config_opt(sp) -> None:
                          "a run manifest (*.manifest.json) is accepted")
 
 
-def _add_workers_opt(sp, what: str = "thread count",
-                     default: str = "1") -> None:
-    sp.add_argument("--workers", type=int,
-                    help=f"{what} (default: ${WORKERS_ENV} or {default})")
-
-
 def _add_target_opts(sp) -> None:
     for name in "abcd":
         sp.add_argument(f"--{name}", type=float,
@@ -641,16 +637,25 @@ def _add_grid_opts(sp) -> None:
     sp.add_argument("--nd", type=int, help="number of d samples")
 
 
-def _add_cubic_opts(sp) -> None:
+def _add_cubic_opts(sp, im: bool = True) -> None:
     sp.add_argument("--gamma", type=float, help="cubic gate strength")
     sp.add_argument("--alpha", type=float,
                     help="displacement before the cubic gate")
-    sp.add_argument("--im", type=float,
-                    help="photocurrent scale (default 3*gamma*alpha^2)")
+    if im:
+        sp.add_argument("--im", type=float,
+                        help="photocurrent scale (default 3*gamma*alpha^2)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one JSON line, in subparsers too."""
+
+    def error(self, message):
+        _emit_error("invalid-config", message)
+        self.exit(2)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clustergauss",
         description="Design and error analysis of single-mode operations "
                     "on weighted four-node cluster states.")
@@ -682,7 +687,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="squeezing level in dB (recorded in the manifest; "
                          "surface values are variance multipliers)")
     _add_cubic_opts(sp)
-    _add_workers_opt(sp)
     sp.add_argument("--out", metavar="FILE",
                     help="write CSV here (plus a manifest sidecar) "
                          "instead of stdout")
@@ -703,7 +707,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--db", type=float, help="squeezing level in dB")
     sp.add_argument("--shots", type=int, help="number of shots")
     sp.add_argument("--seed", type=int, help="RNG seed")
-    _add_cubic_opts(sp)
+    # No --im: the cross-check uses each shot's measured photocurrents.
+    _add_cubic_opts(sp, im=False)
     sp.add_argument("--mean-x", type=float, help="input mean of x")
     sp.add_argument("--mean-y", type=float, help="input mean of y")
     sp.add_argument("--var-x", type=float, help="input variance of x")
@@ -712,9 +717,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="max |z| before exit code 3 (default 5); finite "
                          "and > 0: inf is rejected because the manifest "
                          "could not record it")
-    _add_workers_opt(sp, f"threads: the calling thread plus up to "
-                         f"{MAX_DRAW_HELPERS} that draw shot blocks ahead",
-                     "the CPUs this process may use")
+    sp.add_argument("--workers", type=int,
+                    help=f"threads: the calling thread plus up to "
+                         f"{MAX_DRAW_HELPERS} that draw shot blocks ahead "
+                         f"(default: ${WORKERS_ENV} or the CPUs this "
+                         f"process may use)")
     sp.add_argument("--records", metavar="FILE",
                     help="also write per-shot records as CSV, streamed "
                          "block by block; written in full before the gate "
@@ -734,7 +741,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--opt-mode", choices=MODES, help="optimized mode")
     _add_grid_opts(sp)
     _add_cubic_opts(sp)
-    _add_workers_opt(sp)
     sp.add_argument("--out", metavar="FILE", required=False,
                     help="write CSV here (required; a manifest sidecar "
                          "is written next to it)")

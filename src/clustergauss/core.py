@@ -87,10 +87,6 @@ class NonpositiveIm(DomainError):
     """The measured/assumed photocurrent combination I_m is not positive."""
 
 
-class InvalidReflectivity(DomainError):
-    """Beam-splitter reflectivity outside the physical interval (0, 1]."""
-
-
 def cot(theta):
     """Cotangent, elementwise on arrays.
 
@@ -144,13 +140,6 @@ def db_to_variance(db: float) -> float:
         ``10**(db/10) / 4``.
     """
     return 10.0 ** (db / 10.0) / 4.0
-
-
-def variance_to_db(var: float) -> float:
-    """Inverse of :func:`db_to_variance`."""
-    if var <= 0:
-        raise DomainError(f"variance must be positive, got {var}")
-    return 10.0 * math.log10(4.0 * var)
 
 
 @dataclass(frozen=True)
@@ -275,14 +264,6 @@ class SqueezingSpec:
     def from_r(cls, r: float) -> "SqueezingSpec":
         var_y = math.exp(-2.0 * r) / 4.0
         return cls(r=r, var_y=var_y, db=10.0 * math.log10(4.0 * var_y))
-
-    @classmethod
-    def from_variance(cls, var_y: float) -> "SqueezingSpec":
-        return cls(
-            r=-0.5 * math.log(4.0 * var_y),
-            var_y=var_y,
-            db=variance_to_db(var_y),
-        )
 
     @property
     def var_x(self) -> float:

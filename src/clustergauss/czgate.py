@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, InvalidReflectivity
+from .core import DomainError
 
 __all__ = [
     "CzDecomposition",
     "cz_matrix",
     "bloch_messiah",
-    "inline_squeezer",
     "max_weight",
     "squeeze_ratio",
 ]
@@ -139,32 +138,6 @@ def bloch_messiah(g: float) -> CzDecomposition:
     residual = float(np.max(np.abs(dec.product() - cz_matrix(g))))
     object.__setattr__(dec, "residual", residual)
     return dec
-
-
-def inline_squeezer(R: float, y_s_sample, x_in, y_in):
-    """Measurement-induced in-line squeezer.
-
-    Args:
-        R: beam-splitter reflectivity in (0, 1].
-        y_s_sample: squeezed-quadrature sample (or array) of the
-            auxiliary resource; enters the output scaled by sqrt(1-R).
-        x_in, y_in: input quadratures (scalars or arrays).
-
-    Returns:
-        (X_out, Y_out) = (x_in/sqrt(R), sqrt(R)*y_in + sqrt(1-R)*y_s).
-
-    Raises:
-        InvalidReflectivity: if R is outside (0, 1].
-    """
-    if not (0.0 < R <= 1.0):
-        raise InvalidReflectivity(f"reflectivity R = {R!r} outside (0, 1]")
-    sqrt_r = np.sqrt(R)
-    x_out = np.asarray(x_in, dtype=float) / sqrt_r
-    y_out = sqrt_r * np.asarray(y_in, dtype=float) \
-        + np.sqrt(1.0 - R) * np.asarray(y_s_sample, dtype=float)
-    if np.ndim(x_in) == 0 and np.ndim(y_in) == 0 and np.ndim(y_s_sample) == 0:
-        return float(x_out), float(y_out)
-    return x_out, y_out
 
 
 def max_weight(db: float) -> float:

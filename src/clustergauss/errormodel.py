@@ -22,7 +22,6 @@ candidate-for-candidate, than the Gaussian one.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -40,7 +39,6 @@ from .core import (
     WeightConfig,
     arccot,
     pole_masks,
-    pool_threads,
     validate_target,
 )
 
@@ -582,7 +580,7 @@ class ErrorSurface:
 
 
 def _surface_chunk(b_flat, d_flat, w, mode, mid):
-    """Evaluate one flat chunk of grid cells; pure and order-preserving."""
+    """Evaluate flat arrays of grid cells, cell by cell in order."""
     if mode == MODE_GAUSSIAN_FIXED:
         u = np.zeros_like(b_flat)
         err = _objective(b_flat, d_flat, u, w, mid)
@@ -599,17 +597,11 @@ def _surface_chunk(b_flat, d_flat, w, mode, mid):
     return ex, ey, err, theta
 
 
-def error_surface(spec: ErrorSurfaceSpec, n_workers: int = 1) -> ErrorSurface:
+def error_surface(spec: ErrorSurfaceSpec) -> ErrorSurface:
     """Evaluate the selected error mode on the (b, d) grid.
-
-    Cells are independent; with ``n_workers`` > 1 they are evaluated in
-    parallel chunks and reassembled in index order, so the result is
-    identical for any worker count.
 
     Args:
         spec: grid specification.
-        n_workers: number of evaluation threads, capped by
-            ``core.pool_threads`` at the cell count and the CPU count.
 
     Returns:
         ErrorSurface with NaN marking pole cells.
@@ -618,27 +610,8 @@ def error_surface(spec: ErrorSurfaceSpec, n_workers: int = 1) -> ErrorSurface:
     bs = spec.b_values
     ds = spec.d_values
     B, D = np.meshgrid(bs, ds, indexing="ij")
-    b_flat = B.ravel()
-    d_flat = D.ravel()
-
-    n_workers = pool_threads(n_workers, b_flat.size)
-    if n_workers == 1:
-        parts = [_surface_chunk(b_flat, d_flat, spec.w, spec.mode, mid)]
-    else:
-        chunks = np.array_split(np.arange(b_flat.size), n_workers)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(
-                    _surface_chunk, b_flat[c], d_flat[c], spec.w, spec.mode, mid
-                )
-                for c in chunks
-            ]
-            parts = [f.result() for f in futures]
-
-    ex, ey, err, theta = (
-        np.concatenate([p[k] for p in parts]).reshape(spec.nb, spec.nd)
-        for k in range(4)
-    )
+    cells = _surface_chunk(B.ravel(), D.ravel(), spec.w, spec.mode, mid)
+    ex, ey, err, theta = (part.reshape(spec.nb, spec.nd) for part in cells)
     return ErrorSurface(
         spec=spec, b_values=bs, d_values=ds,
         ex=ex, ey=ey, err_inf=err, theta4p=theta,

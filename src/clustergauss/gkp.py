@@ -143,7 +143,6 @@ def gain_surface(
     baseline: ErrorSurfaceSpec,
     optimized: ErrorSurfaceSpec,
     squeezing: SqueezingSpec,
-    n_workers: int = 1,
 ) -> GainSurface:
     """Ratio of correction-failure probabilities, baseline over optimized.
 
@@ -157,7 +156,6 @@ def gain_surface(
             unweighted, fixed phase).
         optimized: spec of the optimized computation.
         squeezing: resource squeezing level.
-        n_workers: threads for the two surface evaluations.
 
     Returns:
         GainSurface; a cell is NaN if either surface is missing there.
@@ -167,8 +165,8 @@ def gain_surface(
             or baseline.nb != optimized.nb or baseline.nd != optimized.nd):
         raise DomainError("baseline and optimized specs must share the grid")
 
-    base = error_surface(baseline, n_workers=n_workers)
-    opt = error_surface(optimized, n_workers=n_workers)
+    base = error_surface(baseline)
+    opt = error_surface(optimized)
     var_s = CORRECTION_VARIANCE_UNITS * squeezing.var_y
 
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -29,11 +29,9 @@ import numpy as np
 from .core import (
     DEGENERATE_D_TOL,
     POLE_TOL,
-    CubicConfig,
     DegenerateD,
     DenominatorPole,
     DomainError,
-    NonpositiveIm,
     PhaseSet,
     SymplecticTarget,
     WeightConfig,
@@ -49,8 +47,6 @@ __all__ = [
     "solve_phases",
     "solve_cots",
     "forward_entries",
-    "corrected_theta3",
-    "precompensated_cot3",
     "theta2_unprimed",
     "theta4_unprimed",
     "sample_targets",
@@ -211,38 +207,6 @@ def _cot_of_angle(theta: float) -> float:
     if not (0.0 < theta < np.pi):
         raise DomainError(f"measurement phase {theta!r} outside (0, pi)")
     return float(np.cos(theta) / np.sin(theta))
-
-
-def corrected_theta3(theta3: float, cubic: CubicConfig) -> float:
-    """Effective stage-two input phase of the cubic variant.
-
-    The measured photocurrent combination deforms the stage-two input so
-    that the realised matrix depends on theta3' with
-
-        cot(theta3') = cot(theta3) + 1/sqrt(12 gamma I_m).
-
-    Args:
-        theta3: physical measurement phase in (0, pi).
-        cubic: cubic operating point supplying gamma and I_m.
-
-    Returns:
-        theta3' on (0, pi).
-
-    Raises:
-        NonpositiveIm: if the configured I_m is not positive.
-    """
-    twelve = cubic.twelve_gamma_im
-    if not (twelve > 0):
-        raise NonpositiveIm(f"12*gamma*I_m = {twelve!r} must be positive")
-    return float(arccot(np.cos(theta3) / np.sin(theta3) + 1.0 / np.sqrt(twelve)))
-
-
-def precompensated_cot3(cot3_target, twelve_gamma_im):
-    """cot of the physical phase whose corrected value equals ``cot3_target``.
-
-    Vectorised over ``twelve_gamma_im`` (per-shot use in the simulator).
-    """
-    return cot3_target - 1.0 / np.sqrt(twelve_gamma_im)
 
 
 def theta2_unprimed(theta2p: float, w: WeightConfig) -> float:

@@ -7,7 +7,7 @@ import pytest
 import acceptance_log
 
 from clustergauss import SqueezingSpec, SymplecticTarget, WeightConfig
-from clustergauss import errormodel, simulate
+from clustergauss import simulate
 
 
 @pytest.fixture
@@ -45,11 +45,11 @@ def make_target():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Record the ``max_workers`` of every thread pool, starting no thread.
+    """Record the ``max_workers`` of each ``simulate`` pool; start no thread.
 
-    The pools of ``errormodel`` and ``simulate`` become an inline
-    stand-in that runs each task on the calling thread, and the process
-    appears to have three CPUs.  Returns the list of recorded sizes.
+    The pool becomes an inline stand-in that runs each submitted task on
+    the calling thread, and the process appears to have three CPUs.
+    Returns the list of recorded sizes.
     """
     sizes = []
 
@@ -68,11 +68,7 @@ def pool_sizes(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    for module in (errormodel, simulate):
-        monkeypatch.setattr(module, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)

@@ -289,16 +289,26 @@ class TestErrorSurfaceCommand:
         assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_default_workers_stay_one(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.delenv("CLUSTERGAUSS_WORKERS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                            raising=False)
-        out = tmp_path / "surf.csv"
-        code, _, _ = _run(capsys, "error-surface", "--nb", "3", "--nd", "3",
-                          "--out", str(out))
+    @pytest.mark.parametrize("command", ["error-surface", "gain-surface"])
+    def test_manifest_workers_key_is_ignored(self, capsys, tmp_path, command):
+        # Surface manifests once recorded a thread count; they still rerun.
+        first = tmp_path / "first.csv"
+        code, summary, _ = _run(capsys, command, "--nb", "3", "--nd", "3",
+                                "--out", str(first))
         assert code == 0
-        manifest = json.loads((tmp_path / "surf.csv.manifest.json").read_text())
-        assert manifest["resolved_config"]["workers"] == 1
+        doc = json.loads((tmp_path / "first.csv.manifest.json").read_text())
+        assert "workers" not in doc["resolved_config"]
+        doc["resolved_config"]["workers"] = 2
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps(doc))
+        second = tmp_path / "second.csv"
+        code, rerun_summary, _ = _run(capsys, command, "--config", str(old),
+                                      "--out", str(second))
+        assert code == 0
+        assert second.read_bytes() == first.read_bytes()
+        assert rerun_summary == summary
+        doc = json.loads((tmp_path / "second.csv.manifest.json").read_text())
+        assert "workers" not in doc["resolved_config"]
 
 
 class TestSimulateCommand:
@@ -527,6 +537,37 @@ class TestVersion:
         assert "0.1.0" in capsys.readouterr().out
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        [*TestSimulateCommand.BASE, "--shots", "1e5"],
+        ["error-surface", "--workers", "2"],
+        ["gain-surface", "--workers", "2", "--out", "unused.csv"],
+        [*TestSimulateCommand.BASE, "--im", "1000"],
+        ["solve-phases", "--no-such-flag"],
+        ["no-such-command"],
+        [],
+    ], ids=["bad-int", "error-surface-workers", "gain-surface-workers",
+            "simulate-im", "unknown-flag", "unknown-command", "no-command"])
+    def test_exit_2_with_one_json_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        doc = json.loads(err)
+        assert doc["error"] == "invalid-config"
+        assert set(doc) == {"error", "message"}
+
+    def test_help_still_prints_usage_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert "--workers" in out and "--im" not in out
+        assert err == ""
+
+
 # ---------------------------------------------------------------------------
 # Fuzzed invocations: whatever the numeric inputs, a subcommand exits 0, 2
 # or 3, writes nothing or one JSON error line to stderr, and never raises.
@@ -551,11 +592,9 @@ FUZZ_BASES = {
     "solve-phases": {"a": 1.2, "b": 0.5, "c": 0.3, "d": D_OK, "g1": 5.0,
                      "g2": 5.0, "g3": 4.0, "g4": 4.0, "theta4p": 1.1},
     "error-surface": {**SURFACE_GRID, "g1": 5.0, "g2": 5.0, "g3": 4.0,
-                      "g4": 4.0, "db": -15.0, "im": 7.5, **CUBIC_POINT,
-                      "workers": 2},
+                      "g4": 4.0, "db": -15.0, "im": 7.5, **CUBIC_POINT},
     "gain-surface": {**SURFACE_GRID, "db": -15.0, "base_g1": 1.0,
-                     "opt_g1": 5.0, "opt_g3": 4.0, "im": 7.5, **CUBIC_POINT,
-                     "workers": 2},
+                     "opt_g1": 5.0, "opt_g3": 4.0, "im": 7.5, **CUBIC_POINT},
     "simulate": {"a": 1.2, "b": 0.5, "c": 0.3, "d": D_OK, "g1": 5.0,
                  "g2": 5.0, "g3": 4.0, "g4": 4.0, "theta4p": 1.1,
                  "db": -15.0, "shots": 2000, "seed": 3, **CUBIC_POINT,

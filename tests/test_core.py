@@ -16,7 +16,6 @@ from clustergauss import (
     cot,
     db_to_variance,
     validate_target,
-    variance_to_db,
 )
 from clustergauss.core import DomainError
 
@@ -68,11 +67,6 @@ class TestSqueezing:
     def test_zero_db_is_vacuum(self):
         assert db_to_variance(0.0) == pytest.approx(0.25, abs=0)
 
-    @given(st.floats(min_value=-30.0, max_value=10.0))
-    def test_db_roundtrip(self, db):
-        assert variance_to_db(db_to_variance(db)) == pytest.approx(
-            db, abs=1e-10)
-
     def test_from_db_minimum_uncertainty(self):
         sq = SqueezingSpec.from_db(-15.0)
         assert sq.var_y * sq.var_x == pytest.approx(1.0 / 16.0, rel=1e-12)
@@ -81,12 +75,6 @@ class TestSqueezing:
         sq = SqueezingSpec.from_r(1.5)
         assert sq.var_y == pytest.approx(np.exp(-3.0) / 4.0, rel=1e-14)
         assert sq.var_x == pytest.approx(np.exp(3.0) / 4.0, rel=1e-14)
-
-    def test_constructions_agree(self):
-        a = SqueezingSpec.from_db(-15.0)
-        b = SqueezingSpec.from_variance(a.var_y)
-        assert b.r == pytest.approx(a.r, rel=1e-12)
-        assert b.db == pytest.approx(-15.0, abs=1e-10)
 
 
 class TestSymplecticTarget:

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from clustergauss import (
     DomainError,
-    InvalidReflectivity,
     bloch_messiah,
     cz_matrix,
-    inline_squeezer,
     max_weight,
     squeeze_ratio,
 )
@@ -108,39 +106,6 @@ class TestBlochMessiah:
     def test_rejects_negative_weight(self):
         with pytest.raises(DomainError):
             bloch_messiah(-1.0)
-
-
-class TestInlineSqueezer:
-    def test_full_reflectivity_is_identity_with_no_noise(self):
-        x, y = inline_squeezer(1.0, 123.0, 0.7, -0.2)
-        assert x == pytest.approx(0.7)
-        assert y == pytest.approx(-0.2)
-
-    def test_half_reflectivity_scales_by_sqrt2(self):
-        x, y = inline_squeezer(0.5, 0.0, 1.0, 1.0)
-        assert x == pytest.approx(np.sqrt(2.0))
-        assert y == pytest.approx(1.0 / np.sqrt(2.0))
-
-    @pytest.mark.parametrize("bad", [0.0, -0.3, 1.0001, 2.0])
-    def test_rejects_reflectivity_outside_unit_interval(self, bad):
-        with pytest.raises(InvalidReflectivity):
-            inline_squeezer(bad, 0.0, 1.0, 1.0)
-
-    def test_added_noise_variance(self):
-        rng = np.random.default_rng(17)
-        n = 100_000
-        R = 0.3
-        var_in, var_s = 1.0, 0.04
-        y_in = rng.normal(0.0, np.sqrt(var_in), n)
-        y_s = rng.normal(0.0, np.sqrt(var_s), n)
-        _, y_out = inline_squeezer(R, y_s, np.zeros(n), y_in)
-        expected = R * var_in + (1.0 - R) * var_s
-        se = expected * np.sqrt(2.0 / n)
-        assert abs(y_out.var() - expected) < 3.0 * se
-
-    def test_vectorised_output_shape(self):
-        x, y = inline_squeezer(0.8, np.zeros(5), np.ones(5), np.ones(5))
-        assert x.shape == (5,) and y.shape == (5,)
 
 
 class TestMaxWeight:

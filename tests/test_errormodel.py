@@ -334,25 +334,6 @@ class TestErrorSurface:
         both = np.isfinite(opt.err_inf) & np.isfinite(cub.err_inf)
         assert np.all(cub.err_inf[both] <= opt.err_inf[both] + 1e-9)
 
-    def test_worker_count_does_not_change_result(self, strong_weights):
-        one = error_surface(_spec(MODE_GAUSSIAN_OPTIMIZED, strong_weights), n_workers=1)
-        three = error_surface(_spec(MODE_GAUSSIAN_OPTIMIZED, strong_weights), n_workers=3)
-        np.testing.assert_array_equal(one.err_inf, three.err_inf)
-        np.testing.assert_array_equal(one.theta4p, three.theta4p)
-
-    @pytest.mark.parametrize("n, workers, threads", [
-        (3, 1_000_000, [3]),  # capped at the CPU count
-        (3, 2, [2]),
-        (1, 1_000_000, []),  # one cell: no pool
-    ])
-    def test_thread_count_is_capped(self, strong_weights, pool_sizes,
-                                    n, workers, threads):
-        spec = _spec(MODE_GAUSSIAN_OPTIMIZED, strong_weights, n=n)
-        capped = error_surface(spec, n_workers=workers)
-        assert pool_sizes == threads
-        np.testing.assert_array_equal(capped.err_inf,
-                                      error_surface(spec).err_inf)
-
     def test_rows_are_b_major_with_nan_for_missing(self, strong_weights):
         surf = error_surface(_spec(MODE_GAUSSIAN_OPTIMIZED, strong_weights, n=3))
         rows = np.column_stack(surf.to_rows())

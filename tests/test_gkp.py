@@ -192,16 +192,6 @@ class TestGainSurface:
                 SQZ,
             )
 
-    def test_worker_count_does_not_change_result(self, unit_weights, strong_weights):
-        args = (
-            _spec(unit_weights, MODE_GAUSSIAN_FIXED),
-            _spec(strong_weights, MODE_GAUSSIAN_OPTIMIZED),
-            SQZ,
-        )
-        one = gain_surface(*args, n_workers=1)
-        three = gain_surface(*args, n_workers=3)
-        np.testing.assert_array_equal(one.ratio, three.ratio)
-
     def test_rows(self, unit_weights, strong_weights):
         gs = gain_surface(
             _spec(unit_weights, MODE_GAUSSIAN_FIXED, n=5),

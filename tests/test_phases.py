@@ -14,11 +14,9 @@ from clustergauss import (
     WeightConfig,
     arccot,
     check_arbitrariness,
-    corrected_theta3,
     cot,
     forward_entries,
     forward_matrix,
-    precompensated_cot3,
     sample_targets,
     solve_cots,
     solve_phases,
@@ -125,33 +123,11 @@ class TestSolveCots:
 
 
 class TestCubicPhaseCorrection:
-    def test_corrected_theta3_shifts_cot(self):
-        cubic = CubicConfig(gamma=0.1, alpha=np.sqrt(125.0), i_m=37.5)
-        theta3p = corrected_theta3(np.pi / 2, cubic)
-        assert cot(theta3p) == pytest.approx(1.0 / np.sqrt(45.0), rel=1e-12)
-
-    def test_corrected_theta3_stays_on_branch(self):
-        cubic = CubicConfig(gamma=0.1, alpha=5.0)
-        for theta3 in (0.1, 1.0, np.pi / 2, 2.5, 3.0):
-            theta3p = corrected_theta3(theta3, cubic)
-            assert 0.0 < theta3p < np.pi
-
     def test_nonpositive_photocurrent_rejected(self):
         with pytest.raises(NonpositiveIm):
             CubicConfig(gamma=0.1, alpha=5.0, i_m=-1.0)
         with pytest.raises(NonpositiveIm):
             CubicConfig(gamma=0.1, alpha=5.0, i_m=0.0)
-
-    def test_precompensation_inverts_correction(self):
-        twelve = 45.0
-        for target in (-1.7, 0.0, 0.42, 3.0):
-            physical = precompensated_cot3(target, twelve)
-            assert physical + 1.0 / np.sqrt(twelve) == pytest.approx(target, abs=1e-15)
-
-    def test_precompensation_vectorised(self):
-        twelve = np.array([10.0, 45.0, 400.0])
-        out = precompensated_cot3(0.5, twelve)
-        np.testing.assert_allclose(out, 0.5 - 1.0 / np.sqrt(twelve), rtol=1e-15)
 
 
 class TestUnprimedPhases:
