@@ -235,26 +235,26 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _resolve(args, config: dict, defaults: dict) -> dict:
+def _resolve(args, config: dict, options: dict) -> dict:
     """Merge flag values, config-file values, and defaults (in that order).
 
-    A non-finite float is rejected wherever it comes from: the manifest
-    records the resolved values as JSON, which has no NaN or infinity, so
-    such a run could not be rerun from its manifest.
+    ``options`` is the subcommand's option table, which supplies the keys
+    and their defaults.  A non-finite float is rejected wherever it comes
+    from: the manifest records the resolved values as JSON, which has no
+    NaN or infinity, so such a run could not be rerun from its manifest.
     """
-    unknown = sorted(set(config) - set(defaults))
+    unknown = sorted(set(config) - set(options))
     if unknown:
         raise DomainError(f"unknown config keys: {unknown}")
     resolved = {}
-    for key, default in defaults.items():
+    for key, (kind, default, _) in options.items():
         val = getattr(args, key)
         if val is None:
             val = config.get(key, default)
         for v in val if isinstance(val, list) else (val,):
             if isinstance(v, float) and not math.isfinite(v):
                 raise DomainError(f"{_flag(key)} must be finite, got {v!r}")
-        if key in ("out", "records") and val is not None \
-                and not isinstance(val, str):
+        if kind == "FILE" and val is not None and not isinstance(val, str):
             raise DomainError(f"{_flag(key)} must be a path, got {val!r}")
         resolved[key] = val
     return resolved
@@ -270,19 +270,20 @@ def _require(resolved: dict, *keys: str) -> None:
 def _number(resolved: dict, key: str, kind=float):
     """``resolved[key]`` as a finite ``kind`` (float or int).
 
-    A missing (null), non-numeric or non-finite value, from a flag or a
+    Only a number is a number: a missing (null), bool, string or
+    non-finite value, or a non-integral one for an int, from a flag or a
     config file, is an invalid input.
     """
     val = resolved[key]
     try:
-        num = kind(val)
-        ok = math.isfinite(num)
-    except (TypeError, ValueError, OverflowError):
+        ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
+              and math.isfinite(val) and (kind is float or val == int(val)))
+    except OverflowError:
         ok = False
     if not ok:
         raise DomainError(
             f"{_flag(key)} must be a finite {kind.__name__}, got {val!r}")
-    return num
+    return kind(val)
 
 
 def _workers(resolved: dict) -> int:
@@ -291,8 +292,13 @@ def _workers(resolved: dict) -> int:
     The count is written back into ``resolved``, so the manifest records
     the number the run used.
     """
-    if resolved.get("workers") is None:
-        resolved["workers"] = os.environ.get(WORKERS_ENV, usable_cpus())
+    if resolved["workers"] is None:
+        env = os.environ.get(WORKERS_ENV)
+        try:
+            resolved["workers"] = usable_cpus() if env is None else int(env)
+        except ValueError:
+            raise DomainError(
+                f"${WORKERS_ENV} must be an integer, got {env!r}") from None
     n = _number(resolved, "workers", int)
     if n < 1:
         raise DomainError(f"workers must be >= 1, got {n}")
@@ -333,27 +339,60 @@ def _cubic_config(resolved: dict, needed: bool):
     if not needed:
         return None
     _require(resolved, "gamma", "alpha")
+    im = resolved.get("im")
     return CubicConfig(
         gamma=_number(resolved, "gamma"),
         alpha=_number(resolved, "alpha"),
-        i_m=None if resolved["im"] is None else _number(resolved, "im"),
+        i_m=None if im is None else _number(resolved, "im"),
     )
+
+
+# ---------------------------------------------------------------------------
+# option tables
+#
+# Each subcommand declares its value flags once, as a table of
+# key: (kind, default, help).  ``kind`` is the flag's type, a tuple of
+# choices, [float] for a repeatable flag, or "FILE" for a path.  The
+# parser adds one flag per key and ``_resolve`` takes the defaults from
+# the same table, so a flag and its resolved key cannot drift apart.
+
+_TARGET = {k: (float, None, f"target matrix entry {k}") for k in "abcd"}
+
+
+def _weights(prefix: str = "g", what: str = "cluster",
+             defaults=(1.0, 1.0, 1.0, 1.0)) -> dict:
+    return {f"{prefix}{k}": (float, g, f"{what} weight g{k}")
+            for k, g in enumerate(defaults, start=1)}
+
+
+_GRID = {
+    "b_min": (float, -5.0, "grid lower bound for b"),
+    "b_max": (float, 5.0, "grid upper bound for b"),
+    "nb": (int, 101, "number of b samples"),
+    "d_min": (float, -5.0, "grid lower bound for d"),
+    "d_max": (float, 5.0, "grid upper bound for d"),
+    "nd": (int, 101, "number of d samples"),
+}
+_CUBIC = {
+    "gamma": (float, None, "cubic gate strength"),
+    "alpha": (float, None, "displacement before the cubic gate"),
+}
+_IM = {"im": (float, None, "photocurrent scale (default 3*gamma*alpha^2)")}
+_THETA4P = {"theta4p": (float, math.pi / 2.0,
+                        "free phase theta4' in (0, pi); default pi/2")}
+_DB = (float, -15.0, "squeezing level in dB")
+_JSON_OUT = ("FILE", None, "write JSON here instead of stdout")
 
 
 # ---------------------------------------------------------------------------
 # solve-phases
 
-_SOLVE_DEFAULTS = {
-    "a": None, "b": None, "c": None, "d": None,
-    "g1": 1.0, "g2": 1.0, "g3": 1.0, "g4": 1.0,
-    "theta4p": math.pi / 2.0,
-    "out": None,
-}
+_SOLVE_OPTIONS = {**_TARGET, **_weights(), **_THETA4P, "out": _JSON_OUT}
 
 
 def cmd_solve_phases(args) -> int:
     _angles_to_radians(args)
-    resolved = _resolve(args, _load_config(args.config), _SOLVE_DEFAULTS)
+    resolved = _resolve(args, _load_config(args.config), _SOLVE_OPTIONS)
     _require(resolved, "a", "b", "c", "d")
     target = _target(resolved)
     w = _weight_config(resolved)
@@ -390,14 +429,16 @@ def cmd_solve_phases(args) -> int:
 # ---------------------------------------------------------------------------
 # error-surface
 
-_SURFACE_DEFAULTS = {
-    "mode": MODE_GAUSSIAN_FIXED,
-    "g1": 1.0, "g2": 1.0, "g3": 1.0, "g4": 1.0,
-    "b_min": -5.0, "b_max": 5.0, "nb": 101,
-    "d_min": -5.0, "d_max": 5.0, "nd": 101,
-    "db": -15.0,
-    "gamma": None, "alpha": None, "im": None,
-    "out": None,
+_SURFACE_OPTIONS = {
+    "mode": (MODES, MODE_GAUSSIAN_FIXED, "evaluation mode"),
+    **_weights(),
+    **_GRID,
+    "db": (float, -15.0, "squeezing level in dB (recorded in the manifest; "
+                         "surface values are variance multipliers)"),
+    **_CUBIC,
+    **_IM,
+    "out": ("FILE", None, "write CSV here (plus a manifest sidecar) "
+                          "instead of stdout"),
 }
 
 
@@ -409,7 +450,7 @@ def _surface_config(path) -> dict:
 
 
 def cmd_error_surface(args) -> int:
-    resolved = _resolve(args, _surface_config(args.config), _SURFACE_DEFAULTS)
+    resolved = _resolve(args, _surface_config(args.config), _SURFACE_OPTIONS)
     _number(resolved, "db")  # only recorded, but it must rerun
     mode = str(resolved["mode"])
     spec = ErrorSurfaceSpec(
@@ -428,21 +469,22 @@ def cmd_error_surface(args) -> int:
 # ---------------------------------------------------------------------------
 # gain-surface
 
-_GAIN_DEFAULTS = {
-    "db": -15.0,
-    "base_g1": 1.0, "base_g2": 1.0, "base_g3": 1.0, "base_g4": 1.0,
-    "base_mode": MODE_GAUSSIAN_FIXED,
-    "opt_g1": 5.0, "opt_g2": 5.0, "opt_g3": 4.0, "opt_g4": 4.0,
-    "opt_mode": MODE_GAUSSIAN_OPTIMIZED,
-    "b_min": -5.0, "b_max": 5.0, "nb": 101,
-    "d_min": -5.0, "d_max": 5.0, "nd": 101,
-    "gamma": None, "alpha": None, "im": None,
-    "out": None,
+_GAIN_OPTIONS = {
+    "db": _DB,
+    **_weights("base_g", "baseline"),
+    "base_mode": (MODES, MODE_GAUSSIAN_FIXED, "baseline mode"),
+    **_weights("opt_g", "optimized", (5.0, 5.0, 4.0, 4.0)),
+    "opt_mode": (MODES, MODE_GAUSSIAN_OPTIMIZED, "optimized mode"),
+    **_GRID,
+    **_CUBIC,
+    **_IM,
+    "out": ("FILE", None, "write CSV here (required; a manifest sidecar "
+                          "is written next to it)"),
 }
 
 
 def cmd_gain_surface(args) -> int:
-    resolved = _resolve(args, _surface_config(args.config), _GAIN_DEFAULTS)
+    resolved = _resolve(args, _surface_config(args.config), _GAIN_OPTIONS)
     _require(resolved, "out")
     grid = _grid(resolved)
     base_mode = str(resolved["base_mode"])
@@ -473,20 +515,32 @@ def cmd_gain_surface(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-_SIMULATE_DEFAULTS = {
-    "variant": VARIANT_GAUSSIAN,
-    "a": None, "b": None, "c": None, "d": None,
-    "g1": 1.0, "g2": 1.0, "g3": 1.0, "g4": 1.0,
-    "theta4p": math.pi / 2.0,
-    "db": -15.0,
-    "shots": 100000,
-    "seed": 0,
-    "gamma": None, "alpha": None,
-    "mean_x": 0.0, "mean_y": 0.0, "var_x": 0.25, "var_y": 0.25,
-    "z_gate": 5.0,
-    "workers": None,
-    "out": None,
-    "records": None,
+# No "im": the cross-check uses each shot's measured photocurrents.
+_SIMULATE_OPTIONS = {
+    "variant": (VARIANTS, VARIANT_GAUSSIAN, "protocol variant"),
+    **_TARGET,
+    **_weights(),
+    **_THETA4P,
+    "db": _DB,
+    "shots": (int, 100000, "number of shots"),
+    "seed": (int, 0, "RNG seed"),
+    **_CUBIC,
+    "mean_x": (float, 0.0, "input mean of x"),
+    "mean_y": (float, 0.0, "input mean of y"),
+    "var_x": (float, 0.25, "input variance of x"),
+    "var_y": (float, 0.25, "input variance of y"),
+    "z_gate": (float, 5.0, "max |z| before exit code 3 (default 5); finite "
+                           "and > 0: inf is rejected because the manifest "
+                           "could not record it"),
+    "workers": (int, None, f"threads: the calling thread plus up to "
+                           f"{MAX_DRAW_HELPERS} that draw shot blocks ahead "
+                           f"(default: ${WORKERS_ENV} or the CPUs this "
+                           f"process may use)"),
+    "records": ("FILE", None, "also write per-shot records as CSV, streamed "
+                              "block by block; written in full before the "
+                              "gate verdict"),
+    "out": ("FILE", None, "write the JSON summary here (plus a manifest "
+                          "sidecar) instead of stdout"),
 }
 
 
@@ -512,7 +566,7 @@ def _gate_failure(summary, z_gate: float):
 
 def cmd_simulate(args) -> int:
     _angles_to_radians(args)
-    resolved = _resolve(args, _load_config(args.config), _SIMULATE_DEFAULTS)
+    resolved = _resolve(args, _load_config(args.config), _SIMULATE_OPTIONS)
     workers = _workers(resolved)
     _require(resolved, "a", "b", "c", "d")
     z_gate = _number(resolved, "z_gate")
@@ -521,11 +575,6 @@ def cmd_simulate(args) -> int:
     variant = str(resolved["variant"])
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    cubic = None
-    if variant == VARIANT_CUBIC:
-        _require(resolved, "gamma", "alpha")
-        cubic = CubicConfig(gamma=_number(resolved, "gamma"),
-                            alpha=_number(resolved, "alpha"))
     config = SimConfig(
         target=_target(resolved),
         w=_weight_config(resolved),
@@ -534,7 +583,7 @@ def cmd_simulate(args) -> int:
         variant=variant,
         n_shots=_number(resolved, "shots", int),
         seed=_number(resolved, "seed", int),
-        cubic=cubic,
+        cubic=_cubic_config(resolved, variant == VARIANT_CUBIC),
         input_state=InputState(*(_number(resolved, k) for k in
                                  ("mean_x", "mean_y", "var_x", "var_y"))),
     )
@@ -555,12 +604,16 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # weight-bound
 
-_WEIGHT_BOUND_DEFAULTS = {"db": None, "g": None, "out": None}
+_WEIGHT_BOUND_OPTIONS = {
+    "db": (float, None, "squeezing level in dB"),
+    "g": ([float], None, "weight to test for admissibility (repeatable)"),
+    "out": _JSON_OUT,
+}
 
 
 def cmd_weight_bound(args) -> int:
     resolved = _resolve(args, _load_config(args.config),
-                        _WEIGHT_BOUND_DEFAULTS)
+                        _WEIGHT_BOUND_OPTIONS)
     _require(resolved, "db")
     db = _number(resolved, "db")
     bound = max_weight(db)
@@ -581,11 +634,11 @@ def cmd_weight_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # cz-decompose
 
-_CZ_DEFAULTS = {"g": None, "out": None}
+_CZ_OPTIONS = {"g": (float, None, "CZ weight (nonnegative)"), "out": _JSON_OUT}
 
 
 def cmd_cz_decompose(args) -> int:
-    resolved = _resolve(args, _load_config(args.config), _CZ_DEFAULTS)
+    resolved = _resolve(args, _load_config(args.config), _CZ_OPTIONS)
     _require(resolved, "g")
     dec = bloch_messiah(_number(resolved, "g"))
     payload = {
@@ -609,41 +662,21 @@ def cmd_cz_decompose(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_config_opt(sp) -> None:
-    sp.add_argument("--config", metavar="FILE",
-                    help="JSON file supplying defaults for the value flags; "
-                         "a run manifest (*.manifest.json) is accepted")
-
-
-def _add_target_opts(sp) -> None:
-    for name in "abcd":
-        sp.add_argument(f"--{name}", type=float,
-                        help=f"target matrix entry {name}")
-
-
-def _add_weight_opts(sp, prefix: str = "g", what: str = "cluster") -> None:
-    for k in range(1, 5):
-        sp.add_argument(f"--{prefix}{k}".replace("_", "-"), type=float,
-                        dest=f"{prefix}{k}",
-                        help=f"{what} weight g{k}")
-
-
-def _add_grid_opts(sp) -> None:
-    sp.add_argument("--b-min", type=float, help="grid lower bound for b")
-    sp.add_argument("--b-max", type=float, help="grid upper bound for b")
-    sp.add_argument("--nb", type=int, help="number of b samples")
-    sp.add_argument("--d-min", type=float, help="grid lower bound for d")
-    sp.add_argument("--d-max", type=float, help="grid upper bound for d")
-    sp.add_argument("--nd", type=int, help="number of d samples")
-
-
-def _add_cubic_opts(sp, im: bool = True) -> None:
-    sp.add_argument("--gamma", type=float, help="cubic gate strength")
-    sp.add_argument("--alpha", type=float,
-                    help="displacement before the cubic gate")
-    if im:
-        sp.add_argument("--im", type=float,
-                        help="photocurrent scale (default 3*gamma*alpha^2)")
+# name: (help, command, option table), in the order --help lists them.
+_SUBCOMMANDS = {
+    "solve-phases": ("homodyne phases realising a target operation",
+                     cmd_solve_phases, _SOLVE_OPTIONS),
+    "error-surface": ("closed-form error multipliers on a (b, d) grid",
+                      cmd_error_surface, _SURFACE_OPTIONS),
+    "simulate": ("Monte Carlo run cross-checked against the closed-form "
+                 "error model", cmd_simulate, _SIMULATE_OPTIONS),
+    "gain-surface": ("correction-failure probability ratio surface",
+                     cmd_gain_surface, _GAIN_OPTIONS),
+    "weight-bound": ("largest admissible weight for a squeezing level",
+                     cmd_weight_bound, _WEIGHT_BOUND_OPTIONS),
+    "cz-decompose": ("decompose a weighted CZ gate into linear optics and "
+                     "one squeezer", cmd_cz_decompose, _CZ_OPTIONS),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -662,109 +695,28 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("solve-phases",
-                        help="homodyne phases realising a target operation")
-    _add_config_opt(sp)
-    _add_target_opts(sp)
-    _add_weight_opts(sp)
-    sp.add_argument("--theta4p", type=float,
-                    help="free phase theta4' in (0, pi); default pi/2")
-    sp.add_argument("--degrees", action="store_true",
-                    help="interpret angle flags in degrees "
-                         "(stored and reported values are radians)")
-    sp.add_argument("--out", metavar="FILE", help="write JSON here "
-                    "instead of stdout")
-    sp.set_defaults(func=cmd_solve_phases)
-
-    sp = sub.add_parser("error-surface",
-                        help="closed-form error multipliers on a (b, d) grid")
-    _add_config_opt(sp)
-    sp.add_argument("--mode", choices=MODES, help="evaluation mode")
-    _add_weight_opts(sp)
-    _add_grid_opts(sp)
-    sp.add_argument("--db", type=float,
-                    help="squeezing level in dB (recorded in the manifest; "
-                         "surface values are variance multipliers)")
-    _add_cubic_opts(sp)
-    sp.add_argument("--out", metavar="FILE",
-                    help="write CSV here (plus a manifest sidecar) "
-                         "instead of stdout")
-    sp.set_defaults(func=cmd_error_surface)
-
-    sp = sub.add_parser("simulate",
-                        help="Monte Carlo run cross-checked against the "
-                             "closed-form error model")
-    _add_config_opt(sp)
-    sp.add_argument("--variant", choices=VARIANTS, help="protocol variant")
-    _add_target_opts(sp)
-    _add_weight_opts(sp)
-    sp.add_argument("--theta4p", type=float,
-                    help="free phase theta4' in (0, pi); default pi/2")
-    sp.add_argument("--degrees", action="store_true",
-                    help="interpret angle flags in degrees "
-                         "(stored and reported values are radians)")
-    sp.add_argument("--db", type=float, help="squeezing level in dB")
-    sp.add_argument("--shots", type=int, help="number of shots")
-    sp.add_argument("--seed", type=int, help="RNG seed")
-    # No --im: the cross-check uses each shot's measured photocurrents.
-    _add_cubic_opts(sp, im=False)
-    sp.add_argument("--mean-x", type=float, help="input mean of x")
-    sp.add_argument("--mean-y", type=float, help="input mean of y")
-    sp.add_argument("--var-x", type=float, help="input variance of x")
-    sp.add_argument("--var-y", type=float, help="input variance of y")
-    sp.add_argument("--z-gate", type=float,
-                    help="max |z| before exit code 3 (default 5); finite "
-                         "and > 0: inf is rejected because the manifest "
-                         "could not record it")
-    sp.add_argument("--workers", type=int,
-                    help=f"threads: the calling thread plus up to "
-                         f"{MAX_DRAW_HELPERS} that draw shot blocks ahead "
-                         f"(default: ${WORKERS_ENV} or the CPUs this "
-                         f"process may use)")
-    sp.add_argument("--records", metavar="FILE",
-                    help="also write per-shot records as CSV, streamed "
-                         "block by block; written in full before the gate "
-                         "verdict")
-    sp.add_argument("--out", metavar="FILE",
-                    help="write the JSON summary here (plus a manifest "
-                         "sidecar) instead of stdout")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("gain-surface",
-                        help="correction-failure probability ratio surface")
-    _add_config_opt(sp)
-    sp.add_argument("--db", type=float, help="squeezing level in dB")
-    _add_weight_opts(sp, prefix="base_g", what="baseline")
-    sp.add_argument("--base-mode", choices=MODES, help="baseline mode")
-    _add_weight_opts(sp, prefix="opt_g", what="optimized")
-    sp.add_argument("--opt-mode", choices=MODES, help="optimized mode")
-    _add_grid_opts(sp)
-    _add_cubic_opts(sp)
-    sp.add_argument("--out", metavar="FILE", required=False,
-                    help="write CSV here (required; a manifest sidecar "
-                         "is written next to it)")
-    sp.set_defaults(func=cmd_gain_surface)
-
-    sp = sub.add_parser("weight-bound",
-                        help="largest admissible weight for a squeezing level")
-    _add_config_opt(sp)
-    sp.add_argument("--db", type=float, help="squeezing level in dB")
-    sp.add_argument("--g", type=float, action="append",
-                    help="weight to test for admissibility (repeatable)")
-    sp.add_argument("--out", metavar="FILE", help="write JSON here "
-                    "instead of stdout")
-    sp.set_defaults(func=cmd_weight_bound)
-
-    sp = sub.add_parser("cz-decompose",
-                        help="decompose a weighted CZ gate into linear "
-                             "optics and one squeezer")
-    _add_config_opt(sp)
-    sp.add_argument("--g", type=float, help="CZ weight (nonnegative)")
-    sp.add_argument("--out", metavar="FILE", help="write JSON here "
-                    "instead of stdout")
-    sp.set_defaults(func=cmd_cz_decompose)
-
+    for name, (text, command, options) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--config", metavar="FILE",
+                        help="JSON file supplying defaults for the value "
+                             "flags; a run manifest (*.manifest.json) is "
+                             "accepted")
+        for key, (kind, _, flag_help) in options.items():
+            if kind == "FILE":
+                spec = {"metavar": "FILE"}
+            elif isinstance(kind, tuple):
+                spec = {"choices": kind}
+            elif isinstance(kind, list):
+                spec = {"type": kind[0], "action": "append"}
+            else:
+                spec = {"type": kind}
+            sp.add_argument(_flag(key), help=flag_help, **spec)
+            if key == "theta4p":
+                sp.add_argument("--degrees", action="store_true",
+                                help="interpret angle flags in degrees "
+                                     "(stored and reported values are "
+                                     "radians)")
+        sp.set_defaults(func=command)
     return parser
 
 

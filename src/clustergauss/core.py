@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +43,12 @@ DEGENERATE_D_TOL = 1e-9
 POLE_TOL = 1e-9
 
 
-def pole_masks(denom, d, cross_ratio: float, pole_tol: float = POLE_TOL):
+def pole_masks(denom, d, cross_ratio: float):
     """Classify a vanishing phase-solution denominator, elementwise.
 
     Every phase-solution route divides ``d - cross_ratio`` by its own
     denominator D (b g3^2/g2^2 + d cot(theta4'), up to a positive factor).
-    Where |D| <= ``pole_tol`` the cell is either a removable 0/0 point,
+    Where |D| <= POLE_TOL the cell is either a removable 0/0 point,
     because d equals the cross ratio g1 g3/(g2 g4) as well and the finite
     limit cot(theta3) = 0 applies, or a genuine pole.
 
@@ -56,12 +56,11 @@ def pole_masks(denom, d, cross_ratio: float, pole_tol: float = POLE_TOL):
         denom: the caller's denominator, scalar or array.
         d: target entry d, broadcasting against ``denom``.
         cross_ratio: g1 g3 / (g2 g4).
-        pole_tol: threshold on |denom|.
 
     Returns:
         (removable, pole) boolean masks; at most one is set per cell.
     """
-    near = np.abs(denom) <= pole_tol
+    near = np.abs(denom) <= POLE_TOL
     scale = np.maximum(np.maximum(np.abs(d), cross_ratio), 1.0)
     removable = near & (np.abs(d - cross_ratio) <= 1e-9 * scale)
     return removable, near & ~removable
@@ -166,31 +165,25 @@ class SymplecticTarget:
         return cls(float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
 
 
-def validate_target(
-    target: SymplecticTarget,
-    *,
-    det_tol: float = SYMPLECTIC_TOL,
-    degenerate_tol: float = DEGENERATE_D_TOL,
-) -> SymplecticTarget:
+def validate_target(target: SymplecticTarget) -> SymplecticTarget:
     """Check that ``target`` is symplectic and usable by the phase solver.
 
     Args:
         target: candidate single-mode operation.
-        det_tol: allowed |det - 1|.
-        degenerate_tol: |d| below this raises :class:`DegenerateD`, because
-            the closed-form phase solution divides by d.
 
     Returns:
         The validated target, unchanged.
 
     Raises:
-        NotSymplectic: if |det - 1| > det_tol.
-        DegenerateD: if |d| < degenerate_tol.
+        NotSymplectic: if |det - 1| > SYMPLECTIC_TOL.
+        DegenerateD: if |d| < DEGENERATE_D_TOL, because the closed-form
+            phase solution divides by d.
     """
     det = target.det
-    if not math.isfinite(det) or abs(det - 1.0) > det_tol:
-        raise NotSymplectic(f"determinant {det!r} differs from 1 beyond {det_tol}")
-    if abs(target.d) < degenerate_tol:
+    if not math.isfinite(det) or abs(det - 1.0) > SYMPLECTIC_TOL:
+        raise NotSymplectic(
+            f"determinant {det!r} differs from 1 beyond {SYMPLECTIC_TOL}")
+    if abs(target.d) < DEGENERATE_D_TOL:
         raise DegenerateD(f"matrix element d = {target.d!r} is degenerate")
     return target
 
@@ -276,13 +269,18 @@ def _check_angle(name: str, theta: float) -> None:
         raise DomainError(f"{name} = {theta!r} outside the open interval (0, pi)")
 
 
+def angle_cot(name: str, theta: float) -> float:
+    """cot(theta) of a measurement phase ``name``, checked to lie in (0, pi)."""
+    _check_angle(name, theta)
+    return float(np.cos(theta) / np.sin(theta))
+
+
 @dataclass(frozen=True)
 class PhaseSet:
     """Homodyne phases (theta1, theta2', theta3, theta4') in radians.
 
     theta2' and theta4' are the weight-rescaled node phases with
     cot(theta2) = g4^2 cot(theta2') and cot(theta4) = g2^2 cot(theta4').
-    ``theta3p`` optionally carries the cubic-corrected stage-two phase.
 
     The private ``_cots`` field caches the exact cotangents the phases were
     constructed from (see module docstring); it does not participate in
@@ -293,16 +291,13 @@ class PhaseSet:
     theta2p: float
     theta3: float
     theta4p: float
-    theta3p: float | None = None
-    _cots: tuple | None = None
+    _cots: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         _check_angle("theta1", self.theta1)
         _check_angle("theta2p", self.theta2p)
         _check_angle("theta3", self.theta3)
         _check_angle("theta4p", self.theta4p)
-        if self.theta3p is not None:
-            _check_angle("theta3p", self.theta3p)
 
     @classmethod
     def from_cots(cls, cot1: float, cot2p: float, cot3: float, cot4p: float) -> "PhaseSet":
@@ -313,17 +308,6 @@ class PhaseSet:
             theta3=arccot(cot3),
             theta4p=arccot(cot4p),
             _cots=(float(cot1), float(cot2p), float(cot3), float(cot4p)),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, PhaseSet):
-            return NotImplemented
-        return (
-            self.theta1 == other.theta1
-            and self.theta2p == other.theta2p
-            and self.theta3 == other.theta3
-            and self.theta4p == other.theta4p
-            and self.theta3p == other.theta3p
         )
 
     @property

@@ -37,6 +37,7 @@ from .core import (
     PhaseSet,
     SymplecticTarget,
     WeightConfig,
+    angle_cot,
     arccot,
     pole_masks,
     validate_target,
@@ -92,7 +93,7 @@ def _components_from_cots(cot3, u4, w: WeightConfig, mid_weight):
     return ex, ey
 
 
-def _solved_cot3(b, d, u4, w: WeightConfig, pole_tol: float = POLE_TOL):
+def _solved_cot3(b, d, u4, w: WeightConfig):
     """Stage-two node cot solved from (b, d) at a given cot(theta4').
 
     Returns (cot3, pole_mask); on the removable 0/0 set (vanishing
@@ -105,7 +106,7 @@ def _solved_cot3(b, d, u4, w: WeightConfig, pole_tol: float = POLE_TOL):
     r2 = w.g3_over_g2
     ratio = w.cross_ratio
     denom = r2**2 * b + d * u4
-    removable, pole = pole_masks(denom, d, ratio, pole_tol)
+    removable, pole = pole_masks(denom, d, ratio)
     near = removable | pole
     with np.errstate(divide="ignore", invalid="ignore"):
         cot3 = np.where(near, 0.0, (d - ratio) / np.where(near, 1.0, denom))
@@ -128,7 +129,6 @@ def error_vector_raw(phases: PhaseSet, w: WeightConfig) -> ErrorVector:
 
 def error_vector_gaussian(
     target: SymplecticTarget, w: WeightConfig, theta4p: float,
-    *, pole_tol: float = POLE_TOL,
 ) -> ErrorVector:
     """Error variances in closed form from the target entries (b, d).
 
@@ -148,13 +148,11 @@ def error_vector_gaussian(
     validate_target(target)
     g1, g2, g3, g4 = w.as_tuple()
     b, d = target.b, target.d
-    if not (0.0 < theta4p < np.pi):
-        raise DomainError(f"theta4p = {theta4p!r} outside (0, pi)")
-    u4 = float(np.cos(theta4p) / np.sin(theta4p))
+    u4 = angle_cot("theta4p", theta4p)
 
     r2 = w.g3_over_g2
     denom = b + d * (g2 / g3) ** 2 * u4
-    removable, pole = pole_masks(denom * r2**2, d, w.cross_ratio, pole_tol)
+    removable, pole = pole_masks(denom * r2**2, d, w.cross_ratio)
     if pole:
         raise DenominatorPole(
             "error denominator b + d*(g2/g3)^2*cot(theta4') vanishes"
@@ -197,12 +195,8 @@ def error_vector_cubic(
         DenominatorPole: when theta3p must be solved and the shared
             denominator vanishes irremovably.
     """
-    twelve = cubic.twelve_gamma_im
-    if not (twelve > 0):
-        raise NonpositiveIm(f"12*gamma*I_m = {twelve!r} must be positive")
-    if not (0.0 < theta4p < np.pi):
-        raise DomainError(f"theta4p = {theta4p!r} outside (0, pi)")
-    u4 = float(np.cos(theta4p) / np.sin(theta4p))
+    mid = _mode_mid_weight(MODE_CUBIC_OPTIMIZED, cubic)
+    u4 = angle_cot("theta4p", theta4p)
     if theta3p is None:
         if target is None:
             raise DomainError("either target or theta3p must be given")
@@ -214,10 +208,8 @@ def error_vector_cubic(
             )
         cot3 = float(cot3)
     else:
-        if not (0.0 < theta3p < np.pi):
-            raise DomainError(f"theta3p = {theta3p!r} outside (0, pi)")
-        cot3 = float(np.cos(theta3p) / np.sin(theta3p))
-    ex, ey = _components_from_cots(cot3, u4, w, 1.0 / twelve)
+        cot3 = angle_cot("theta3p", theta3p)
+    ex, ey = _components_from_cots(cot3, u4, w, mid)
     return ErrorVector(float(ex), float(ey))
 
 

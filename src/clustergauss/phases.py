@@ -28,13 +28,12 @@ import numpy as np
 
 from .core import (
     DEGENERATE_D_TOL,
-    POLE_TOL,
     DegenerateD,
     DenominatorPole,
-    DomainError,
     PhaseSet,
     SymplecticTarget,
     WeightConfig,
+    angle_cot,
     arccot,
     pole_masks,
     validate_target,
@@ -79,15 +78,6 @@ class ArbitrarinessReport:
         return not self.failures
 
 
-def _stage_matrix(cot_in, cot_node, rho):
-    return np.array(
-        [
-            [(cot_in * cot_node - 1.0) / rho, cot_node / rho],
-            [-rho * cot_in, -rho],
-        ]
-    )
-
-
 def forward_entries(cot1, cot2p, cot3, cot4p, w: WeightConfig):
     """Entries (a, b, c, d) of U = F2 @ F1, broadcasting over cot arrays."""
     r1 = w.g1_over_g4
@@ -123,17 +113,13 @@ def forward_matrix(phases: PhaseSet, w: WeightConfig) -> SymplecticTarget:
     return SymplecticTarget(float(a), float(b), float(c), float(d))
 
 
-def solve_cots(a, b, c, d, w: WeightConfig, cot4p, *,
-               pole_tol: float = POLE_TOL,
-               degenerate_tol: float = DEGENERATE_D_TOL):
+def solve_cots(a, b, c, d, w: WeightConfig, cot4p):
     """Vectorised closed-form solution for (cot1, cot2p, cot3).
 
     Args:
         a, b, c, d: target entries (arrays broadcast together).
         w: cluster weights.
         cot4p: cot(theta4'), scalar or array.
-        pole_tol: threshold on |D| for flagging a denominator pole.
-        degenerate_tol: threshold on |d| for flagging degeneracy.
 
     Returns:
         Tuple ``(cot1, cot2p, cot3, degenerate_mask, pole_mask)``.  Entries
@@ -148,8 +134,8 @@ def solve_cots(a, b, c, d, w: WeightConfig, cot4p, *,
     ratio = w.cross_ratio  # g1 g3 / (g2 g4)
     denom = (g3**2 / g2**2) * b + d * cot4p
 
-    degenerate = np.abs(d) < degenerate_tol
-    resolvable, pole = pole_masks(denom, d, ratio, pole_tol)
+    degenerate = np.abs(d) < DEGENERATE_D_TOL
+    resolvable, pole = pole_masks(denom, d, ratio)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         cot2p = -(g1 * g2 / (g3 * g4)) * denom
@@ -163,9 +149,6 @@ def solve_phases(
     target: SymplecticTarget,
     w: WeightConfig,
     theta4p: float,
-    *,
-    pole_tol: float = POLE_TOL,
-    degenerate_tol: float = DEGENERATE_D_TOL,
 ) -> SolverResult:
     """Solve for the homodyne phases realising ``target`` at a given theta4'.
 
@@ -173,8 +156,6 @@ def solve_phases(
         target: desired symplectic operation.
         w: cluster weights.
         theta4p: free stage-two node phase, in (0, pi).
-        pole_tol: denominator-pole threshold.
-        degenerate_tol: |d| degeneracy threshold.
 
     Returns:
         :class:`SolverResult` with the phases (cotangents cached), the
@@ -183,14 +164,13 @@ def solve_phases(
     Raises:
         NotSymplectic, DegenerateD, DenominatorPole.
     """
-    validate_target(target, degenerate_tol=degenerate_tol)
-    u4 = _cot_of_angle(theta4p)
+    validate_target(target)
+    u4 = angle_cot("theta4p", theta4p)
     cot1, cot2p, cot3, degenerate, pole = solve_cots(
         target.a, target.b, target.c, target.d, w, u4,
-        pole_tol=pole_tol, degenerate_tol=degenerate_tol,
     )
     if degenerate:
-        raise DegenerateD(f"|d| = {abs(target.d)!r} below {degenerate_tol}")
+        raise DegenerateD(f"|d| = {abs(target.d)!r} below {DEGENERATE_D_TOL}")
     if pole:
         raise DenominatorPole(
             "phase-solution denominator b*g3^2/g2^2 + d*cot(theta4') vanishes"
@@ -203,12 +183,6 @@ def solve_phases(
     return SolverResult(phases=phases, realized=realized, residual=residual)
 
 
-def _cot_of_angle(theta: float) -> float:
-    if not (0.0 < theta < np.pi):
-        raise DomainError(f"measurement phase {theta!r} outside (0, pi)")
-    return float(np.cos(theta) / np.sin(theta))
-
-
 def theta2_unprimed(theta2p: float, w: WeightConfig) -> float:
     """Physical node-1 phase: cot(theta2) = g4^2 cot(theta2')."""
     return float(arccot(w.g4**2 * np.cos(theta2p) / np.sin(theta2p)))
@@ -219,11 +193,11 @@ def theta4_unprimed(theta4p: float, w: WeightConfig) -> float:
     return float(arccot(w.g2**2 * np.cos(theta4p) / np.sin(theta4p)))
 
 
-def sample_targets(n: int, seed: int, *, sigma: float = 2.0, min_a: float = 0.1):
+def sample_targets(n: int, seed: int):
     """Draw random symplectic targets (a, b, c, d) with d = (1 + b c)/a.
 
-    a, b, c are centred Gaussians (sigma default 2); draws with |a| < 0.1
-    are rejected so d stays finite.
+    a, b, c are centred Gaussians of standard deviation 2; draws with
+    |a| < 0.1 are rejected so d stays finite.
 
     Returns:
         Four float arrays of shape (n,).
@@ -235,10 +209,10 @@ def sample_targets(n: int, seed: int, *, sigma: float = 2.0, min_a: float = 0.1)
     filled = 0
     while filled < n:
         take = n - filled
-        ca = rng.normal(0.0, sigma, take)
-        cb = rng.normal(0.0, sigma, take)
-        cc = rng.normal(0.0, sigma, take)
-        keep = np.abs(ca) >= min_a
+        ca = rng.normal(0.0, 2.0, take)
+        cb = rng.normal(0.0, 2.0, take)
+        cc = rng.normal(0.0, 2.0, take)
+        keep = np.abs(ca) >= 0.1
         k = int(np.count_nonzero(keep))
         a[filled:filled + k] = ca[keep]
         b[filled:filled + k] = cb[keep]
@@ -263,7 +237,7 @@ def check_arbitrariness(
     round-trip residual exceeds ``residual_tol`` is recorded as a failure.
     """
     a, b, c, d = sample_targets(n_samples, seed)
-    u4 = _cot_of_angle(theta4p)
+    u4 = angle_cot("theta4p", theta4p)
     cot1, cot2p, cot3, degenerate, pole = solve_cots(a, b, c, d, w, u4)
     ok = ~(degenerate | pole)
     ra, rb, rc, rd = forward_entries(cot1[ok], cot2p[ok], cot3[ok], u4, w)

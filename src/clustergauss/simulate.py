@@ -43,6 +43,7 @@ from .core import (
     SqueezingSpec,
     SymplecticTarget,
     WeightConfig,
+    angle_cot,
     pool_threads,
 )
 from .phases import solve_phases
@@ -157,8 +158,7 @@ class SimConfig:
             raise DomainError("n_shots must be an integer >= 1")
         if int(self.seed) != self.seed or self.seed < 0:
             raise DomainError("seed must be a nonnegative integer")
-        if not (0.0 < self.theta4p < np.pi):
-            raise DomainError(f"theta4p = {self.theta4p!r} outside (0, pi)")
+        angle_cot("theta4p", self.theta4p)
         if self.variant == VARIANT_CUBIC:
             spread = self.squeezing.var_x
             if self.cubic.alpha**2 < 100.0 * spread:
@@ -296,6 +296,7 @@ class _Params:
     cot4: float
     cot4p: float
     r2: float
+    cubic: bool = False
     gamma: float = 0.0
     alpha: float = 0.0
 
@@ -312,6 +313,7 @@ def _run_params(config: SimConfig):
         cot4=g2**2 * p.cot4p,
         cot4p=p.cot4p,
         r2=config.w.g3_over_g2,
+        cubic=config.cubic is not None,
         gamma=config.cubic.gamma if config.cubic else 0.0,
         alpha=config.cubic.alpha if config.cubic else 0.0,
     )
@@ -346,32 +348,45 @@ _STAGE2_COLUMNS = [RECORD_COLUMNS.index(c) for c in (
     "i_2", "i_3", "ff_x", "ff_y", "x_out", "y_out", "cot_theta3_used")]
 
 
-def _propagate_gaussian(q: np.ndarray, p: _Params) -> _Shots:
-    """Exact affine protocol on sampled quadratures.
+def _propagate(q: np.ndarray, p: _Params) -> _Shots:
+    """Exact protocol on sampled quadratures, one shot per column.
 
-    ``q`` has shape (10, n) in _draw_block row order.  Every shot is
-    kept; the i_m field carries the first-pair x correction c1x.
+    ``q`` has shape (10, n) in _draw_block row order; the i_m field
+    carries the first-pair x correction.  In the cubic variant node 2
+    holds the displaced cubic-phase state, whose x-quadrature feeds the
+    neighbours through the CZ couplings; the mode-2 basis is
+    precompensated shot by shot, and shots with I_m <= 0 are not kept.
+    In the Gaussian variant every shot is kept.
     """
     x_in, y_in = q[0], q[1]
     x1, y1, x2, y2, x3, y3, x4, y4 = q[2:10]
     s1, c1 = _sin_cos_from_cot(p.cot1)
     s2, c2 = _sin_cos_from_cot(p.cot2)
-    s3, c3 = _sin_cos_from_cot(p.cot3)
     s4, c4 = _sin_cos_from_cot(p.cot4)
+    if p.cubic:
+        x2, y2 = -y2 + 3.0 * p.gamma * (p.alpha + x2) ** 2, p.alpha + x2
 
     i_in = s1 * (y_in + p.g4 * x1) + c1 * x_in
     i_1 = s2 * (y1 + p.g1 * x2 + p.g4 * x_in) + c2 * x1
-    i_2 = s3 * (y2 + p.g1 * x1 + p.g2 * x3) + c3 * x2
-    i_3 = s4 * (y3 + p.g2 * x2 + p.g3 * x4) + c4 * x3
-
     c1x = i_1 / (p.g1 * s2) - i_in * p.cot2 / (p.g1 * p.g4 * s1)
     c1y = i_in * p.g1 / (p.g4 * s1)
+
+    cot3, kept = p.cot3, None
+    if p.cubic:
+        kept = c1x > 0.0
+        im_safe = np.where(kept, c1x, 1.0)
+        cot3 = p.cot3 - 1.0 / np.sqrt(12.0 * p.gamma * im_safe)
+        c1y = c1y + np.sqrt(im_safe / (3.0 * p.gamma))
+    s3, c3 = _sin_cos_from_cot(cot3)
+
+    i_2 = s3 * (y2 + p.g1 * x1 + p.g2 * x3) + c3 * x2
+    i_3 = s4 * (y3 + p.g2 * x2 + p.g3 * x4) + c4 * x3
     c2x = i_3 / (p.g3 * s4) - i_2 * p.cot4 / (p.g3 * p.g2 * s3)
     c2y = i_2 * p.g3 / (p.g2 * s3)
 
-    f00 = (p.cot3 * p.cot4p - 1.0) / p.r2
+    f00 = (cot3 * p.cot4p - 1.0) / p.r2
     f01 = p.cot4p / p.r2
-    f10 = -p.r2 * p.cot3
+    f10 = -p.r2 * cot3
     f11 = -p.r2
     ff_x = f00 * c1x + f01 * c1y + c2x
     ff_y = f10 * c1x + f11 * c1y + c2y
@@ -379,54 +394,7 @@ def _propagate_gaussian(q: np.ndarray, p: _Params) -> _Shots:
     x_out = x4 - ff_x
     y_out = (y4 + p.g3 * x3) - ff_y
     return _Shots(i_in, i_1, i_2, i_3, c1x, ff_x, ff_y, x_out, y_out,
-                  p.cot3, None)
-
-
-def _propagate_cubic(q: np.ndarray, p: _Params) -> _Shots:
-    """Exact nonlinear protocol with per-shot basis precompensation.
-
-    Node 2 holds the displaced cubic-phase state; its x-quadrature feeds
-    the neighbours through the CZ couplings.  Shots with I_m <= 0 are
-    not kept.
-    """
-    x_in, y_in = q[0], q[1]
-    x1, y1, x2, y2, x3, y3, x4, y4 = q[2:10]
-    s1, c1 = _sin_cos_from_cot(p.cot1)
-    s2, c2 = _sin_cos_from_cot(p.cot2)
-    s4, c4 = _sin_cos_from_cot(p.cot4)
-
-    node2_x = -y2 + 3.0 * p.gamma * (p.alpha + x2) ** 2
-    node2_y = p.alpha + x2
-
-    i_in = s1 * (y_in + p.g4 * x1) + c1 * x_in
-    i_1 = s2 * (y1 + p.g1 * node2_x + p.g4 * x_in) + c2 * x1
-    i_m = i_1 / (p.g1 * s2) - i_in * p.cot2 / (p.g1 * p.g4 * s1)
-
-    valid = i_m > 0.0
-    im_safe = np.where(valid, i_m, 1.0)
-    cot3_used = p.cot3 - 1.0 / np.sqrt(12.0 * p.gamma * im_safe)
-    s3, c3 = _sin_cos_from_cot(cot3_used)
-
-    i_2 = s3 * (node2_y + p.g1 * x1 + p.g2 * x3) + c3 * node2_x
-    i_3 = s4 * (y3 + p.g2 * node2_x + p.g3 * x4) + c4 * x3
-
-    c1x = i_m
-    c1y = i_in * p.g1 / (p.g4 * s1) + np.sqrt(im_safe / (3.0 * p.gamma))
-    cot4_used = p.g2**2 * p.cot4p
-    c2x = i_3 / (p.g3 * s4) - i_2 * cot4_used / (p.g3 * p.g2 * s3)
-    c2y = i_2 * p.g3 / (p.g2 * s3)
-
-    f00 = (cot3_used * p.cot4p - 1.0) / p.r2
-    f01 = p.cot4p / p.r2
-    f10 = -p.r2 * cot3_used
-    f11 = -p.r2
-    ff_x = f00 * c1x + f01 * c1y + c2x
-    ff_y = f10 * c1x + f11 * c1y + c2y
-
-    x_out = x4 - ff_x
-    y_out = (y4 + p.g3 * x3) - ff_y
-    return _Shots(i_in, i_1, i_2, i_3, i_m, ff_x, ff_y, x_out, y_out,
-                  cot3_used, valid)
+                  cot3, kept)
 
 
 def _record_block(q: np.ndarray, shots: _Shots) -> np.ndarray:
@@ -654,11 +622,9 @@ def run(config: SimConfig, n_workers: int = 1,
     """
     params, solved = _run_params(config)
     u = solved.realized.as_matrix()
-    propagate = _propagate_gaussian if config.variant == VARIANT_GAUSSIAN \
-        else _propagate_cubic
 
     def consume(q: np.ndarray) -> _Moments:
-        shots = propagate(q, params)
+        shots = _propagate(q, params)
         if record_sink is not None:
             record_sink(_record_block(q, shots))
         return _block_moments(q, shots, u)
@@ -690,9 +656,7 @@ def replay_record(config: SimConfig, record_row: np.ndarray):
     """
     params, _ = _run_params(config)
     q = np.asarray(record_row, dtype=float)[:10].reshape(10, 1).copy()
-    propagate = _propagate_gaussian if config.variant == VARIANT_GAUSSIAN \
-        else _propagate_cubic
-    rec = _record_block(q, propagate(q, params))
+    rec = _record_block(q, _propagate(q, params))
     return float(rec[0, 17]), float(rec[0, 18])
 
 

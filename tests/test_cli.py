@@ -289,6 +289,13 @@ class TestErrorSurfaceCommand:
         assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_non_integral_grid_size_is_invalid(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nb": 3.7}))
+        code, out, err = _run(capsys, "error-surface", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "invalid-config"
+
     @pytest.mark.parametrize("command", ["error-surface", "gain-surface"])
     def test_manifest_workers_key_is_ignored(self, capsys, tmp_path, command):
         # Surface manifests once recorded a thread count; they still rerun.
@@ -359,7 +366,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("z_gate", None), ("db", None), ("mean_x", None), ("workers", [2]),
-        ("records", 5),
+        ("records", 5), ("db", True), ("z_gate", "5"), ("var_x", "0.25"),
+        ("workers", 1.5),
     ])
     def test_config_value_of_the_wrong_type_is_invalid(self, capsys,
                                                        tmp_path, key, value):
@@ -463,6 +471,14 @@ class TestSimulateCommand:
         monkeypatch.delenv("CLUSTERGAUSS_WORKERS")
         doc_one = _run_json(capsys, *self.BASE)
         assert doc_env["cov_out"] == doc_one["cov_out"]
+
+    @pytest.mark.parametrize("value", ["1.5", "two", ""])
+    def test_workers_env_must_be_an_integer(self, capsys, monkeypatch,
+                                            value):
+        monkeypatch.setenv("CLUSTERGAUSS_WORKERS", value)
+        code, out, err = _run(capsys, *self.BASE)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "invalid-config"
 
 
 class TestGainSurfaceCommand:

@@ -64,7 +64,8 @@ class TestSolvePhases:
     def test_theta4p_outside_branch_rejected(self, unit_weights, generic_target):
         from clustergauss import DomainError
 
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match=r"theta4p = 0\.0 outside the open interval"):
             solve_phases(generic_target, unit_weights, 0.0)
         with pytest.raises(DomainError):
             solve_phases(generic_target, unit_weights, np.pi)

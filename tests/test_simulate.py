@@ -130,9 +130,8 @@ class TestDeterminism:
         monkeypatch.setattr(simulate, "_draw_block", slowed(tracked_draw)
                             if slow == "draw" else tracked_draw)
         if slow == "propagate":
-            for name in ("_propagate_gaussian", "_propagate_cubic"):
-                monkeypatch.setattr(simulate, name,
-                                    slowed(getattr(simulate, name)))
+            monkeypatch.setattr(simulate, "_propagate",
+                                slowed(simulate._propagate))
         # The run goes on its own thread, so that a hang fails the test
         # instead of stalling it; a short switch interval interleaves the
         # threads finely.
