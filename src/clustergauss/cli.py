@@ -16,12 +16,14 @@ bit-for-bit: data outputs never contain timestamps.
 
 Exit codes: 0 success; 2 invalid input or configuration, usage errors
 such as an unknown flag included (a JSON object with ``error`` and
-``message`` fields is printed to stderr); 3 for
-``simulate`` when a consistency z-score exceeds the gate, or when a
-z-score is not finite or a variance estimate is not positive.  Numeric
-values must be finite: a manifest is JSON, which has no NaN or infinity.
-So ``--z-gate`` must be finite and > 0, and ``inf`` does not mean "no
-gate".
+``message`` fields is printed to stderr); 3 for ``simulate`` when a
+consistency z-score exceeds the gate, or when a z-score is not finite or
+a variance estimate is not positive.  Python warnings, such as
+``SmallDisplacementWarning``, still print to stderr as text, on exit 0
+too.  Every config value is checked against its option's kind, a key
+the chosen mode or variant does not use included.  Numeric values must
+be finite: a manifest is JSON, which has no NaN or infinity.  So
+``--z-gate`` must be finite and > 0, and ``inf`` does not mean "no gate".
 
 ``simulate --records`` streams each shot block's records to the file as
 the block is simulated, so the file is complete before the gate verdict
@@ -235,75 +237,78 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _resolve(args, config: dict, options: dict) -> dict:
-    """Merge flag values, config-file values, and defaults (in that order).
+def _resolve(args, config: dict, options: dict) -> tuple:
+    """Merge flag values, config-file values and defaults (in that order).
 
-    ``options`` is the subcommand's option table, which supplies the keys
-    and their defaults.  A non-finite float is rejected wherever it comes
-    from: the manifest records the resolved values as JSON, which has no
-    NaN or infinity, so such a run could not be rerun from its manifest.
+    ``options`` is the subcommand's option table of keys, kinds and
+    defaults.  Every value is checked against its kind here, a value that
+    the chosen mode or variant never reads included, since the manifest
+    records it: a float is a finite int or float, never a bool; an int is
+    an integral one; a choice is a member of its tuple; [float] is a list
+    of floats; a FILE is a string.  Null means "not given" only where the
+    default is null.  NaN and infinity fail because the manifest is JSON,
+    which has neither, so such a run could not be rerun.
+
+    Returns ``(values, recorded)``: the values converted to their kinds,
+    which the command reads, and as given, which the manifest records.
+    So a config ``"g1": 5`` runs as 5.0 and is recorded as 5.
     """
     unknown = sorted(set(config) - set(options))
     if unknown:
         raise DomainError(f"unknown config keys: {unknown}")
-    resolved = {}
+    values, recorded = {}, {}
     for key, (kind, default, _) in options.items():
         val = getattr(args, key)
         if val is None:
             val = config.get(key, default)
-        for v in val if isinstance(val, list) else (val,):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise DomainError(f"{_flag(key)} must be finite, got {v!r}")
-        if kind == "FILE" and val is not None and not isinstance(val, str):
-            raise DomainError(f"{_flag(key)} must be a path, got {val!r}")
-        resolved[key] = val
-    return resolved
+        recorded[key] = values[key] = val
+        if val is None and default is None:
+            continue
+        if kind == "FILE":
+            ok, want = isinstance(val, str), "a path"
+        elif isinstance(kind, tuple):
+            ok, want = val in kind, f"one of {kind}"
+        else:
+            many = isinstance(kind, list)
+            of = kind[0] if many else kind
+            items = val if many else [val]
+            want = ("a list of finite {}s" if many
+                    else "a finite {}").format(of.__name__)
+            try:
+                ok = (not many or isinstance(val, list)) and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) and (of is float or v == int(v))
+                    for v in items)
+            except OverflowError:  # an int too large for a float
+                ok = False
+            if ok:
+                values[key] = [of(v) for v in val] if many else of(val)
+        if not ok:
+            raise DomainError(f"{_flag(key)} must be {want}, got {val!r}")
+    return values, recorded
 
 
-def _require(resolved: dict, *keys: str) -> None:
-    missing = [k for k in keys if resolved[k] is None]
+def _require(values: dict, *keys: str) -> None:
+    missing = [k for k in keys if values[k] is None]
     if missing:
         flags = ", ".join(_flag(k) for k in missing)
         raise DomainError(f"missing required value(s): {flags}")
 
 
-def _number(resolved: dict, key: str, kind=float):
-    """``resolved[key]`` as a finite ``kind`` (float or int).
+def _default_workers(args, config: dict) -> None:
+    """Set --workers to $CLUSTERGAUSS_WORKERS or the usable CPUs.
 
-    Only a number is a number: a missing (null), bool, string or
-    non-finite value, or a non-integral one for an int, from a flag or a
-    config file, is an invalid input.
+    Only when neither the flag nor the config gives a count, so that
+    ``_resolve`` checks and records the count the run uses as it would a
+    flag value.
     """
-    val = resolved[key]
-    try:
-        ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
-              and math.isfinite(val) and (kind is float or val == int(val)))
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise DomainError(
-            f"{_flag(key)} must be a finite {kind.__name__}, got {val!r}")
-    return kind(val)
-
-
-def _workers(resolved: dict) -> int:
-    """The thread count: flag, config, $CLUSTERGAUSS_WORKERS or usable CPUs.
-
-    The count is written back into ``resolved``, so the manifest records
-    the number the run used.
-    """
-    if resolved["workers"] is None:
+    if args.workers is None and config.get("workers") is None:
         env = os.environ.get(WORKERS_ENV)
         try:
-            resolved["workers"] = usable_cpus() if env is None else int(env)
+            args.workers = usable_cpus() if env is None else int(env)
         except ValueError:
             raise DomainError(
                 f"${WORKERS_ENV} must be an integer, got {env!r}") from None
-    n = _number(resolved, "workers", int)
-    if n < 1:
-        raise DomainError(f"workers must be >= 1, got {n}")
-    resolved["workers"] = n
-    return n
 
 
 def _angles_to_radians(args) -> None:
@@ -316,35 +321,27 @@ def _angles_to_radians(args) -> None:
         args.theta4p = math.radians(args.theta4p)
 
 
-def _weight_config(resolved: dict, prefix: str = "g") -> WeightConfig:
-    return WeightConfig(*(_number(resolved, f"{prefix}{k}")
-                          for k in range(1, 5)))
+def _weight_config(values: dict, prefix: str = "g") -> WeightConfig:
+    return WeightConfig(*(values[f"{prefix}{k}"] for k in range(1, 5)))
 
 
-def _target(resolved: dict) -> SymplecticTarget:
-    return SymplecticTarget(*(_number(resolved, k) for k in "abcd"))
+def _target(values: dict) -> SymplecticTarget:
+    return SymplecticTarget(*(values[k] for k in "abcd"))
 
 
-def _grid(resolved: dict) -> dict:
+def _grid(values: dict) -> dict:
     """ErrorSurfaceSpec keyword arguments of the (b, d) grid."""
-    return dict(
-        b_range=(_number(resolved, "b_min"), _number(resolved, "b_max")),
-        d_range=(_number(resolved, "d_min"), _number(resolved, "d_max")),
-        nb=_number(resolved, "nb", int),
-        nd=_number(resolved, "nd", int),
-    )
+    return dict(b_range=(values["b_min"], values["b_max"]),
+                d_range=(values["d_min"], values["d_max"]),
+                nb=values["nb"], nd=values["nd"])
 
 
-def _cubic_config(resolved: dict, needed: bool):
+def _cubic_config(values: dict, needed: bool):
     if not needed:
         return None
-    _require(resolved, "gamma", "alpha")
-    im = resolved.get("im")
-    return CubicConfig(
-        gamma=_number(resolved, "gamma"),
-        alpha=_number(resolved, "alpha"),
-        i_m=None if im is None else _number(resolved, "im"),
-    )
+    _require(values, "gamma", "alpha")
+    return CubicConfig(gamma=values["gamma"], alpha=values["alpha"],
+                       i_m=values.get("im"))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +350,8 @@ def _cubic_config(resolved: dict, needed: bool):
 # Each subcommand declares its value flags once, as a table of
 # key: (kind, default, help).  ``kind`` is the flag's type, a tuple of
 # choices, [float] for a repeatable flag, or "FILE" for a path.  The
-# parser adds one flag per key and ``_resolve`` takes the defaults from
-# the same table, so a flag and its resolved key cannot drift apart.
+# parser adds one flag per key; ``_resolve`` takes the defaults and checks
+# the kinds from the same table, so a flag and its key cannot drift apart.
 
 _TARGET = {k: (float, None, f"target matrix entry {k}") for k in "abcd"}
 
@@ -392,11 +389,12 @@ _SOLVE_OPTIONS = {**_TARGET, **_weights(), **_THETA4P, "out": _JSON_OUT}
 
 def cmd_solve_phases(args) -> int:
     _angles_to_radians(args)
-    resolved = _resolve(args, _load_config(args.config), _SOLVE_OPTIONS)
-    _require(resolved, "a", "b", "c", "d")
-    target = _target(resolved)
-    w = _weight_config(resolved)
-    result = solve_phases(target, w, _number(resolved, "theta4p"))
+    values, recorded = _resolve(args, _load_config(args.config),
+                                _SOLVE_OPTIONS)
+    _require(values, "a", "b", "c", "d")
+    target = _target(values)
+    w = _weight_config(values)
+    result = solve_phases(target, w, values["theta4p"])
     ph = result.phases
     payload = {
         "target": {"a": target.a, "b": target.b,
@@ -420,9 +418,9 @@ def cmd_solve_phases(args) -> int:
                      "c": result.realized.c, "d": result.realized.d},
         "residual": result.residual,
     }
-    _deliver(_dumps(payload), resolved["out"])
-    if resolved["out"] is not None:
-        _write_manifest(resolved["out"], "solve-phases", resolved)
+    _deliver(_dumps(payload), values["out"])
+    if values["out"] is not None:
+        _write_manifest(values["out"], "solve-phases", recorded)
     return 0
 
 
@@ -450,19 +448,19 @@ def _surface_config(path) -> dict:
 
 
 def cmd_error_surface(args) -> int:
-    resolved = _resolve(args, _surface_config(args.config), _SURFACE_OPTIONS)
-    _number(resolved, "db")  # only recorded, but it must rerun
-    mode = str(resolved["mode"])
+    values, recorded = _resolve(args, _surface_config(args.config),
+                                _SURFACE_OPTIONS)
+    mode = values["mode"]
     spec = ErrorSurfaceSpec(
-        w=_weight_config(resolved),
+        w=_weight_config(values),
         mode=mode,
-        cubic=_cubic_config(resolved, mode == MODE_CUBIC_OPTIMIZED),
-        **_grid(resolved),
+        cubic=_cubic_config(values, mode == MODE_CUBIC_OPTIMIZED),
+        **_grid(values),
     )
     surface = error_surface(spec)
-    _write_csv(ERROR_SURFACE_HEADER, surface.to_rows(), resolved["out"])
-    if resolved["out"] is not None:
-        _write_manifest(resolved["out"], "error-surface", resolved)
+    _write_csv(ERROR_SURFACE_HEADER, surface.to_rows(), values["out"])
+    if values["out"] is not None:
+        _write_manifest(values["out"], "error-surface", recorded)
     return 0
 
 
@@ -484,23 +482,24 @@ _GAIN_OPTIONS = {
 
 
 def cmd_gain_surface(args) -> int:
-    resolved = _resolve(args, _surface_config(args.config), _GAIN_OPTIONS)
-    _require(resolved, "out")
-    grid = _grid(resolved)
-    base_mode = str(resolved["base_mode"])
-    opt_mode = str(resolved["opt_mode"])
+    values, recorded = _resolve(args, _surface_config(args.config),
+                                _GAIN_OPTIONS)
+    _require(values, "out")
+    grid = _grid(values)
+    base_mode = values["base_mode"]
+    opt_mode = values["opt_mode"]
     base_spec = ErrorSurfaceSpec(
-        w=_weight_config(resolved, "base_g"), mode=base_mode,
-        cubic=_cubic_config(resolved, base_mode == MODE_CUBIC_OPTIMIZED),
+        w=_weight_config(values, "base_g"), mode=base_mode,
+        cubic=_cubic_config(values, base_mode == MODE_CUBIC_OPTIMIZED),
         **grid)
     opt_spec = ErrorSurfaceSpec(
-        w=_weight_config(resolved, "opt_g"), mode=opt_mode,
-        cubic=_cubic_config(resolved, opt_mode == MODE_CUBIC_OPTIMIZED),
+        w=_weight_config(values, "opt_g"), mode=opt_mode,
+        cubic=_cubic_config(values, opt_mode == MODE_CUBIC_OPTIMIZED),
         **grid)
-    squeezing = SqueezingSpec.from_db(_number(resolved, "db"))
+    squeezing = SqueezingSpec.from_db(values["db"])
     gs = gain_surface(base_spec, opt_spec, squeezing)
-    _write_csv(GAIN_SURFACE_HEADER, gs.to_rows(), resolved["out"])
-    _write_manifest(resolved["out"], "gain-surface", resolved)
+    _write_csv(GAIN_SURFACE_HEADER, gs.to_rows(), values["out"])
+    _write_manifest(values["out"], "gain-surface", recorded)
     bmax, dmax = gs.argmax_cell
     sys.stdout.write(_dumps({
         "max_ratio": gs.max_ratio,
@@ -566,34 +565,37 @@ def _gate_failure(summary, z_gate: float):
 
 def cmd_simulate(args) -> int:
     _angles_to_radians(args)
-    resolved = _resolve(args, _load_config(args.config), _SIMULATE_OPTIONS)
-    workers = _workers(resolved)
-    _require(resolved, "a", "b", "c", "d")
-    z_gate = _number(resolved, "z_gate")
+    file_config = _load_config(args.config)
+    _default_workers(args, file_config)
+    values, recorded = _resolve(args, file_config, _SIMULATE_OPTIONS)
+    # The manifest records the count the run used: 2 for a config's 2.0.
+    workers = recorded["workers"] = values["workers"]
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    _require(values, "a", "b", "c", "d")
+    z_gate = values["z_gate"]
     if z_gate <= 0.0:
         raise DomainError(f"--z-gate must be > 0, got {z_gate!r}")
-    variant = str(resolved["variant"])
-    if variant not in VARIANTS:
-        raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    variant = values["variant"]
     config = SimConfig(
-        target=_target(resolved),
-        w=_weight_config(resolved),
-        theta4p=_number(resolved, "theta4p"),
-        squeezing=SqueezingSpec.from_db(_number(resolved, "db")),
+        target=_target(values),
+        w=_weight_config(values),
+        theta4p=values["theta4p"],
+        squeezing=SqueezingSpec.from_db(values["db"]),
         variant=variant,
-        n_shots=_number(resolved, "shots", int),
-        seed=_number(resolved, "seed", int),
-        cubic=_cubic_config(resolved, variant == VARIANT_CUBIC),
-        input_state=InputState(*(_number(resolved, k) for k in
+        n_shots=values["shots"],
+        seed=values["seed"],
+        cubic=_cubic_config(values, variant == VARIANT_CUBIC),
+        input_state=InputState(*(values[k] for k in
                                  ("mean_x", "mean_y", "var_x", "var_y"))),
     )
-    records = resolved["records"]
+    records = values["records"]
     with (contextlib.nullcontext() if records is None
           else _csv_writer(RECORD_COLUMNS, records)) as write_records:
         summary = run(config, n_workers=workers, record_sink=write_records)
-    _deliver(_dumps(summary.to_dict()), resolved["out"])
-    if resolved["out"] is not None:
-        _write_manifest(resolved["out"], "simulate", resolved)
+    _deliver(_dumps(summary.to_dict()), values["out"])
+    if values["out"] is not None:
+        _write_manifest(values["out"], "simulate", recorded)
     failure = _gate_failure(summary, z_gate)
     if failure is not None:
         _emit_error(*failure)
@@ -612,22 +614,19 @@ _WEIGHT_BOUND_OPTIONS = {
 
 
 def cmd_weight_bound(args) -> int:
-    resolved = _resolve(args, _load_config(args.config),
-                        _WEIGHT_BOUND_OPTIONS)
-    _require(resolved, "db")
-    db = _number(resolved, "db")
+    values, _ = _resolve(args, _load_config(args.config),
+                         _WEIGHT_BOUND_OPTIONS)
+    _require(values, "db")
+    db = values["db"]
     bound = max_weight(db)
     # null, from a config file, means "not given", as for every other key.
-    weights = [] if resolved["g"] is None else resolved["g"]
-    if not isinstance(weights, list):
-        raise DomainError(f"--g must be a list of weights, got {weights!r}")
-    weights = [_number({"g": g}, "g") for g in weights]
+    weights = [] if values["g"] is None else values["g"]
     payload = {
         "db": db,
         "max_weight": bound,
         "weights": [{"g": g, "admissible": g <= bound} for g in weights],
     }
-    _deliver(_dumps(payload), resolved["out"])
+    _deliver(_dumps(payload), values["out"])
     return 0
 
 
@@ -638,9 +637,9 @@ _CZ_OPTIONS = {"g": (float, None, "CZ weight (nonnegative)"), "out": _JSON_OUT}
 
 
 def cmd_cz_decompose(args) -> int:
-    resolved = _resolve(args, _load_config(args.config), _CZ_OPTIONS)
-    _require(resolved, "g")
-    dec = bloch_messiah(_number(resolved, "g"))
+    values, _ = _resolve(args, _load_config(args.config), _CZ_OPTIONS)
+    _require(values, "g")
+    dec = bloch_messiah(values["g"])
     payload = {
         "g": dec.g,
         "s": dec.s,
@@ -655,7 +654,7 @@ def cmd_cz_decompose(args) -> int:
         },
         "residual": dec.residual,
     }
-    _deliver(_dumps(payload), resolved["out"])
+    _deliver(_dumps(payload), values["out"])
     return 0
 
 

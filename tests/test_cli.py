@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -289,6 +290,26 @@ class TestErrorSurfaceCommand:
         assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("argv, config", [
+        (["error-surface"], {"gamma": "abc", "im": True}),
+        (["error-surface"], {"gamma": 10**400}),
+        (["gain-surface", "--opt-mode", "gaussian_fixed_phase"],
+         {"alpha": [1]}),
+    ], ids=["fixed-phase-gamma-im", "huge-int-gamma", "fixed-gain-alpha"])
+    def test_config_value_of_the_wrong_type_is_invalid(self, capsys,
+                                                       tmp_path, argv,
+                                                       config):
+        # The fixed-phase modes never read gamma, alpha or im; the
+        # manifest would record them all the same.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "surf.csv"
+        code, stdout, err = _run(capsys, *argv, "--nb", "2", "--nd", "2",
+                                 "--config", str(cfg), "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert json.loads(err)["error"] == "invalid-config"
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_non_integral_grid_size_is_invalid(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nb": 3.7}))
@@ -367,15 +388,19 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("key, value", [
         ("z_gate", None), ("db", None), ("mean_x", None), ("workers", [2]),
         ("records", 5), ("db", True), ("z_gate", "5"), ("var_x", "0.25"),
-        ("workers", 1.5),
+        ("workers", 1.5), ("alpha", [1]),
     ])
     def test_config_value_of_the_wrong_type_is_invalid(self, capsys,
                                                        tmp_path, key, value):
+        # The Gaussian variant never reads alpha; it is checked anyway.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
-        code, _, err = _run(capsys, *self.BASE, "--config", str(cfg))
+        out = tmp_path / "sim.json"
+        code, _, err = _run(capsys, *self.BASE, "--config", str(cfg),
+                            "--out", str(out))
         assert code == 2
         assert json.loads(err)["error"] == "invalid-config"
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_records_csv(self, capsys, tmp_path):
         rec = tmp_path / "shots.csv"
@@ -531,6 +556,39 @@ class TestCzDecomposeCommand:
             "phase_left", "bs_left", "squeezer", "bs_right", "phase_right"
         }
         assert np.asarray(doc["factors"]["squeezer"]).shape == (4, 4)
+
+
+class TestResolve:
+    def test_every_option_kind_is_one_resolve_checks(self):
+        for _, _, options in cli._SUBCOMMANDS.values():
+            for key, (kind, _, _) in options.items():
+                assert kind in (float, int, [float], "FILE") or (
+                    isinstance(kind, tuple)
+                    and all(isinstance(c, str) for c in kind)), key
+            # Every default is of its kind.
+            cli._resolve(argparse.Namespace(**dict.fromkeys(options)), {},
+                         options)
+
+    def test_values_run_converted_and_are_recorded_as_given(self, capsys,
+                                                            tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"g1": 5}))
+        out = tmp_path / "phases.json"
+        code, _, err = _run(capsys, "solve-phases", "--a", "1.2", "--b",
+                            "0.5", "--c", "0.3", "--d", repr(D_OK),
+                            "--config", str(cfg), "--out", str(out))
+        assert code == 0, err
+        assert '"weights": [\n    5.0,\n    1.0,' in out.read_text()
+        manifest = (tmp_path / "phases.json.manifest.json").read_text()
+        assert '"g1": 5,' in manifest
+        cfg.write_text(json.dumps({"nb": 2.0, "nd": 3}))
+        out = tmp_path / "surf.csv"
+        code, _, err = _run(capsys, "error-surface", "--config", str(cfg),
+                            "--out", str(out))
+        assert code == 0, err
+        assert len(out.read_text().splitlines()) == 1 + 2 * 3
+        manifest = (tmp_path / "surf.csv.manifest.json").read_text()
+        assert '"nb": 2.0,' in manifest
 
 
 class TestImports:
@@ -703,6 +761,14 @@ class TestFuzzedInvocations:
                     cfg.write_text(json.dumps(config))
                 code, _, err = _call(_argv(command, flags, cfg))
                 _check_outcome(command, code, err)
+                # A config value from CONFIG_JUNK other than null exits 2,
+                # whether or not the chosen mode or variant reads its key;
+                # only weight-bound's g takes a list of reals.
+                lists = {"g"} if command == "weight-bound" else set()
+                if any(isinstance(v, (bool, str, dict))
+                       or isinstance(v, list) and k not in lists
+                       for k, v in config.items()):
+                    assert code == 2, (config, err)
                 manifest = tmp / "out.manifest.json"
                 if code != 2 and command in WRITES_MANIFEST:
                     # Every recorded run reruns from its manifest.
