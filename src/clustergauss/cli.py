@@ -87,10 +87,9 @@ WORKERS_ENV = "CLUSTERGAUSS_WORKERS"
 ERROR_SURFACE_HEADER = ("b", "d", "err_x", "err_y", "err_inf", "theta4p_used")
 GAIN_SURFACE_HEADER = ("b", "d", "p_err_base", "p_err_opt", "ratio")
 # Values formatted and written per write call; bounds the text held at
-# once, whatever the column count.  A chunk's Python floats and strings
-# take about 100 bytes a value, so 2**14 values hold under 2 MB; the maps
-# also write faster in chunks of this size than in larger ones.
-CSV_CHUNK_VALUES = 2**14
+# once, whatever the column count.  The formatter's work arrays take
+# about 400 bytes a value; chunks of 2**13 values keep them in cache.
+CSV_CHUNK_VALUES = 2**13
 
 _ERROR_SLUGS = (
     (NotSymplectic, "not-symplectic"),
@@ -141,53 +140,24 @@ def _deliver(text: str, out) -> None:
         Path(out).write_text(text)
 
 
-def _reprs(values: np.ndarray) -> list:
-    """repr of each float in ``values``; "" for a non-finite one."""
-    fields = list(map(repr, values.tolist()))
-    for k in np.flatnonzero(~np.isfinite(values)).tolist():
-        fields[k] = ""
-    return fields
-
-
-def _csv_block(block: np.ndarray) -> str:
-    """CSV text of the rows of a C-contiguous float64 ``block``.
-
-    Values repeat a lot in the surface files (grid axes, err_inf equal to
-    err_x or err_y, theta4' = pi/2 cells).  When at most half of the
-    block's values are distinct, each distinct value is formatted once
-    and the strings are gathered by index.  Values are told apart by bit
-    pattern, which keeps -0.0 apart from 0.0.  The plain sort that counts
-    them costs about 1% of formatting a block whose values are all
-    distinct, such as a block of shot records.
-    """
-    bits = block.view(np.int64).ravel()
-    ordered = np.sort(bits)
-    n_distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
-    if 2 * n_distinct <= bits.size:
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        strings = np.array(_reprs(distinct.view(np.float64)), dtype=object)
-        fields = strings[inverse].tolist()
-    else:
-        fields = _reprs(block.ravel())
-    rows = zip(*[iter(fields)] * block.shape[1])
-    return "\n".join(map(",".join, rows)) + "\n"
-
-
 @contextlib.contextmanager
 def _csv_writer(header, out):
     """Open ``out`` (stdout if None), write ``header``, yield a row writer.
 
     The writer takes a C-contiguous float64 block of rows in header order.
     Each value is written as the repr of its Python float, a non-finite
-    one as an empty field; nothing needs quoting.  Rows are formatted and
-    written about CSV_CHUNK_VALUES values at a time, so the text is never
-    held whole.
+    one as an empty field; nothing needs quoting.  Rows are formatted
+    (``csvtext.csv_rows``) and written about CSV_CHUNK_VALUES values at a
+    time, so the text is never held whole.
     """
+    # Imported here, so that only the commands that write CSV load it.
+    from .csvtext import csv_rows
+
     chunk = max(1, CSV_CHUNK_VALUES // len(header))
 
     def write_rows(block: np.ndarray) -> None:
         for start in range(0, len(block), chunk):
-            fh.write(_csv_block(block[start:start + chunk]))
+            fh.write(csv_rows(block[start:start + chunk]))
 
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w")) as fh:
@@ -734,6 +704,10 @@ def main(argv=None) -> int:
         # Float arithmetic overflowed or divided by zero on extreme inputs
         # (say --db 1e308 or a weight of 5e-324).
         _emit_error("invalid-config", f"input out of range: {exc}")
+        return 2
+    except MemoryError as exc:
+        # An array for the input could not be allocated (say --nb 1e12).
+        _emit_error("invalid-config", f"input too large: {exc}")
         return 2
 
 

@@ -74,9 +74,8 @@ def p_err_values(x_er, y_er, var_s):
     of the two arguments; this is exactly 1 - erf*erf but immune to the
     cancellation both erf factors ~ 1 would cause.
     """
-    # Imported here, not at module level: scipy.special is most of the
-    # package's import time, and only the failure probabilities use it.
-    from scipy.special import erfc
+    # Imported here, so that only the failure probabilities load it.
+    from .ndtr import erfc
 
     x_er = np.asarray(x_er, dtype=float)
     y_er = np.asarray(y_er, dtype=float)

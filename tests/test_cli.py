@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import clustergauss
-from clustergauss import RECORD_COLUMNS, WeightConfig, cli
+from clustergauss import RECORD_COLUMNS, WeightConfig, cli, csvtext
 from clustergauss.cli import main
 from clustergauss.errormodel import MODES, ErrorSurfaceSpec, error_surface
 from clustergauss.simulate import SHOT_BLOCK, VARIANTS
@@ -62,26 +62,44 @@ def _written_csv(header, columns) -> str:
     return out.getvalue()
 
 
+def _neighbours(x: float) -> list:
+    """x and the nearest two doubles on either side of it."""
+    values = [x]
+    for toward in (0.0, math.inf):
+        near = math.nextafter(x, toward)
+        values += [near, math.nextafter(near, toward)]
+    return values
+
+
 # Bit patterns a value-based comparison would merge or lose: -0.0 next to
 # 0.0, NaNs with distinct payloads and signs, +-inf, subnormals, +-1e308.
+# Then the edges of the range the vectorized formatter decides (1e-4 and
+# 1e16, where repr switches notation), 1e15, powers of two (a narrower
+# gap below them), and a tie between two shortest decimals, left to repr.
 POOL = np.concatenate([
     [0.0, -0.0, np.inf, -np.inf, 5e-324, -1e-310, 2.2250738585072014e-308,
-     1e308, -1e308, 1.0, -3.0, 0.1, 2.0**53, 1e16],
+     1e308, -1e308, 1.0, -3.0, 0.1, 2.0**53, 1e16, 0.0008878707885742188],
     np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
               -0x0008000000000000], dtype=np.int64).view(np.float64),
+    *(_neighbours(x) for x in (1e-4, -1e15, 1e16, 2.0**-13, 0.5, -2.0**40,
+                               2.0**53)),
 ])
 
 
 def _tables(n_cols: int, n_rows: int):
     size = n_rows * n_cols
-    # Few distinct values drive the dedup branch, mostly distinct ones
-    # drive the direct branch.
     pooled = st.lists(st.integers(0, len(POOL) - 1), min_size=size,
                       max_size=size).map(lambda idx: POOL[idx])
-    distinct = st.lists(st.one_of(st.floats(), st.sampled_from(POOL)),
-                        min_size=size, max_size=size, unique=True
-                        ).map(lambda v: np.array(v, dtype=float))
-    return st.one_of(pooled, distinct).map(
+    bit_patterns = st.integers(-2**63, 2**63 - 1).map(
+        lambda n: float(np.int64(n).view(np.float64)))
+    short = st.tuples(st.integers(1, 17), st.floats(allow_nan=False,
+                                                    allow_infinity=False)
+                      ).map(lambda pf: float("%.*g" % pf))
+    values = st.lists(st.one_of(st.floats(), bit_patterns, short,
+                                st.sampled_from(POOL)),
+                      min_size=size, max_size=size
+                      ).map(lambda v: np.array(v, dtype=float))
+    return st.one_of(pooled, values).map(
         lambda flat: flat.reshape(n_rows, n_cols))
 
 
@@ -98,18 +116,42 @@ class TestWriteCsv:
             text = _written_csv(header, table.T)
         assert text == _csv_module_text(header, table.T)
 
-    @pytest.mark.parametrize("values, dedup", [
-        (np.tile([0.0, -0.0, 1.5], 40), True),
-        (np.arange(120) / 7.0, False),
-    ])
-    def test_formats_repeated_values_once(self, values, dedup):
-        columns = values.reshape(-1, 6).T
-        with mock.patch.object(cli.np, "unique", wraps=np.unique) as unique:
-            text = _written_csv([f"c{k}" for k in range(6)], columns)
-        assert unique.called == dedup
-        assert text == _csv_module_text([f"c{k}" for k in range(6)], columns)
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(11).integers(
+            -2**63, 2**63 - 1, 200_000, dtype=np.int64,
+            endpoint=True).view(np.float64),
+        np.random.default_rng(12).standard_normal(200_000),
+    ], ids=["bit-patterns", "normals"])
+    def test_bulk_matches_repr(self, values):
+        block = values.reshape(-1, 5)
+        # [1:]: the csv module's text without its empty header row.
+        assert csvtext.csv_rows(block) == _csv_module_text([], block.T)[1:]
 
-    @pytest.mark.parametrize("chunk", [cli.CSV_CHUNK_VALUES, 600])
+    def test_decides_ordinary_values_without_repr(self):
+        row = np.array([[0.1, -2.5, 123.456, 1e-4, 271828182845904.5, 0.0,
+                         -0.0, 2.0**-13, 1e15 + 1.0, -4.975, np.nan,
+                         0.012345678901234568, 31415926535.89793]])
+        with mock.patch.object(csvtext, "repr", create=True,
+                               side_effect=AssertionError("repr called")):
+            text = csvtext.csv_rows(row)
+        assert text == _csv_module_text([], row.T)[1:]
+
+    @pytest.mark.parametrize("x", [
+        5e-324, 9.999999999999999e-05, 1e-5, 1e16, -1.5e300,
+        1.7976931348623157e308,
+        0.0008878707885742188,  # ties between two shortest decimals
+        1234567890123456.8,
+        9999999999999998.0,  # log10 rounds up to 16.0
+    ])
+    def test_leaves_the_rest_to_repr(self, x):
+        row = np.array([[1.5, x, -np.inf, x, 2.0]])
+        with mock.patch.object(csvtext, "repr", create=True,
+                               wraps=repr) as fallback:
+            text = csvtext.csv_rows(row)
+        assert fallback.call_count == 2
+        assert text == f"1.5,{x!r},,{x!r},2.0\n"
+
+    @pytest.mark.parametrize("chunk", [cli.CSV_CHUNK_VALUES, 2**14, 600])
     def test_optimized_map_matches_the_row_recipe(self, tmp_path, chunk):
         out = tmp_path / "map.csv"
         argv = ["error-surface", "--mode", "gaussian_optimized_phase",
@@ -208,6 +250,21 @@ class TestErrorCodes:
         )
         assert code == 2
         assert json.loads(err)["error"] == "denominator-pole"
+
+    @pytest.mark.parametrize("command", ["error-surface", "gain-surface"])
+    def test_grid_too_large_to_allocate(self, capsys, tmp_path, command):
+        # numpy raises MemoryError when it cannot allocate the grid.
+        too_large = MemoryError("Unable to allocate 7.28 TiB")
+        with mock.patch("clustergauss.gkp.error_surface",
+                        side_effect=too_large), \
+                mock.patch.object(cli, "error_surface", side_effect=too_large):
+            code, out, err = _run(capsys, command, "--nb", "1000000000000",
+                                  "--nd", "2", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "invalid-config",
+                                   "message": "input too large: Unable to "
+                                              "allocate 7.28 TiB"}
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -601,6 +658,18 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True).stdout
         assert out == "[]\n"
+
+    def test_only_csv_commands_load_the_formatter(self, tmp_path):
+        src = str(Path(clustergauss.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys, clustergauss.cli as c; "
+                "print('clustergauss.csvtext' in sys.modules); "
+                "c.main(['error-surface', '--nb', '2', '--nd', '2', "
+                f"'--out', {str(tmp_path / 'x.csv')!r}]); "
+                "print('clustergauss.csvtext' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "False\nTrue\n"
 
 
 class TestVersion:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustergauss import (
@@ -22,6 +22,7 @@ from clustergauss import (
     p_err,
     p_err_values,
 )
+from clustergauss.ndtr import erfc
 
 SQZ = SqueezingSpec.from_db(-15.0)
 
@@ -128,6 +129,55 @@ class TestPerr:
 
 def _spec(w, mode, n=21):
     return ErrorSurfaceSpec((-5.0, 5.0), (-5.0, 5.0), n, n, w, mode)
+
+
+class TestErfc:
+    # scipy.special.erfc's bit patterns: across the branch points 1 and 8,
+    # into the subnormal range and past MAXLOG (a**2 > 709.78...), where
+    # the result is 0.
+    PINNED = [
+        (0.0, "0x1.0000000000000p+0"),
+        (0.5, "0x1.eb02147ce245cp-2"),
+        (math.nextafter(1.0, 0.0), "0x1.4226162fbddd8p-3"),
+        (1.0, "0x1.4226162fbddd6p-3"),
+        (math.nextafter(1.0, 2.0), "0x1.4226162fbddd1p-3"),
+        (3.5, "0x1.8ef2a9a18d858p-21"),
+        (math.nextafter(8.0, 0.0), "0x1.c74fc41217e6fp-97"),
+        (8.0, "0x1.c74fc41217dfcp-97"),
+        (math.nextafter(8.0, 9.0), "0x1.c74fc41217d18p-97"),
+        (26.5, "0x1.3df6725a60cf5p-1019"),
+        (26.64, "0x0.017c93fc73893p-1022"),
+        (26.641747557046326, "0x0.015ab7e9654c2p-1022"),
+        (26.64174755704633, "0x0.0p+0"),
+        (27.0, "0x0.0p+0"),
+        (math.inf, "0x0.0p+0"),
+        (-0.5, "0x1.853f7ae0c76e9p+0"),
+        (-3.0, "0x1.fffe8d6209afdp+0"),
+        (-math.inf, "0x1.0000000000000p+1"),
+    ]
+
+    @pytest.mark.parametrize("x, bits", PINNED)
+    def test_pinned_bit_patterns(self, x, bits):
+        assert float(erfc(x)).hex() == bits
+        assert erfc(np.array([x, x]))[1].hex() == bits
+
+    def test_nan_passes_through(self):
+        assert np.isnan(erfc(math.nan))
+        out = erfc(np.array([[1.0, math.nan], [0.25, 9.0]]))
+        assert out.shape == (2, 2)
+        assert np.isnan(out[0, 1]) and not np.isnan(out).sum() > 1
+
+    @settings(deadline=None)  # the first example imports scipy
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+    def test_matches_scipy_bit_for_bit(self, xs):
+        special = pytest.importorskip("scipy.special")
+        x = np.array(xs)
+        assert erfc(x).tobytes() == special.erfc(x).tobytes()
+
+    def test_matches_scipy_on_the_map_range(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.random.default_rng(8).uniform(0.0, 27.0, 200_000)
+        assert erfc(x).tobytes() == special.erfc(x).tobytes()
 
 
 class TestGainSurface:
