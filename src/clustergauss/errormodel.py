@@ -51,7 +51,6 @@ __all__ = [
     "error_vector_raw",
     "error_vector_gaussian",
     "error_vector_cubic",
-    "inf_norm",
     "optimize_theta4",
     "error_surface",
 ]
@@ -63,8 +62,9 @@ MODES = (MODE_GAUSSIAN_FIXED, MODE_GAUSSIAN_OPTIMIZED, MODE_CUBIC_OPTIMIZED)
 
 # Newton steps that polish each closed-form root on its own polynomial.
 _NEWTON_STEPS = 2
-# Cells per optimizer block.
-_BLOCK_CELLS = 2048
+# Candidate values (cells x candidates) per evaluator block: few enough
+# for the candidate arrays to stay in cache.
+_BLOCK_VALUES = 1 << 15
 
 
 class OptimizeResult(NamedTuple):
@@ -72,11 +72,6 @@ class OptimizeResult(NamedTuple):
 
     theta4p: float
     err_inf: float
-
-
-def inf_norm(e: ErrorVector) -> float:
-    """Scalar error measure: max of the two quadrature error variances."""
-    return e.inf_norm
 
 
 def _components_from_cots(cot3, u4, w: WeightConfig, mid_weight):
@@ -195,7 +190,7 @@ def error_vector_cubic(
         DenominatorPole: when theta3p must be solved and the shared
             denominator vanishes irremovably.
     """
-    mid = _mode_mid_weight(MODE_CUBIC_OPTIMIZED, cubic)
+    mid, _ = _mode_terms(MODE_CUBIC_OPTIMIZED, cubic)
     u4 = angle_cot("theta4p", theta4p)
     if theta3p is None:
         if target is None:
@@ -211,12 +206,6 @@ def error_vector_cubic(
         cot3 = angle_cot("theta3p", theta3p)
     ex, ey = _components_from_cots(cot3, u4, w, mid)
     return ErrorVector(float(ex), float(ey))
-
-
-def _objective(b, d, u4, w: WeightConfig, mid_weight):
-    cot3, pole = _solved_cot3(b, d, u4, w)
-    ex, ey = _components_from_cots(cot3, u4, w, mid_weight)
-    return np.where(pole, np.inf, np.maximum(ex, ey))
 
 
 def _horner(coeffs):
@@ -318,9 +307,11 @@ def _trailing_quadratic_roots(coeffs):
     return (q / c2, c0 / q)
 
 
-def _optimize_u(b, d, w: WeightConfig, mid_weight):
-    """Exact minimum of max(ex, ey) over cot(theta4'), vectorised over cells.
+def _best_phase(b, d, w: WeightConfig, mid_weight, search: bool):
+    """Best cot(theta4') of each (b, d) cell, with its error components.
 
+    The candidates are u = 0 (theta4' = pi/2), the whole set of the
+    fixed phase, and with ``search`` the exact minimizers of max(ex, ey).
     With p = r2^2 b, beta = d - cross_ratio, s = p + d u and
     N = cross_ratio u + p, the two components are
 
@@ -330,54 +321,65 @@ def _optimize_u(b, d, w: WeightConfig, mid_weight):
     with m = ``mid_weight``.  ey has no interior stationary point and
     ex -> inf as |u| -> inf, so the minimum lies at a stationary point of
     ex (a real root of Q1 = m g1^2 u s^3 - beta p N), at a crossing
-    ex = ey (a real root of Q2 = s^2 (ex - ey)), or at u = 0.  Every
-    candidate goes through ``_objective``, so pole and removable cells
-    are treated exactly as at a fixed phase, and u = 0 (theta4' = pi/2)
-    keeps the result at or below the fixed-phase error.
+    ex = ey (a real root of Q2 = s^2 (ex - ey)), or at u = 0; the search
+    adds those roots and the edges of the pole window.  Each candidate
+    is evaluated once: cot(theta3) is solved, (ex, ey) follow from it,
+    and a pole scores +inf.  u = 0 is the first candidate and wins ties,
+    so a searched error never exceeds the fixed-phase one.
+
+    Cells are evaluated in blocks of about ``_BLOCK_VALUES`` candidate
+    values, so the one-candidate fixed phase takes 15 times fewer blocks
+    than the search.
 
     Args:
-        b, d: flat cell arrays.
+        b, d: cell arrays of one shape; they are flattened.
         w: cluster weights.
         mid_weight: middle-term scale (1 or 1/(12*gamma*I_m)).
+        search: whether to search beyond u = 0.
 
     Returns:
-        (u_best, err_best); err_best is +inf where no candidate avoids
-        the denominator pole (only b = d = 0 behaves this way).
+        Flat arrays (u, ex, ey, err) of the winning candidates, with
+        err = max(ex, ey); err is +inf where no candidate avoids the
+        denominator pole (with the search, only at b = d = 0).
     """
     b = np.asarray(b, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
-    u_best = np.empty_like(b)
-    err_best = np.empty_like(b)
-    # Blocks keep the candidate arrays small enough to stay in cache.
-    for lo in range(0, b.size, _BLOCK_CELLS):
-        cells = slice(lo, lo + _BLOCK_CELLS)
-        u_best[cells], err_best[cells] = _optimize_block(
-            b[cells], d[cells], w, mid_weight
-        )
-    return u_best, err_best
+    # The search has 15 candidates: u = 0, six roots of each quartic
+    # (``_critical_points``) and two pole-window edges.
+    step = _BLOCK_VALUES // (15 if search else 1)
+    best = np.empty((4, b.size))
+    for lo in range(0, b.size, step):
+        cells = slice(lo, lo + step)
+        best[:, cells] = _best_in_block(b[cells], d[cells], w, mid_weight,
+                                        search)
+    return best
 
 
-def _optimize_block(b, d, w: WeightConfig, mid_weight):
-    """``_optimize_u`` on one block of cells."""
+def _best_in_block(b, d, w: WeightConfig, mid_weight, search: bool):
+    """``_best_phase`` on one block of cells."""
     with np.errstate(all="ignore"):
-        cand = np.concatenate([
-            np.zeros((1, b.size)),
-            _critical_points(b, d, w, mid_weight),
-            _pole_window_edges(b, d, w),
-        ])
-        # Non-finite rows (Ferrari at d = 0, 0/0 roots) fall back to u = 0.
-        cand = np.where(np.isfinite(cand), cand, 0.0)
-        vals = _objective(b, d, cand, w, mid_weight)
+        cand = np.zeros((1, b.size))
+        if search:
+            cand = np.concatenate([
+                cand,
+                _critical_points(b, d, w, mid_weight),
+                _pole_window_edges(b, d, w),
+            ])
+            # Non-finite rows (Ferrari at d = 0, 0/0 roots) become u = 0.
+            cand = np.where(np.isfinite(cand), cand, 0.0)
+        cot3, pole = _solved_cot3(b, d, cand, w)
+        ex, ey = _components_from_cots(cot3, cand, w, mid_weight)
+        err = np.where(pole, np.inf, np.maximum(ex, ey))
     # argmin keeps the first of equal values, so ties go to u = 0.
-    best = np.argmin(vals, axis=0)
+    best = np.argmin(err, axis=0)
     cells = np.arange(b.size)
-    return cand[best, cells], vals[best, cells]
+    return [part[best, cells] for part in (cand, ex, ey, err)]
 
 
 def _pole_window_edges(b, d, w: WeightConfig):
     """u just outside either edge of the window |s| <= POLE_TOL, per cell.
 
-    ``_objective`` treats that window as a pole, so where the continuous
+    The evaluator treats that window as a pole, so where the continuous
     minimum lies inside it (near b = d = 0, or with d within about 1e-5
     of the cross ratio) the best admissible phase sits at an edge.
     """
@@ -440,52 +442,49 @@ def optimize_theta4(
 ) -> OptimizeResult:
     """Minimize the inf-norm error over the free phase theta4'.
 
-    The minimum is exact: it is taken over the closed-form stationary
-    points of ex, the crossings ex = ey and pi/2 (see ``_optimize_u``),
-    not over a scan grid.
+    The target is the one-cell case of the surfaces' evaluator
+    (``_best_phase``), which evaluates each candidate phase once.  The
+    fixed-phase mode has the one candidate pi/2; the optimized modes add
+    the closed-form stationary points of ex and the crossings ex = ey,
+    so their minimum is exact, not a scan point.
 
     Args:
         target: symplectic target (only b, d enter the objective).
         w: cluster weights.
-        mode: one of MODES; the fixed-phase mode evaluates at pi/2
-            without searching.
+        mode: one of MODES.
         cubic: required for the cubic mode, forbidden otherwise.
 
     Returns:
         OptimizeResult(theta4p, err_inf).  Pi/2 is always one of the
         evaluated candidates, so err_inf never exceeds the fixed-phase
         value.
+
+    Raises:
+        DenominatorPole: if every candidate phase is a pole.
     """
     validate_target(target)
-    mid = _mode_mid_weight(mode, cubic)
-    if mode == MODE_GAUSSIAN_FIXED:
-        val = _objective(target.b, target.d, 0.0, w, mid)
-        if not np.isfinite(val):
-            raise DenominatorPole(
-                "error denominator vanishes at theta4' = pi/2"
-            )
-        return OptimizeResult(float(np.pi / 2), float(val))
-    u_best, err_best = _optimize_u(
-        np.array([target.b]), np.array([target.d]), w, mid
-    )
-    if not np.isfinite(err_best[0]):
+    u, _, _, err = _best_phase(target.b, target.d, w,
+                               *_mode_terms(mode, cubic))
+    if not np.isfinite(err[0]):
         raise DenominatorPole("no pole-free theta4' candidate for this target")
-    return OptimizeResult(float(arccot(u_best[0])), float(err_best[0]))
+    return OptimizeResult(float(arccot(u[0])), float(err[0]))
 
 
-def _mode_mid_weight(mode: str, cubic: Optional[CubicConfig]) -> float:
+def _mode_terms(mode: str, cubic: Optional[CubicConfig]) -> tuple:
+    """(mid_weight, search) of a mode; the fixed phase does not search."""
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
+    search = mode != MODE_GAUSSIAN_FIXED
     if mode == MODE_CUBIC_OPTIMIZED:
         if cubic is None:
             raise DomainError("cubic mode requires a CubicConfig")
         twelve = cubic.twelve_gamma_im
         if not (twelve > 0):
             raise NonpositiveIm(f"12*gamma*I_m = {twelve!r} must be positive")
-        return 1.0 / twelve
+        return 1.0 / twelve, search
     if cubic is not None:
         raise DomainError(f"mode {mode!r} does not accept a CubicConfig")
-    return 1.0
+    return 1.0, search
 
 
 @dataclass(frozen=True)
@@ -571,26 +570,11 @@ class ErrorSurface:
         )
 
 
-def _surface_chunk(b_flat, d_flat, w, mode, mid):
-    """Evaluate flat arrays of grid cells, cell by cell in order."""
-    if mode == MODE_GAUSSIAN_FIXED:
-        u = np.zeros_like(b_flat)
-        err = _objective(b_flat, d_flat, u, w, mid)
-    else:
-        u, err = _optimize_u(b_flat, d_flat, w, mid)
-    cot3, pole = _solved_cot3(b_flat, d_flat, u, w)
-    ex, ey = _components_from_cots(cot3, u, w, mid)
-    invalid = ~np.isfinite(err) | pole
-    nan = np.nan
-    ex = np.where(invalid, nan, ex)
-    ey = np.where(invalid, nan, ey)
-    err = np.where(invalid, nan, err)
-    theta = np.where(invalid, nan, arccot(u))
-    return ex, ey, err, theta
-
-
 def error_surface(spec: ErrorSurfaceSpec) -> ErrorSurface:
     """Evaluate the selected error mode on the (b, d) grid.
+
+    Every cell goes through the evaluator that ``optimize_theta4`` uses,
+    so a cell equals ``optimize_theta4`` on its target.
 
     Args:
         spec: grid specification.
@@ -598,12 +582,16 @@ def error_surface(spec: ErrorSurfaceSpec) -> ErrorSurface:
     Returns:
         ErrorSurface with NaN marking pole cells.
     """
-    mid = _mode_mid_weight(spec.mode, spec.cubic)
+    mid, search = _mode_terms(spec.mode, spec.cubic)
     bs = spec.b_values
     ds = spec.d_values
     B, D = np.meshgrid(bs, ds, indexing="ij")
-    cells = _surface_chunk(B.ravel(), D.ravel(), spec.w, spec.mode, mid)
-    ex, ey, err, theta = (part.reshape(spec.nb, spec.nd) for part in cells)
+    u, ex, ey, err = _best_phase(B, D, spec.w, mid, search)
+    invalid = ~np.isfinite(err)
+    ex, ey, err, theta = (
+        np.where(invalid, np.nan, part).reshape(spec.nb, spec.nd)
+        for part in (ex, ey, err, arccot(u))
+    )
     return ErrorSurface(
         spec=spec, b_values=bs, d_values=ds,
         ex=ex, ey=ey, err_inf=err, theta4p=theta,

@@ -108,22 +108,24 @@ class GainSurface:
     p_opt: np.ndarray
     ratio: np.ndarray
 
+    def _argmax(self):
+        """Index of the largest finite ratio, or None if no cell is valid."""
+        finite = np.where(np.isfinite(self.ratio), self.ratio, -np.inf)
+        i, j = np.unravel_index(int(np.argmax(finite)), finite.shape)
+        return (i, j) if np.isfinite(finite[i, j]) else None
+
     @property
     def max_ratio(self) -> float:
-        valid = np.isfinite(self.ratio)
-        if not valid.any():
-            return float("nan")
-        return float(np.max(self.ratio[valid]))
+        ij = self._argmax()
+        return float("nan") if ij is None else float(self.ratio[ij])
 
     @property
     def argmax_cell(self) -> tuple:
         """(b, d) of the maximal ratio cell (NaN pair if none valid)."""
-        valid = np.isfinite(self.ratio)
-        if not valid.any():
+        ij = self._argmax()
+        if ij is None:
             return (float("nan"), float("nan"))
-        masked = np.where(valid, self.ratio, -np.inf)
-        i, j = np.unravel_index(int(np.argmax(masked)), self.ratio.shape)
-        return (float(self.b_values[i]), float(self.d_values[j]))
+        return (float(self.b_values[ij[0]]), float(self.d_values[ij[1]]))
 
     def to_rows(self):
         """The CSV columns b, d, p_err_base, p_err_opt, ratio, b-major.
@@ -168,14 +170,13 @@ def gain_surface(
     opt = error_surface(optimized)
     var_s = CORRECTION_VARIANCE_UNITS * squeezing.var_y
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_base = p_err_values(base.ex, base.ey, var_s)
-        p_opt = p_err_values(opt.ex, opt.ey, var_s)
-        ratio = p_base / p_opt
+    # A cell missing in either surface is missing in both columns, and a
+    # NaN probability makes the ratio NaN.
     invalid = ~np.isfinite(base.err_inf) | ~np.isfinite(opt.err_inf)
-    p_base = np.where(invalid, np.nan, p_base)
-    p_opt = np.where(invalid, np.nan, p_opt)
-    ratio = np.where(invalid, np.nan, ratio)
+    p_base = np.where(invalid, np.nan, p_err_values(base.ex, base.ey, var_s))
+    p_opt = np.where(invalid, np.nan, p_err_values(opt.ex, opt.ey, var_s))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = p_base / p_opt
 
     return GainSurface(
         baseline=base,

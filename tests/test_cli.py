@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -577,6 +578,51 @@ class TestGainSurfaceCommand:
         assert lines[0] == "b,d,p_err_base,p_err_opt,ratio"
         assert len(lines) == 1 + 25
         assert (tmp_path / "gain.csv.manifest.json").exists()
+
+
+def _sha256(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenOutputs:
+    """Small CLI outputs, pinned by their sha256.
+
+    The digests were taken at commit 893718a, before the fixed-phase
+    and free-phase surfaces were evaluated by one function: any change
+    to what the surface commands compute or print moves one of them.
+    The 21x21 default grid holds pole cells (b = 0) and the removable
+    line d = 1 of the weights 5, 5, 4, 4.
+    """
+
+    GRID = ("--nb", "21", "--nd", "21")
+    WEIGHTS = ("--g1", "5.0", "--g2", "5.0", "--g3", "4.0", "--g4", "4.0")
+
+    @pytest.mark.parametrize("mode, extra, digest", [
+        ("gaussian_fixed_phase", (),
+         "114c8e9fc253fea81941f08d453ba91d925c10d126af09139b3a96a13d4f593e"),
+        ("gaussian_optimized_phase", (),
+         "74ceea33d9806e232adf27c2dc91d84849cdc02d1e4f482d7d54824f5db186e4"),
+        ("cubic_optimized_phase",
+         ("--gamma", "0.1", "--alpha", "11.180339887498949"),
+         "8c5a4a522aa34b1a7f9983586c1cc0d376368403c1756217900d196f7f50a177"),
+    ], ids=["fixed", "optimized", "cubic"])
+    def test_error_surface(self, capsys, mode, extra, digest):
+        code, out, err = _run(capsys, "error-surface", "--mode", mode,
+                              *self.WEIGHTS, *extra, *self.GRID)
+        assert code == 0, err
+        assert _sha256(out) == digest
+
+    def test_gain_surface(self, capsys, tmp_path):
+        csv_path = tmp_path / "gain.csv"
+        code, summary, err = _run(capsys, "gain-surface", *self.GRID,
+                                  "--out", str(csv_path))
+        assert code == 0, err
+        assert _sha256(csv_path.read_bytes()) == (
+            "9e945ecbe2d9a2ea48d763ae6d7e4e75d2fe2afe60b5808934d34b3b38f18376")
+        assert _sha256(summary) == (
+            "d0edc3b177308576afa33d846b691981f792f2b5d6a3450908352397db590b2b")
 
 
 class TestWeightBoundCommand:

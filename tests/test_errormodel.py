@@ -24,7 +24,7 @@ from clustergauss import (
     sample_targets,
     solve_phases,
 )
-from clustergauss.core import POLE_TOL
+from clustergauss.core import DEGENERATE_D_TOL, POLE_TOL
 
 OP_POINT = CubicConfig(gamma=0.1, alpha=np.sqrt(125.0), i_m=37.5)
 
@@ -359,6 +359,35 @@ class TestErrorSurface:
                    for col in columns)
         np.testing.assert_array_equal(np.column_stack(columns), expected)
         assert np.isnan(columns[4]).sum() == surf.n_invalid
+
+    @pytest.mark.parametrize("mode, cubic", [
+        (MODE_GAUSSIAN_FIXED, None),
+        (MODE_GAUSSIAN_OPTIMIZED, None),
+        (MODE_CUBIC_OPTIMIZED, OP_POINT),
+    ], ids=["fixed", "optimized", "cubic"])
+    @pytest.mark.parametrize("weights", [(5.0, 5.0, 4.0, 4.0),
+                                         (0.3, 2.0, 7.0, 0.5)])
+    def test_cells_equal_the_optimizer_on_their_targets(self, mode, cubic,
+                                                        weights):
+        # The grid holds the pole column b = 0 and, for the first weights,
+        # the removable line d = 1.  Its row d = 0 has no target: the
+        # surface continues its closed form there, while optimize_theta4
+        # refuses |d| < DEGENERATE_D_TOL.
+        w = WeightConfig(*weights)
+        surf = error_surface(_spec(mode, w, cubic=cubic))
+        for i, b in enumerate(surf.b_values):
+            for j, d in enumerate(surf.d_values):
+                if abs(d) < DEGENERATE_D_TOL:
+                    continue
+                target = SymplecticTarget(1.0 / d, b, 0.0, d)
+                try:
+                    res = optimize_theta4(target, w, mode, cubic=cubic)
+                except DenominatorPole:
+                    assert np.isnan(surf.err_inf[i, j])
+                    assert np.isnan(surf.theta4p[i, j])
+                    continue
+                assert surf.theta4p[i, j] == res.theta4p
+                assert surf.err_inf[i, j] == res.err_inf
 
     def test_spec_validation(self, strong_weights):
         with pytest.raises(DomainError):

@@ -215,6 +215,30 @@ class TestGainSurface:
         assert np.array_equal(invalid, ~np.isfinite(gs.p_base))
         assert np.array_equal(invalid, ~np.isfinite(gs.p_opt))
 
+    def test_cell_missing_in_one_surface_is_blank_in_both(self, unit_weights,
+                                                          strong_weights):
+        # The optimized surface misses only the origin of the baseline's
+        # pole column b = 0.
+        gs = gain_surface(
+            _spec(unit_weights, MODE_GAUSSIAN_FIXED),
+            _spec(strong_weights, MODE_GAUSSIAN_OPTIMIZED),
+            SQZ,
+        )
+        assert gs.optimized.n_invalid == 1
+        invalid = ~np.isfinite(gs.baseline.err_inf)
+        assert int(invalid.sum()) == 20
+        for column in (gs.p_base, gs.p_opt, gs.ratio):
+            assert np.array_equal(np.isnan(column), invalid)
+
+    def test_no_valid_cell_has_nan_maximum(self, unit_weights):
+        # At the fixed phase, b = 0 is a pole unless d is the cross ratio.
+        spec = ErrorSurfaceSpec((0.0, 0.0), (-5.0, 0.0), 1, 3, unit_weights,
+                                MODE_GAUSSIAN_FIXED)
+        gs = gain_surface(spec, spec, SQZ)
+        assert np.isnan(gs.ratio).all()
+        assert math.isnan(gs.max_ratio)
+        assert all(math.isnan(v) for v in gs.argmax_cell)
+
     def test_cell_probability_uses_doubled_variance(self, unit_weights, strong_weights):
         gs = gain_surface(
             _spec(unit_weights, MODE_GAUSSIAN_FIXED),
