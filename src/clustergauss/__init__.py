@@ -23,7 +23,6 @@ from .core import (
     SymplecticTarget,
     WeightConfig,
     arccot,
-    cot,
     db_to_variance,
     validate_target,
 )
@@ -92,8 +91,8 @@ __all__ = [
     "__version__",
     # core types and conversions
     "CubicConfig", "ErrorVector", "PhaseSet", "SqueezingSpec",
-    "SymplecticTarget", "WeightConfig", "arccot", "cot",
-    "db_to_variance", "validate_target",
+    "SymplecticTarget", "WeightConfig", "arccot", "db_to_variance",
+    "validate_target",
     # errors
     "DomainError", "DegenerateD", "DenominatorPole", "NonpositiveIm",
     "NotSymplectic",

@@ -195,7 +195,10 @@ def _write_manifest(out, subcommand: str, resolved: dict) -> None:
 def _load_config(path):
     if path is None:
         return {}
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise DomainError("config file is nested too deeply to parse") from None
     if isinstance(data, dict) and "resolved_config" in data:
         data = data["resolved_config"]
     if not isinstance(data, dict):

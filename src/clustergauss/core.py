@@ -15,18 +15,18 @@ Angles
 ------
 Homodyne phases live on the open interval (0, pi), on which the cotangent
 is a bijection onto the real line.  ``arccot`` below always returns the
-branch in (0, pi).  Because a double-precision angle near 0 or pi cannot
-carry the full precision of a huge cotangent, :class:`PhaseSet` optionally
-caches the exact cotangent values it was built from; downstream consumers
-use the cached values so that solve -> forward round trips are not limited
-by angle quantisation.
+branch in (0, pi).  The phase solution is closed-form in the cotangents,
+and a double-precision angle near 0 or pi cannot carry the full precision
+of a huge cotangent, so :class:`PhaseSet` stores the four cotangents and
+derives the angles from them; solve -> forward round trips are therefore
+not limited by angle quantisation.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,20 +84,6 @@ class DenominatorPole(DomainError):
 
 class NonpositiveIm(DomainError):
     """The measured/assumed photocurrent combination I_m is not positive."""
-
-
-def cot(theta):
-    """Cotangent, elementwise on arrays.
-
-    Args:
-        theta: angle(s) in radians, expected in (0, pi).
-
-    Returns:
-        cos(theta) / sin(theta).
-    """
-    theta = np.asarray(theta, dtype=float)
-    out = np.cos(theta) / np.sin(theta)
-    return out if out.ndim else float(out)
 
 
 def arccot(value):
@@ -227,36 +213,27 @@ class WeightConfig:
 
 @dataclass(frozen=True)
 class SqueezingSpec:
-    """Resource squeezing described redundantly by r, variance and dB.
+    """Resource squeezing level in dB; the variances and r follow from it."""
 
-    The three fields must agree; use the ``from_*`` constructors instead of
-    filling them by hand.
-    """
-
-    r: float
-    var_y: float
     db: float
 
     def __post_init__(self):
         if not (self.var_y > 0):
             raise DomainError(f"var_y must be positive, got {self.var_y!r}")
-        expected_var = math.exp(-2.0 * self.r) / 4.0
-        expected_db = 10.0 * math.log10(4.0 * self.var_y)
-        if abs(expected_var - self.var_y) > 1e-12 * max(1.0, self.var_y):
-            raise DomainError("r and var_y are inconsistent")
-        if abs(expected_db - self.db) > 1e-9:
-            raise DomainError("var_y and db are inconsistent")
 
     @classmethod
     def from_db(cls, db: float) -> "SqueezingSpec":
-        var_y = db_to_variance(db)
-        r = -db * math.log(10.0) / 20.0
-        return cls(r=r, var_y=var_y, db=db)
+        return cls(db)
 
-    @classmethod
-    def from_r(cls, r: float) -> "SqueezingSpec":
-        var_y = math.exp(-2.0 * r) / 4.0
-        return cls(r=r, var_y=var_y, db=10.0 * math.log10(4.0 * var_y))
+    @property
+    def var_y(self) -> float:
+        """Squeezed quadrature variance 10^(db/10)/4."""
+        return db_to_variance(self.db)
+
+    @property
+    def r(self) -> float:
+        """Squeezing parameter, with var_y = exp(-2r)/4."""
+        return -self.db * math.log(10.0) / 20.0
 
     @property
     def var_x(self) -> float:
@@ -264,67 +241,49 @@ class SqueezingSpec:
         return math.exp(2.0 * self.r) / 4.0
 
 
-def _check_angle(name: str, theta: float) -> None:
-    if not (0.0 < theta < math.pi):
-        raise DomainError(f"{name} = {theta!r} outside the open interval (0, pi)")
-
-
 def angle_cot(name: str, theta: float) -> float:
     """cot(theta) of a measurement phase ``name``, checked to lie in (0, pi)."""
-    _check_angle(name, theta)
+    if not (0.0 < theta < math.pi):
+        raise DomainError(f"{name} = {theta!r} outside the open interval (0, pi)")
     return float(np.cos(theta) / np.sin(theta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PhaseSet:
-    """Homodyne phases (theta1, theta2', theta3, theta4') in radians.
+    """Homodyne phases, stored as their cotangents (see module docstring).
 
-    theta2' and theta4' are the weight-rescaled node phases with
-    cot(theta2) = g4^2 cot(theta2') and cot(theta4) = g2^2 cot(theta4').
-
-    The private ``_cots`` field caches the exact cotangents the phases were
-    constructed from (see module docstring); it does not participate in
-    equality.
+    The fields are cot(theta1), cot(theta2'), cot(theta3) and cot(theta4');
+    the angles are their ``arccot``.  theta2' and theta4' are the
+    weight-rescaled node phases with cot(theta2) = g4^2 cot(theta2') and
+    cot(theta4) = g2^2 cot(theta4').
     """
 
-    theta1: float
-    theta2p: float
-    theta3: float
-    theta4p: float
-    _cots: tuple | None = field(default=None, compare=False)
+    cot1: float
+    cot2p: float
+    cot3: float
+    cot4p: float
 
     def __post_init__(self):
-        _check_angle("theta1", self.theta1)
-        _check_angle("theta2p", self.theta2p)
-        _check_angle("theta3", self.theta3)
-        _check_angle("theta4p", self.theta4p)
-
-    @classmethod
-    def from_cots(cls, cot1: float, cot2p: float, cot3: float, cot4p: float) -> "PhaseSet":
-        """Build a phase set from cotangent values, caching them exactly."""
-        return cls(
-            theta1=arccot(cot1),
-            theta2p=arccot(cot2p),
-            theta3=arccot(cot3),
-            theta4p=arccot(cot4p),
-            _cots=(float(cot1), float(cot2p), float(cot3), float(cot4p)),
-        )
+        for name in ("cot1", "cot2p", "cot3", "cot4p"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} = {value!r} is not finite")
 
     @property
-    def cot1(self) -> float:
-        return self._cots[0] if self._cots is not None else cot(self.theta1)
+    def theta1(self) -> float:
+        return arccot(self.cot1)
 
     @property
-    def cot2p(self) -> float:
-        return self._cots[1] if self._cots is not None else cot(self.theta2p)
+    def theta2p(self) -> float:
+        return arccot(self.cot2p)
 
     @property
-    def cot3(self) -> float:
-        return self._cots[2] if self._cots is not None else cot(self.theta3)
+    def theta3(self) -> float:
+        return arccot(self.cot3)
 
     @property
-    def cot4p(self) -> float:
-        return self._cots[3] if self._cots is not None else cot(self.theta4p)
+    def theta4p(self) -> float:
+        return arccot(self.cot4p)
 
 
 @dataclass(frozen=True)

@@ -130,14 +130,15 @@ def bloch_messiah(g: float) -> CzDecomposition:
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],
     ])
-    dec = CzDecomposition(
+    # In the order of CzDecomposition.product, whose residual this is.
+    product = np.eye(4) @ phase_left @ bs_left @ squeezer @ bs_right \
+        @ phase_right
+    return CzDecomposition(
         g=float(g), s=float(s), r_bs=float(r), t_bs=float(t),
         phase_left=phase_left, bs_left=bs_left, squeezer=squeezer,
-        bs_right=bs_right, phase_right=phase_right, residual=0.0,
+        bs_right=bs_right, phase_right=phase_right,
+        residual=float(np.max(np.abs(product - cz_matrix(g)))),
     )
-    residual = float(np.max(np.abs(dec.product() - cz_matrix(g))))
-    object.__setattr__(dec, "residual", residual)
-    return dec
 
 
 def max_weight(db: float) -> float:

@@ -510,10 +510,7 @@ class ErrorSurfaceSpec:
     cubic: Optional[CubicConfig] = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise DomainError(
-                f"unknown mode {self.mode!r}; expected one of {MODES}"
-            )
+        _mode_terms(self.mode, self.cubic)
         for name, rng in (("b_range", self.b_range), ("d_range", self.d_range)):
             if len(rng) != 2 or not all(np.isfinite(v) for v in rng):
                 raise DomainError(f"{name} must be a finite (min, max) pair")
@@ -522,10 +519,6 @@ class ErrorSurfaceSpec:
         for name, n in (("nb", self.nb), ("nd", self.nd)):
             if int(n) != n or n < 1:
                 raise DomainError(f"{name} must be an integer >= 1")
-        if (self.mode == MODE_CUBIC_OPTIMIZED) != (self.cubic is not None):
-            raise DomainError(
-                "cubic operating point must be given exactly for the cubic mode"
-            )
 
     @property
     def b_values(self) -> np.ndarray:
@@ -540,17 +533,23 @@ class ErrorSurfaceSpec:
 class ErrorSurface:
     """Error surface on a (b, d) grid.
 
-    Arrays are indexed [i_b, i_d].  Cells with no pole-free evaluation
-    hold NaN and serialize as missing values.
+    Arrays are indexed [i_b, i_d] over the grid of ``spec``.  Cells with
+    no pole-free evaluation hold NaN and serialize as missing values.
     """
 
     spec: ErrorSurfaceSpec
-    b_values: np.ndarray
-    d_values: np.ndarray
     ex: np.ndarray
     ey: np.ndarray
     err_inf: np.ndarray
     theta4p: np.ndarray
+
+    @property
+    def b_values(self) -> np.ndarray:
+        return self.spec.b_values
+
+    @property
+    def d_values(self) -> np.ndarray:
+        return self.spec.d_values
 
     @property
     def n_invalid(self) -> int:
@@ -583,16 +582,11 @@ def error_surface(spec: ErrorSurfaceSpec) -> ErrorSurface:
         ErrorSurface with NaN marking pole cells.
     """
     mid, search = _mode_terms(spec.mode, spec.cubic)
-    bs = spec.b_values
-    ds = spec.d_values
-    B, D = np.meshgrid(bs, ds, indexing="ij")
+    B, D = np.meshgrid(spec.b_values, spec.d_values, indexing="ij")
     u, ex, ey, err = _best_phase(B, D, spec.w, mid, search)
     invalid = ~np.isfinite(err)
     ex, ey, err, theta = (
         np.where(invalid, np.nan, part).reshape(spec.nb, spec.nd)
         for part in (ex, ey, err, arccot(u))
     )
-    return ErrorSurface(
-        spec=spec, b_values=bs, d_values=ds,
-        ex=ex, ey=ey, err_inf=err, theta4p=theta,
-    )
+    return ErrorSurface(spec=spec, ex=ex, ey=ey, err_inf=err, theta4p=theta)

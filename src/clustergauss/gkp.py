@@ -95,18 +95,25 @@ def p_err(inp: PerrInput) -> float:
 class GainSurface:
     """Cellwise ratio of baseline over optimized failure probabilities.
 
-    Arrays are indexed [i_b, i_d]; cells missing in either input surface
-    are NaN.
+    Arrays are indexed [i_b, i_d] over the baseline's grid, which the
+    optimized surface shares; cells missing in either input surface are
+    NaN.
     """
 
     baseline: ErrorSurface
     optimized: ErrorSurface
     squeezing: SqueezingSpec
-    b_values: np.ndarray
-    d_values: np.ndarray
     p_base: np.ndarray
     p_opt: np.ndarray
     ratio: np.ndarray
+
+    @property
+    def b_values(self) -> np.ndarray:
+        return self.baseline.b_values
+
+    @property
+    def d_values(self) -> np.ndarray:
+        return self.baseline.d_values
 
     def _argmax(self):
         """Index of the largest finite ratio, or None if no cell is valid."""
@@ -182,8 +189,6 @@ def gain_surface(
         baseline=base,
         optimized=opt,
         squeezing=squeezing,
-        b_values=base.b_values,
-        d_values=base.d_values,
         p_base=p_base,
         p_opt=p_opt,
         ratio=ratio,

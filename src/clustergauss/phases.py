@@ -103,7 +103,7 @@ def forward_matrix(phases: PhaseSet, w: WeightConfig) -> SymplecticTarget:
     """Realised operation for a set of homodyne phases.
 
     Args:
-        phases: homodyne phases; cached cotangents are used when present.
+        phases: homodyne phases.
         w: cluster weights.
 
     Returns:
@@ -158,8 +158,8 @@ def solve_phases(
         theta4p: free stage-two node phase, in (0, pi).
 
     Returns:
-        :class:`SolverResult` with the phases (cotangents cached), the
-        realised matrix and the max-abs entry residual.
+        :class:`SolverResult` with the phases, the realised matrix and the
+        max-abs entry residual.
 
     Raises:
         NotSymplectic, DegenerateD, DenominatorPole.
@@ -175,7 +175,8 @@ def solve_phases(
         raise DenominatorPole(
             "phase-solution denominator b*g3^2/g2^2 + d*cot(theta4') vanishes"
         )
-    phases = PhaseSet.from_cots(float(cot1), float(cot2p), float(cot3), float(u4))
+    phases = PhaseSet(cot1=float(cot1), cot2p=float(cot2p), cot3=float(cot3),
+                      cot4p=u4)
     realized = forward_matrix(phases, w)
     residual = float(
         np.max(np.abs(realized.as_matrix() - target.as_matrix()))

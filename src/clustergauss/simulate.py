@@ -182,7 +182,6 @@ class SimSummary:
     """
 
     variant: str
-    n_shots: int
     n_kept: int
     n_discarded: int
     mean_out: np.ndarray
@@ -197,6 +196,11 @@ class SimSummary:
     mean_im: Optional[float]
     realized: SymplecticTarget
     phases: PhaseSet
+
+    @property
+    def n_shots(self) -> int:
+        """Every shot is either kept or discarded."""
+        return self.n_kept + self.n_discarded
 
     def to_dict(self) -> dict:
         def arr(a):
@@ -282,44 +286,6 @@ def _run_now(fn, *args) -> Future:
     return done
 
 
-@dataclass(frozen=True)
-class _Params:
-    """Solved per-run constants shared by every shot."""
-
-    g1: float
-    g2: float
-    g3: float
-    g4: float
-    cot1: float
-    cot2: float
-    cot3: float
-    cot4: float
-    cot4p: float
-    r2: float
-    cubic: bool = False
-    gamma: float = 0.0
-    alpha: float = 0.0
-
-
-def _run_params(config: SimConfig):
-    solved = solve_phases(config.target, config.w, config.theta4p)
-    p = solved.phases
-    g1, g2, g3, g4 = config.w.as_tuple()
-    params = _Params(
-        g1=g1, g2=g2, g3=g3, g4=g4,
-        cot1=p.cot1,
-        cot2=g4**2 * p.cot2p,
-        cot3=p.cot3,
-        cot4=g2**2 * p.cot4p,
-        cot4p=p.cot4p,
-        r2=config.w.g3_over_g2,
-        cubic=config.cubic is not None,
-        gamma=config.cubic.gamma if config.cubic else 0.0,
-        alpha=config.cubic.alpha if config.cubic else 0.0,
-    )
-    return params, solved
-
-
 class _Shots(NamedTuple):
     """Per-shot protocol quantities of one block, in RECORD_COLUMNS order.
 
@@ -348,51 +314,59 @@ _STAGE2_COLUMNS = [RECORD_COLUMNS.index(c) for c in (
     "i_2", "i_3", "ff_x", "ff_y", "x_out", "y_out", "cot_theta3_used")]
 
 
-def _propagate(q: np.ndarray, p: _Params) -> _Shots:
+def _propagate(q: np.ndarray, config: SimConfig, phases: PhaseSet) -> _Shots:
     """Exact protocol on sampled quadratures, one shot per column.
 
-    ``q`` has shape (10, n) in _draw_block row order; the i_m field
-    carries the first-pair x correction.  In the cubic variant node 2
-    holds the displaced cubic-phase state, whose x-quadrature feeds the
-    neighbours through the CZ couplings; the mode-2 basis is
-    precompensated shot by shot, and shots with I_m <= 0 are not kept.
-    In the Gaussian variant every shot is kept.
+    ``q`` has shape (10, n) in _draw_block row order and ``phases`` are
+    the solved phases of ``config``; the i_m field carries the first-pair
+    x correction.  In the cubic variant node 2 holds the displaced
+    cubic-phase state, whose x-quadrature feeds the neighbours through
+    the CZ couplings; the mode-2 basis is precompensated shot by shot, and
+    shots with I_m <= 0 are not kept.  In the Gaussian variant every shot
+    is kept.
     """
     x_in, y_in = q[0], q[1]
     x1, y1, x2, y2, x3, y3, x4, y4 = q[2:10]
-    s1, c1 = _sin_cos_from_cot(p.cot1)
-    s2, c2 = _sin_cos_from_cot(p.cot2)
-    s4, c4 = _sin_cos_from_cot(p.cot4)
-    if p.cubic:
-        x2, y2 = -y2 + 3.0 * p.gamma * (p.alpha + x2) ** 2, p.alpha + x2
+    g1, g2, g3, g4 = config.w.as_tuple()
+    r2 = config.w.g3_over_g2
+    cubic = config.cubic
+    # Physical node phases: cot(theta2) = g4^2 cot(theta2'), likewise theta4.
+    cot2 = g4**2 * phases.cot2p
+    cot4 = g2**2 * phases.cot4p
+    s1, c1 = _sin_cos_from_cot(phases.cot1)
+    s2, c2 = _sin_cos_from_cot(cot2)
+    s4, c4 = _sin_cos_from_cot(cot4)
+    if cubic is not None:
+        x2, y2 = -y2 + 3.0 * cubic.gamma * (cubic.alpha + x2) ** 2, \
+            cubic.alpha + x2
 
-    i_in = s1 * (y_in + p.g4 * x1) + c1 * x_in
-    i_1 = s2 * (y1 + p.g1 * x2 + p.g4 * x_in) + c2 * x1
-    c1x = i_1 / (p.g1 * s2) - i_in * p.cot2 / (p.g1 * p.g4 * s1)
-    c1y = i_in * p.g1 / (p.g4 * s1)
+    i_in = s1 * (y_in + g4 * x1) + c1 * x_in
+    i_1 = s2 * (y1 + g1 * x2 + g4 * x_in) + c2 * x1
+    c1x = i_1 / (g1 * s2) - i_in * cot2 / (g1 * g4 * s1)
+    c1y = i_in * g1 / (g4 * s1)
 
-    cot3, kept = p.cot3, None
-    if p.cubic:
+    cot3, kept = phases.cot3, None
+    if cubic is not None:
         kept = c1x > 0.0
         im_safe = np.where(kept, c1x, 1.0)
-        cot3 = p.cot3 - 1.0 / np.sqrt(12.0 * p.gamma * im_safe)
-        c1y = c1y + np.sqrt(im_safe / (3.0 * p.gamma))
+        cot3 = phases.cot3 - 1.0 / np.sqrt(12.0 * cubic.gamma * im_safe)
+        c1y = c1y + np.sqrt(im_safe / (3.0 * cubic.gamma))
     s3, c3 = _sin_cos_from_cot(cot3)
 
-    i_2 = s3 * (y2 + p.g1 * x1 + p.g2 * x3) + c3 * x2
-    i_3 = s4 * (y3 + p.g2 * x2 + p.g3 * x4) + c4 * x3
-    c2x = i_3 / (p.g3 * s4) - i_2 * p.cot4 / (p.g3 * p.g2 * s3)
-    c2y = i_2 * p.g3 / (p.g2 * s3)
+    i_2 = s3 * (y2 + g1 * x1 + g2 * x3) + c3 * x2
+    i_3 = s4 * (y3 + g2 * x2 + g3 * x4) + c4 * x3
+    c2x = i_3 / (g3 * s4) - i_2 * cot4 / (g3 * g2 * s3)
+    c2y = i_2 * g3 / (g2 * s3)
 
-    f00 = (cot3 * p.cot4p - 1.0) / p.r2
-    f01 = p.cot4p / p.r2
-    f10 = -p.r2 * cot3
-    f11 = -p.r2
+    f00 = (cot3 * phases.cot4p - 1.0) / r2
+    f01 = phases.cot4p / r2
+    f10 = -r2 * cot3
+    f11 = -r2
     ff_x = f00 * c1x + f01 * c1y + c2x
     ff_y = f10 * c1x + f11 * c1y + c2y
 
     x_out = x4 - ff_x
-    y_out = (y4 + p.g3 * x3) - ff_y
+    y_out = (y4 + g3 * x3) - ff_y
     return _Shots(i_in, i_1, i_2, i_3, c1x, ff_x, ff_y, x_out, y_out,
                   cot3, kept)
 
@@ -516,7 +490,7 @@ def _merge(a: _Moments, b: _Moments) -> _Moments:
     )
 
 
-def _predicted_error_cov(params: _Params, var_y: float,
+def _predicted_error_cov(config: SimConfig, phases: PhaseSet,
                          mean_im: Optional[float]) -> np.ndarray:
     """Full 2x2 error covariance from the stage-noise propagation.
 
@@ -525,18 +499,22 @@ def _predicted_error_cov(params: _Params, var_y: float,
     (-y_s3/g3, y_s4).  The diagonal reproduces the closed-form error
     vector times var_y.
     """
+    w = config.w
+    r2 = w.g3_over_g2
     m2 = np.array([
-        [(params.cot3 * params.cot4p - 1.0) / params.r2, params.cot4p / params.r2],
-        [-params.r2 * params.cot3, -params.r2],
+        [(phases.cot3 * phases.cot4p - 1.0) / r2, phases.cot4p / r2],
+        [-r2 * phases.cot3, -r2],
     ])
-    mid = 1.0 if mean_im is None else 1.0 / (12.0 * params.gamma * mean_im)
-    stage1 = np.diag([var_y / params.g1**2, var_y * mid])
-    stage2 = np.diag([var_y / params.g3**2, var_y])
+    var_y = config.squeezing.var_y
+    mid = 1.0 if mean_im is None else 1.0 / (12.0 * config.cubic.gamma
+                                             * mean_im)
+    stage1 = np.diag([var_y / w.g1**2, var_y * mid])
+    stage2 = np.diag([var_y / w.g3**2, var_y])
     return m2 @ stage1 @ m2.T + stage2
 
 
 def _summarize(config: SimConfig, m: _Moments, u: np.ndarray,
-               params: _Params, solved) -> SimSummary:
+               solved) -> SimSummary:
     n_kept = m.n
     if n_kept < 2:
         raise DomainError("fewer than two kept shots; cannot form statistics")
@@ -544,8 +522,7 @@ def _summarize(config: SimConfig, m: _Moments, u: np.ndarray,
     err_cov = m.c_err / (n_kept - 1)
     mean_im = m.sum_im / n_kept if config.variant == VARIANT_CUBIC else None
 
-    var_y = config.squeezing.var_y
-    pred_err_cov = _predicted_error_cov(params, var_y, mean_im)
+    pred_err_cov = _predicted_error_cov(config, solved.phases, mean_im)
     inp = config.input_state
     pred_mean = u @ inp.mean
     pred_out_cov = u @ inp.covariance @ u.T + pred_err_cov
@@ -571,7 +548,6 @@ def _summarize(config: SimConfig, m: _Moments, u: np.ndarray,
 
     return SimSummary(
         variant=config.variant,
-        n_shots=config.n_shots,
         n_kept=n_kept,
         n_discarded=m.n_discarded,
         mean_out=m.mean_out,
@@ -620,11 +596,11 @@ def run(config: SimConfig, n_workers: int = 1,
     Returns:
         SimSummary.
     """
-    params, solved = _run_params(config)
+    solved = solve_phases(config.target, config.w, config.theta4p)
     u = solved.realized.as_matrix()
 
     def consume(q: np.ndarray) -> _Moments:
-        shots = _propagate(q, params)
+        shots = _propagate(q, config, solved.phases)
         if record_sink is not None:
             record_sink(_record_block(q, shots))
         return _block_moments(q, shots, u)
@@ -644,7 +620,7 @@ def run(config: SimConfig, n_workers: int = 1,
             if k + n_slots < n_blocks:
                 drawn.append(submit(_draw_block, config, k + n_slots,
                                     ring[k % n_slots]))
-    return _summarize(config, total, u, params, solved)
+    return _summarize(config, total, u, solved)
 
 
 def replay_record(config: SimConfig, record_row: np.ndarray):
@@ -654,9 +630,9 @@ def replay_record(config: SimConfig, record_row: np.ndarray):
     both, so the returned (x_out, y_out) reproduces the stored values
     exactly (bit-for-bit) for kept shots.
     """
-    params, _ = _run_params(config)
+    phases = solve_phases(config.target, config.w, config.theta4p).phases
     q = np.asarray(record_row, dtype=float)[:10].reshape(10, 1).copy()
-    rec = _record_block(q, _propagate(q, params))
+    rec = _record_block(q, _propagate(q, config, phases))
     return float(rec[0, 17]), float(rec[0, 18])
 
 

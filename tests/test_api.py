@@ -1,0 +1,36 @@
+"""The public surface: every exported name exists, and README's code runs."""
+
+import contextlib
+import importlib
+import io
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import clustergauss
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+MODULES = ["clustergauss"] + [
+    f"clustergauss.{info.name}"
+    for info in pkgutil.iter_modules(clustergauss.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert not missing
+
+
+def test_readme_quickstart_runs():
+    text = README.read_text()
+    section = text[text.index("## Library quickstart"):]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert len(out.getvalue().splitlines()) == 3

@@ -28,6 +28,7 @@ from clustergauss.errormodel import MODES, ErrorSurfaceSpec, error_surface
 from clustergauss.simulate import SHOT_BLOCK, VARIANTS
 
 D_OK = (1.0 + 0.5 * 0.3) / 1.2  # completes a=1.2, b=0.5, c=0.3
+TARGET_ARGS = ("--a", "1.2", "--b", "0.5", "--c", "0.3", "--d", repr(D_OK))
 
 
 def _run(capsys, *argv):
@@ -280,6 +281,18 @@ class TestErrorCodes:
         code, _, err = _run(capsys, "solve-phases", "--config", str(cfg))
         assert code == 2
         assert json.loads(err)["error"] == "invalid-config"
+
+    @pytest.mark.parametrize("opener", ["[", '{"g":'])
+    def test_deeply_nested_config_json(self, capsys, tmp_path, opener):
+        # The parser recurses once per level and runs out of stack.
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(opener * 200_000)
+        code, out, err = _run(capsys, "cz-decompose", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "invalid-config",
+            "message": "config file is nested too deeply to parse"}
 
     def test_nonfinite_db_rejected(self, capsys):
         code, _, err = _run(capsys, "weight-bound", "--db=-inf")
@@ -589,11 +602,12 @@ def _sha256(data) -> str:
 class TestGoldenOutputs:
     """Small CLI outputs, pinned by their sha256.
 
-    The digests were taken at commit 893718a, before the fixed-phase
-    and free-phase surfaces were evaluated by one function: any change
-    to what the surface commands compute or print moves one of them.
-    The 21x21 default grid holds pole cells (b = 0) and the removable
-    line d = 1 of the weights 5, 5, 4, 4.
+    The surface digests were taken at commit 893718a, before the
+    fixed-phase and free-phase surfaces were evaluated by one function;
+    the others at 8745ad0, before phases were stored as cotangents and
+    squeezing as dB alone.  Any change to what a command computes or
+    prints moves one of them.  The 21x21 default grid holds pole cells
+    (b = 0) and the removable line d = 1 of the weights 5, 5, 4, 4.
     """
 
     GRID = ("--nb", "21", "--nd", "21")
@@ -623,6 +637,39 @@ class TestGoldenOutputs:
             "9e945ecbe2d9a2ea48d763ae6d7e4e75d2fe2afe60b5808934d34b3b38f18376")
         assert _sha256(summary) == (
             "d0edc3b177308576afa33d846b691981f792f2b5d6a3450908352397db590b2b")
+
+    def test_solve_phases(self, capsys):
+        code, out, err = _run(capsys, "solve-phases", *TARGET_ARGS,
+                              *self.WEIGHTS, "--theta4p", "1.2")
+        assert code == 0, err
+        assert _sha256(out) == (
+            "0b4c41a14a48a3dbf9fd52b8ba8bbe499f0a24467992c7e0a3a9f0278a4ec127")
+
+    def test_cz_decompose(self, capsys):
+        code, out, err = _run(capsys, "cz-decompose", "--g", "1.5")
+        assert code == 0, err
+        assert _sha256(out) == (
+            "84493b294168f062b66c5bc15910743f28bbc6d8c5118dc21e8eb974b7628c1e")
+
+    @pytest.mark.parametrize("extra, code, summary_digest, records_digest", [
+        (("--shots", "3000", "--seed", "3"), 0,
+         "f0938cc25a8de6a19234356b5a1cc7e07769aba994bf23d62cb61b38c2613936",
+         "d08db33d849159be8ade43cc646ad6d5868d39e366a0f96e586d37ddfd87c5b5"),
+        # alpha = 5 discards shots (missing record fields) and trips the
+        # gate: the summary and records are written before the verdict.
+        (("--variant", "cubic", "--gamma", "0.1", "--alpha", "5",
+          "--shots", "3000", "--seed", "2"), 3,
+         "0161cf1f35f6a95e2991778aa3a9b19cdd7a2a6802a6d7e230116acceddb88a0",
+         "f8492534f47ff01fad0af2f183ccc41d809b77f8c46497da57aa0fd0763a07ea"),
+    ], ids=["gaussian", "cubic"])
+    def test_simulate(self, capsys, tmp_path, extra, code, summary_digest,
+                      records_digest):
+        records = tmp_path / "shots.csv"
+        got, out, err = _run(capsys, "simulate", *TARGET_ARGS, *self.WEIGHTS,
+                             *extra, "--workers", "1", "--records", str(records))
+        assert got == code, err
+        assert _sha256(out) == summary_digest
+        assert _sha256(records.read_bytes()) == records_digest
 
 
 class TestWeightBoundCommand:

@@ -13,11 +13,10 @@ from clustergauss import (
     SymplecticTarget,
     WeightConfig,
     arccot,
-    cot,
     db_to_variance,
     validate_target,
 )
-from clustergauss.core import DomainError
+from clustergauss.core import DomainError, angle_cot
 
 
 class TestAngleConversions:
@@ -35,24 +34,25 @@ class TestAngleConversions:
 
     @given(st.floats(min_value=-1e3, max_value=1e3))
     def test_roundtrip_moderate_values(self, v):
-        back = cot(arccot(v))
+        back = angle_cot("theta", arccot(v))
         assert abs(back - v) <= 1e-12 * max(1.0, abs(v))
 
     @given(st.floats(min_value=1e3, max_value=1e12))
     def test_roundtrip_large_values(self, v):
         # d cot/d theta = -(1 + cot^2): near the branch ends a one-ulp
         # angle error grows quadratically in the value.
-        back = cot(arccot(v))
+        back = angle_cot("theta", arccot(v))
         assert abs(back - v) <= 1e-12 * (1.0 + v * v)
-        back = cot(arccot(-v))
+        back = angle_cot("theta", arccot(-v))
         assert abs(back + v) <= 1e-12 * (1.0 + v * v)
 
     def test_cot_at_half_pi_is_zero(self):
-        assert cot(np.pi / 2) == pytest.approx(0.0, abs=1e-16)
+        assert angle_cot("theta", np.pi / 2) == pytest.approx(0.0, abs=1e-16)
 
     def test_cot_elementwise(self):
-        th = np.array([np.pi / 4, np.pi / 2, 3 * np.pi / 4])
-        np.testing.assert_allclose(cot(th), [1.0, 0.0, -1.0], atol=1e-15)
+        got = [angle_cot("theta", th)
+               for th in (np.pi / 4, np.pi / 2, 3 * np.pi / 4)]
+        np.testing.assert_allclose(got, [1.0, 0.0, -1.0], atol=1e-15)
 
 
 class TestSqueezing:
@@ -71,10 +71,16 @@ class TestSqueezing:
         sq = SqueezingSpec.from_db(-15.0)
         assert sq.var_y * sq.var_x == pytest.approx(1.0 / 16.0, rel=1e-12)
 
-    def test_from_r_matches_exponential(self):
-        sq = SqueezingSpec.from_r(1.5)
+    def test_r_matches_exponential(self):
+        # r = 1.5 in dB: the variances are exp(-+2r)/4.
+        sq = SqueezingSpec.from_db(-30.0 / math.log(10.0))
+        assert sq.r == pytest.approx(1.5, rel=1e-14)
         assert sq.var_y == pytest.approx(np.exp(-3.0) / 4.0, rel=1e-14)
         assert sq.var_x == pytest.approx(np.exp(3.0) / 4.0, rel=1e-14)
+
+    def test_rejects_a_variance_that_underflows(self):
+        with pytest.raises(DomainError, match="var_y must be positive"):
+            SqueezingSpec(-4000.0)
 
 
 class TestSymplecticTarget:
@@ -109,20 +115,44 @@ class TestWeightConfig:
             WeightConfig(1.0, -2.0, 1.0, 1.0)
 
 
+COTS = ("cot1", "cot2p", "cot3", "cot4p")
+
+
 class TestPhaseSet:
-    def test_from_cots_roundtrips_exactly(self):
-        # The angles cache their defining cotangents, so downstream
+    def test_stores_cotangents_exactly(self):
+        # The phases are stored as their cotangents, so downstream
         # consumers never pay the trig round-trip error.
-        ps = PhaseSet.from_cots(0.123456789, -7.5, 3.25e3, 0.0)
+        ps = PhaseSet(cot1=0.123456789, cot2p=-7.5, cot3=3.25e3, cot4p=0.0)
         assert ps.cot1 == 0.123456789
         assert ps.cot2p == -7.5
         assert ps.cot3 == 3.25e3
         assert ps.cot4p == 0.0
 
     def test_angles_on_branch(self):
-        ps = PhaseSet.from_cots(1.0, -1.0, 100.0, -100.0)
+        ps = PhaseSet(cot1=1.0, cot2p=-1.0, cot3=100.0, cot4p=-100.0)
         for th in (ps.theta1, ps.theta2p, ps.theta3, ps.theta4p):
             assert 0.0 < th < np.pi
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=4, max_size=4))
+    def test_angles_are_arccot_of_the_cotangents(self, cots):
+        ps = PhaseSet(**dict(zip(COTS, cots)))
+        angles = (ps.theta1, ps.theta2p, ps.theta3, ps.theta4p)
+        for theta, value in zip(angles, cots):
+            assert np.float64(theta).tobytes() == \
+                np.float64(arccot(value)).tobytes()
+
+    @pytest.mark.parametrize("name", COTS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_nonfinite_cotangent(self, name, bad):
+        cots = {**dict.fromkeys(COTS, 0.5), name: bad}
+        with pytest.raises(DomainError, match=f"{name} = .* is not finite"):
+            PhaseSet(**cots)
+
+    def test_rejects_a_positional_call(self):
+        # Positional angles would otherwise be read as cotangents.
+        with pytest.raises(TypeError):
+            PhaseSet(np.pi / 2, np.pi / 2, np.pi / 2, np.pi / 2)
 
 
 class TestCubicConfig:

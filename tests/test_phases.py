@@ -14,7 +14,6 @@ from clustergauss import (
     WeightConfig,
     arccot,
     check_arbitrariness,
-    cot,
     forward_entries,
     forward_matrix,
     sample_targets,
@@ -23,6 +22,7 @@ from clustergauss import (
     theta2_unprimed,
     theta4_unprimed,
 )
+from clustergauss.core import angle_cot
 
 
 class TestSolvePhases:
@@ -88,7 +88,8 @@ class TestSolvePhases:
     def test_free_phase_does_not_change_target(self, theta4p):
         w = WeightConfig(2.0, 1.0, 1.0, 2.0)
         target = SymplecticTarget(1.5, 0.8, 0.4, (1.0 + 0.8 * 0.4) / 1.5)
-        denom = (w.g3**2 / w.g2**2) * target.b + target.d * cot(theta4p)
+        u4 = angle_cot("theta4p", theta4p)
+        denom = (w.g3**2 / w.g2**2) * target.b + target.d * u4
         assume(abs(denom) > 1e-2)
         res = solve_phases(target, w, theta4p)
         assert res.residual <= 1e-9
@@ -135,9 +136,11 @@ class TestUnprimedPhases:
     def test_scaling_by_squared_weight(self, strong_weights):
         theta2p = np.pi / 4
         theta2 = theta2_unprimed(theta2p, strong_weights)
-        assert cot(theta2) == pytest.approx(strong_weights.g4**2, rel=1e-12)
+        assert angle_cot("theta2", theta2) == pytest.approx(
+            strong_weights.g4**2, rel=1e-12)
         theta4 = theta4_unprimed(np.pi / 4, strong_weights)
-        assert cot(theta4) == pytest.approx(strong_weights.g2**2, rel=1e-12)
+        assert angle_cot("theta4", theta4) == pytest.approx(
+            strong_weights.g2**2, rel=1e-12)
 
     def test_half_pi_is_fixed_point(self, strong_weights):
         assert theta2_unprimed(np.pi / 2, strong_weights) == pytest.approx(np.pi / 2)
@@ -184,7 +187,7 @@ class TestArbitrariness:
 
 
 class TestForwardMatrix:
-    def test_uses_cached_cots(self, unit_weights):
+    def test_uses_stored_cots(self, unit_weights):
         res = solve_phases(SymplecticTarget(1.3, 0.4, 0.5, (1 + 0.2) / 1.3),
                            unit_weights, 1.2)
         again = forward_matrix(res.phases, unit_weights)
@@ -193,7 +196,7 @@ class TestForwardMatrix:
     def test_all_half_pi_is_double_inversion(self, unit_weights):
         from clustergauss import PhaseSet
 
-        phases = PhaseSet(np.pi / 2, np.pi / 2, np.pi / 2, np.pi / 2)
+        phases = PhaseSet(cot1=0.0, cot2p=0.0, cot3=0.0, cot4p=0.0)
         m = forward_matrix(phases, unit_weights)
         # Each stage at pi/2 phases maps (x, y) -> (-y, -x) scaled by the
         # weight ratio; two stages compose to the identity at unit ratios.
@@ -204,4 +207,5 @@ class TestForwardMatrix:
 
     def test_arccot_cot_consistency(self):
         for u in (-3.0, -0.5, 0.0, 0.7, 10.0):
-            assert cot(arccot(u)) == pytest.approx(u, abs=1e-12)
+            assert angle_cot("theta", arccot(u)) == pytest.approx(
+                u, abs=1e-12)

@@ -6,6 +6,7 @@ predictions at frozen seeds as well as its determinism contract.
 """
 
 import json
+import math
 import os
 import sys
 import threading
@@ -246,7 +247,9 @@ class TestGaussianAgreement:
     def test_strong_squeezing_kills_error(self, strong_weights):
         cfg = SimConfig(
             target=OP_TARGET, w=strong_weights, theta4p=1.0,
-            squeezing=SqueezingSpec.from_r(12.0), variant=VARIANT_GAUSSIAN,
+            # r = 12, in dB.
+            squeezing=SqueezingSpec.from_db(-240.0 / math.log(10.0)),
+            variant=VARIANT_GAUSSIAN,
             n_shots=20_000, seed=9,
         )
         s = run(cfg)
