@@ -1,5 +1,7 @@
 """Tests for the closed-form error model and the free-phase optimizer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -411,3 +413,103 @@ class TestErrorSurface:
         target = SymplecticTarget(2.0, 0.8, (2.0 * 1.5 - 1.0) / 0.8, 1.5)
         ev = error_vector_gaussian(target, unit_weights, np.pi / 2)
         assert surf.err_inf[0, 0] == pytest.approx(ev.inf_norm, rel=1e-12)
+
+
+# The benchmark's cubic operating point: I_m is its model estimate.
+BENCH_CUBIC = CubicConfig(gamma=0.1, alpha=np.sqrt(125.0))
+ALL_MODES = [
+    pytest.param(MODE_GAUSSIAN_FIXED, None, id="fixed"),
+    pytest.param(MODE_GAUSSIAN_OPTIMIZED, None, id="optimized"),
+    pytest.param(MODE_CUBIC_OPTIMIZED, BENCH_CUBIC, id="cubic"),
+]
+OPTIMIZE_DIGESTS = {
+    MODE_GAUSSIAN_FIXED:
+        "e3b7cc89b80c9d143955b12de12089ba2def9824c268f4f538548083fc10f46c",
+    MODE_GAUSSIAN_OPTIMIZED:
+        "127f2ebc7f92a5a5c4f5ab76216fb684c348b66a1e78120f2d9123dff0f14fce",
+    MODE_CUBIC_OPTIMIZED:
+        "3352adc7f544ce9e7b4a1ffe8ee7a00fe9a59c4491a5bb867ddde6597350f7d7",
+}
+CUBIC_VECTOR_DIGEST = (
+    "5e171bd9655a7195017382594ec3712036cd626d987f45ff0403cbc9f3642e82")
+SURFACE_401_DIGESTS = {
+    MODE_GAUSSIAN_FIXED:
+        "36a3794fe515193160f120f84ac95f70ba46a20d6b7f8bd8e13cb6a691790a71",
+    MODE_GAUSSIAN_OPTIMIZED:
+        "47386b72e7dec52a8f93360814eea0744feb99a3d48c4a6ad05653576d725fb0",
+    MODE_CUBIC_OPTIMIZED:
+        "24853fab96b2e73246f0a3bc7d16e06985d4f576e3cfa7f756f8fae63fbfd336",
+}
+SURFACE_101_DIGESTS = {
+    ((1.0, 1.0, 1.0, 1.0), MODE_GAUSSIAN_OPTIMIZED):
+        "63aee56adf3feccbed6a1925a03da4b7379352b83f2b1aca2b51863abd2ca2cb",
+    ((1.0, 1.0, 1.0, 1.0), MODE_CUBIC_OPTIMIZED):
+        "c3009a8c3a70a0baab59b88e7b9826cd7bd6e059507608b8b76d12b72c0217aa",
+    ((0.3, 2.0, 7.0, 0.5), MODE_GAUSSIAN_OPTIMIZED):
+        "886f1e6032b4660560495c04414f6bad192d058fda966f2d27c87580ce6f89f1",
+    ((0.3, 2.0, 7.0, 0.5), MODE_CUBIC_OPTIMIZED):
+        "15165c2786f452bbeada4582a6f18a90c5737a823e0989170e5d1e444d9e0d5d",
+}
+
+
+def _outcome_bytes(call):
+    """float64 bytes of ``call()``'s result, or its exception's class name."""
+    try:
+        return np.array(call(), dtype=float).tobytes()
+    except DomainError as exc:
+        return type(exc).__name__.encode()
+
+
+def _surface_digest(weights, mode, cubic, n):
+    spec = ErrorSurfaceSpec((-5.0, 5.0), (-5.0, 5.0), n, n,
+                            WeightConfig(*weights), mode, cubic)
+    surf = error_surface(spec)
+    h = hashlib.sha256()
+    for part in (surf.ex, surf.ey, surf.err_inf, surf.theta4p):
+        h.update(part.tobytes())
+    return h.hexdigest()
+
+
+class TestEvaluatorDigests:
+    """The evaluator's output bytes at size, pinned by their sha256.
+
+    Taken at commit a65a6a0.  A change to any floating-point operation
+    that a result depends on moves one of them, so a change that claims
+    bit-identical results must leave them all in place.  The targets are
+    the design-loop benchmark's: ``sample_targets(300, 1)`` with
+    weights 5, 5, 4, 4.  The 401x401 grid over [-5, 5]^2 holds the pole
+    row b = 0 and the row d = 0, where the quartics lose degree.
+    """
+
+    @pytest.mark.parametrize("mode, cubic", ALL_MODES)
+    def test_optimize_theta4(self, strong_weights, mode, cubic):
+        h = hashlib.sha256()
+        for target in _targets(300, 1):
+            h.update(_outcome_bytes(lambda: optimize_theta4(
+                target, strong_weights, mode, cubic)))
+        assert h.hexdigest() == OPTIMIZE_DIGESTS[mode]
+
+    def test_error_vector_cubic_at_the_optimum(self, strong_weights):
+        # theta3' is solved from the target, through the evaluator's
+        # cot(theta3) on a single (b, d, cot(theta4')).
+        h = hashlib.sha256()
+        for target in _targets(300, 1):
+            h.update(_outcome_bytes(lambda: error_vector_cubic(
+                target, strong_weights, None,
+                optimize_theta4(target, strong_weights,
+                                MODE_CUBIC_OPTIMIZED, BENCH_CUBIC).theta4p,
+                BENCH_CUBIC).as_tuple()))
+        assert h.hexdigest() == CUBIC_VECTOR_DIGEST
+
+    @pytest.mark.parametrize("mode, cubic", ALL_MODES)
+    def test_bench_surface(self, mode, cubic):
+        digest = _surface_digest((5.0, 5.0, 4.0, 4.0), mode, cubic, 401)
+        assert digest == SURFACE_401_DIGESTS[mode]
+
+    @pytest.mark.parametrize("mode, cubic", ALL_MODES[1:])
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0, 1.0),
+                                         (0.3, 2.0, 7.0, 0.5)],
+                             ids=["unit", "skewed"])
+    def test_other_weights_surface(self, weights, mode, cubic):
+        digest = _surface_digest(weights, mode, cubic, 101)
+        assert digest == SURFACE_101_DIGESTS[weights, mode]
