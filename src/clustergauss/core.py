@@ -218,6 +218,8 @@ class SqueezingSpec:
     db: float
 
     def __post_init__(self):
+        if not math.isfinite(self.db):
+            raise DomainError(f"db must be finite, got {self.db!r}")
         if not (self.var_y > 0):
             raise DomainError(f"var_y must be positive, got {self.var_y!r}")
 
@@ -256,6 +258,12 @@ class PhaseSet:
     the angles are their ``arccot``.  theta2' and theta4' are the
     weight-rescaled node phases with cot(theta2) = g4^2 cot(theta2') and
     cot(theta4) = g2^2 cot(theta4').
+
+    An angle can read exactly pi although the branch is open: float64 pi
+    lies 1.2e-16 below pi, so ``arccot`` rounds to it once a cotangent
+    is below about -2.9e15 (``solve_phases`` gives cot2p = -1e16 for the
+    target (1, 1e16, 0, 1) at unit weights, with residual 0).  The stored
+    cotangent stays exact, and the realized matrix is built from it.
     """
 
     cot1: float

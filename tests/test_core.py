@@ -82,6 +82,12 @@ class TestSqueezing:
         with pytest.raises(DomainError, match="var_y must be positive"):
             SqueezingSpec(-4000.0)
 
+    @pytest.mark.parametrize("db", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_nonfinite_level(self, db):
+        # +inf used to pass the var_y check with var_y = inf, var_x = 0.
+        with pytest.raises(DomainError, match="db must be finite"):
+            SqueezingSpec(db)
+
 
 class TestSymplecticTarget:
     def test_determinant_enforced(self):

@@ -1,5 +1,7 @@
 """Tests for the closed-form homodyne-phase solver."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -60,6 +62,14 @@ class TestSolvePhases:
 
         with pytest.raises(NotSymplectic):
             solve_phases(SymplecticTarget(1.0, 0.0, 0.0, 2.0), unit_weights, np.pi / 2)
+
+    def test_huge_negative_cotangent_reads_pi(self, unit_weights):
+        # The angle rounds to float64 pi, the cotangent stays exact.
+        res = solve_phases(SymplecticTarget(1.0, 1e16, 0.0, 1.0),
+                           unit_weights, np.pi / 2)
+        assert res.phases.cot2p == -1e16
+        assert res.phases.theta2p == math.pi
+        assert res.residual == 0.0
 
     def test_theta4p_outside_branch_rejected(self, unit_weights, generic_target):
         from clustergauss import DomainError
