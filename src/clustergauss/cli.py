@@ -55,6 +55,7 @@ from .core import (
     SqueezingSpec,
     SymplecticTarget,
     WeightConfig,
+    arccot,
     usable_cpus,
 )
 from .czgate import bloch_messiah, max_weight
@@ -67,7 +68,7 @@ from .errormodel import (
     error_surface,
 )
 from .gkp import gain_surface
-from .phases import solve_phases, theta2_unprimed, theta4_unprimed
+from .phases import solve_phases
 from .simulate import (
     MAX_DRAW_HELPERS,
     RECORD_COLUMNS,
@@ -185,11 +186,10 @@ def _write_manifest(out, subcommand: str, resolved: dict) -> None:
         "tool": "clustergauss",
         "version": __version__,
         "subcommand": subcommand,
-        "resolved_config": _jsonify(resolved),
+        "resolved_config": resolved,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    Path(str(out) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    Path(str(out) + ".manifest.json").write_text(_dumps(manifest))
 
 
 def _load_config(path):
@@ -378,8 +378,8 @@ def cmd_solve_phases(args) -> int:
             "theta2p": ph.theta2p,
             "theta3": ph.theta3,
             "theta4p": ph.theta4p,
-            "theta2": theta2_unprimed(ph.theta2p, w),
-            "theta4": theta4_unprimed(ph.theta4p, w),
+            "theta2": arccot(w.g4**2 * ph.cot2p),
+            "theta4": arccot(w.g2**2 * ph.cot4p),
         },
         "cots": {
             "cot_theta1": ph.cot1,

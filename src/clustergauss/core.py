@@ -43,14 +43,19 @@ DEGENERATE_D_TOL = 1e-9
 POLE_TOL = 1e-9
 
 
-def pole_masks(denom, d, cross_ratio: float):
-    """Classify a vanishing phase-solution denominator, elementwise.
+def is_degenerate(d):
+    """|d| < DEGENERATE_D_TOL (a float, or elementwise): no phases exist."""
+    return abs(d) < DEGENERATE_D_TOL
 
-    Every phase-solution route divides ``d - cross_ratio`` by its own
+
+def solve_cot3(denom, d, cross_ratio: float):
+    """cot(theta3) = (d - cross_ratio) / D elementwise, and D's pole rule.
+
+    Every phase-solution route solves cot(theta3) here, with its own
     denominator D (b g3^2/g2^2 + d cot(theta4'), up to a positive factor).
-    Where |D| <= POLE_TOL the cell is either a removable 0/0 point,
-    because d equals the cross ratio g1 g3/(g2 g4) as well and the finite
-    limit cot(theta3) = 0 applies, or a genuine pole.
+    Where |D| <= POLE_TOL the cell is either a removable 0/0 point, where
+    d equals the cross ratio g1 g3/(g2 g4) too and the limit 0 applies,
+    or a genuine pole, where the 0 returned is no solution.
 
     Args:
         denom: the caller's denominator, scalar or array.
@@ -58,12 +63,27 @@ def pole_masks(denom, d, cross_ratio: float):
         cross_ratio: g1 g3 / (g2 g4).
 
     Returns:
-        (removable, pole) boolean masks; at most one is set per cell.
+        (cot3, removable, pole); at most one mask is set per cell.
     """
     near = np.abs(denom) <= POLE_TOL
     scale = np.maximum(np.maximum(np.abs(d), cross_ratio), 1.0)
     removable = near & (np.abs(d - cross_ratio) <= 1e-9 * scale)
-    return removable, near & ~removable
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cot3 = np.where(near, 0.0,
+                        (d - cross_ratio) / np.where(near, 1.0, denom))
+    return cot3, removable, near & ~removable
+
+
+def pole_window_edges(p, d):
+    """cot(theta4') just outside either edge of the pole window, per cell.
+
+    The inverse of ``solve_cot3``'s pole rule for D = p + d cot(theta4'),
+    with a margin for the rounding of D recomputed from it: where the
+    continuous minimum lies in the window, the best phase is an edge.
+    """
+    eps = np.finfo(float).eps
+    t = POLE_TOL * (1.0 + 8.0 * eps) + 8.0 * eps * np.abs(p)
+    return np.array([(t - p) / d, (-t - p) / d])
 
 
 class DomainError(ValueError):
@@ -169,7 +189,7 @@ def validate_target(target: SymplecticTarget) -> SymplecticTarget:
     if not math.isfinite(det) or abs(det - 1.0) > SYMPLECTIC_TOL:
         raise NotSymplectic(
             f"determinant {det!r} differs from 1 beyond {SYMPLECTIC_TOL}")
-    if abs(target.d) < DEGENERATE_D_TOL:
+    if is_degenerate(target.d):
         raise DegenerateD(f"matrix element d = {target.d!r} is degenerate")
     return target
 

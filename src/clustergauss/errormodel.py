@@ -28,7 +28,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (
-    POLE_TOL,
     CubicConfig,
     DenominatorPole,
     DomainError,
@@ -39,7 +38,8 @@ from .core import (
     WeightConfig,
     angle_cot,
     arccot,
-    pole_masks,
+    pole_window_edges,
+    solve_cot3,
     validate_target,
 )
 
@@ -88,24 +88,6 @@ def _components_from_cots(cot3, u4, w: WeightConfig, mid_weight):
     return ex, ey
 
 
-def _solved_cot3(b, d, u4, w: WeightConfig):
-    """Stage-two node cot solved from (b, d) at a given cot(theta4').
-
-    b, d and u4 broadcast against each other; scalars give a 0-d cot3.
-    Returns (cot3, pole_mask); on the removable 0/0 set (vanishing
-    denominator with d equal to the weight cross ratio) the finite limit
-    cot3 = 0 is used and the cell is not flagged.
-    """
-    r2 = w.g3_over_g2
-    ratio = w.cross_ratio
-    denom = r2**2 * b + d * u4
-    removable, pole = pole_masks(denom, d, ratio)
-    near = removable | pole
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cot3 = np.where(near, 0.0, (d - ratio) / np.where(near, 1.0, denom))
-    return cot3, pole
-
-
 def error_vector_raw(phases: PhaseSet, w: WeightConfig) -> ErrorVector:
     """Error variances evaluated directly from the measurement phases.
 
@@ -143,9 +125,9 @@ def error_vector_gaussian(
     b, d = target.b, target.d
     u4 = angle_cot("theta4p", theta4p)
 
-    r2 = w.g3_over_g2
     denom = b + d * (g2 / g3) ** 2 * u4
-    removable, pole = pole_masks(denom * r2**2, d, w.cross_ratio)
+    _, removable, pole = solve_cot3(denom * w.g3_over_g2**2, d,
+                                    w.cross_ratio)
     if pole:
         raise DenominatorPole(
             "error denominator b + d*(g2/g3)^2*cot(theta4') vanishes"
@@ -194,7 +176,8 @@ def error_vector_cubic(
         if target is None:
             raise DomainError("either target or theta3p must be given")
         validate_target(target)
-        cot3, pole = _solved_cot3(target.b, target.d, u4, w)
+        denom = w.g3_over_g2**2 * target.b + target.d * u4
+        cot3, _, pole = solve_cot3(denom, target.d, w.cross_ratio)
         if pole:
             raise DenominatorPole(
                 "phase-solution denominator vanishes at this theta4'"
@@ -369,36 +352,23 @@ def _best_phase(b, d, w: WeightConfig, mid_weight, search: bool):
 def _best_in_block(b, d, w: WeightConfig, mid_weight, search: bool):
     """``_best_phase`` on one block of cells."""
     with np.errstate(all="ignore"):
+        p = w.g3_over_g2**2 * b
         cand = np.zeros((1, b.size))
         if search:
             cand = np.concatenate([
                 cand,
                 _critical_points(b, d, w, mid_weight),
-                _pole_window_edges(b, d, w),
+                pole_window_edges(p, d),
             ])
             # Non-finite rows (Ferrari at d = 0, 0/0 roots) become u = 0.
             cand = np.where(np.isfinite(cand), cand, 0.0)
-        cot3, pole = _solved_cot3(b, d, cand, w)
+        cot3, _, pole = solve_cot3(p + d * cand, d, w.cross_ratio)
         ex, ey = _components_from_cots(cot3, cand, w, mid_weight)
         err = np.where(pole, np.inf, np.maximum(ex, ey))
     # argmin keeps the first of equal values, so ties go to u = 0.
     best = np.argmin(err, axis=0)
     cells = np.arange(b.size)
     return [part[best, cells] for part in (cand, ex, ey, err)]
-
-
-def _pole_window_edges(b, d, w: WeightConfig):
-    """u just outside either edge of the window |s| <= POLE_TOL, per cell.
-
-    The evaluator treats that window as a pole, so where the continuous
-    minimum lies inside it (near b = d = 0, or with d within about 1e-5
-    of the cross ratio) the best admissible phase sits at an edge.
-    """
-    p = w.g3_over_g2**2 * b
-    eps = np.finfo(float).eps
-    # The margin covers the rounding of s = p + d u recomputed from u.
-    t = POLE_TOL * (1.0 + 8.0 * eps) + 8.0 * eps * np.abs(p)
-    return np.array([(t - p) / d, (-t - p) / d])
 
 
 def _critical_points(b, d, w: WeightConfig, m):
@@ -588,7 +558,9 @@ def error_surface(spec: ErrorSurfaceSpec) -> ErrorSurface:
     """Evaluate the selected error mode on the (b, d) grid.
 
     Every cell goes through the evaluator that ``optimize_theta4`` uses,
-    so a cell equals ``optimize_theta4`` on its target.
+    so a cell equals ``optimize_theta4`` on its target.  Rows with |d|
+    below ``core.DEGENERATE_D_TOL`` are still evaluated, although that
+    raises there (``core.is_degenerate``).
 
     Args:
         spec: grid specification.

@@ -123,6 +123,13 @@ class GainSurface:
 
     @property
     def max_ratio(self) -> float:
+        """Largest finite p_base / p_opt on the grid (NaN if none).
+
+        Over a fixed-phase baseline a free-phase maximum sits next to the
+        baseline's pole b = 0, where p_base -> 1, on a d edge; it tends to
+        1/p_opt there, so it grows with resolution: 576.1 at (-0.1, -5) on
+        the default 101x101 map (p_base 0.907), 605.4 at 201x201, ~635.
+        """
         ij = self._argmax()
         return float("nan") if ij is None else float(self.ratio[ij])
 

@@ -27,15 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEGENERATE_D_TOL,
-    DegenerateD,
     DenominatorPole,
     PhaseSet,
     SymplecticTarget,
     WeightConfig,
     angle_cot,
     arccot,
-    pole_masks,
+    is_degenerate,
+    solve_cot3,
     validate_target,
 )
 
@@ -122,10 +121,10 @@ def solve_cots(a, b, c, d, w: WeightConfig, cot4p):
         cot4p: cot(theta4'), scalar or array.
 
     Returns:
-        Tuple ``(cot1, cot2p, cot3, degenerate_mask, pole_mask)``.  Entries
-        under either mask are not valid solutions.  Cells where D ~ 0 but
-        the numerator d - g1 g3/(g2 g4) vanishes as well are resolved by
-        their finite limit and are not flagged.
+        Tuple ``(cot1, cot2p, cot3, degenerate_mask, pole_mask)``.  A cell
+        is flagged exactly where ``solve_phases`` raises ``DegenerateD``
+        or ``DenominatorPole``.  Cells where D ~ 0 but d - g1 g3/(g2 g4)
+        vanishes as well take their finite limit.
     """
     a, b, c, d, cot4p = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (a, b, c, d, cot4p))
@@ -133,16 +132,13 @@ def solve_cots(a, b, c, d, w: WeightConfig, cot4p):
     g1, g2, g3, g4 = w.as_tuple()
     ratio = w.cross_ratio  # g1 g3 / (g2 g4)
     denom = (g3**2 / g2**2) * b + d * cot4p
-
-    degenerate = np.abs(d) < DEGENERATE_D_TOL
-    resolvable, pole = pole_masks(denom, d, ratio)
+    cot3, resolvable, pole = solve_cot3(denom, d, ratio)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         cot2p = -(g1 * g2 / (g3 * g4)) * denom
-        cot3 = np.where(resolvable, 0.0, (d - ratio) / denom)
         correction = ((ratio - d) * (g3 / g2)) / (denom * w.g1_over_g4 * d)
         cot1 = c / d + np.where(resolvable, 0.0, correction)
-    return cot1, cot2p, cot3, degenerate, pole
+    return cot1, cot2p, cot3, is_degenerate(d), pole
 
 
 def solve_phases(
@@ -166,11 +162,9 @@ def solve_phases(
     """
     validate_target(target)
     u4 = angle_cot("theta4p", theta4p)
-    cot1, cot2p, cot3, degenerate, pole = solve_cots(
+    cot1, cot2p, cot3, _, pole = solve_cots(
         target.a, target.b, target.c, target.d, w, u4,
     )
-    if degenerate:
-        raise DegenerateD(f"|d| = {abs(target.d)!r} below {DEGENERATE_D_TOL}")
     if pole:
         raise DenominatorPole(
             "phase-solution denominator b*g3^2/g2^2 + d*cot(theta4') vanishes"

@@ -215,6 +215,19 @@ class TestSolvePhases:
         assert deg["phases"]["theta4p"] == pytest.approx(
             rad["phases"]["theta4p"], rel=1e-12)
 
+    def test_unprimed_phases_come_from_the_exact_cotangents(self, capsys):
+        # cot(theta2') = -1e18 rounds theta2' to pi; cot(theta2) =
+        # g4^2 cot(theta2') = -1e14 still has an angle below pi, which the
+        # rounded angle lost (it gave 3.1415926535885688).
+        doc = _run_json(
+            capsys, "solve-phases", "--a", "1", "--b", "1e16", "--c", "0",
+            "--d", "1", "--g1", "1", "--g2", "1", "--g3", "1", "--g4", "0.01",
+        )
+        assert doc["cots"]["cot_theta2p"] == -1e18
+        assert doc["phases"]["theta2p"] == math.pi
+        assert doc["phases"]["theta2"] == 3.1415926535897833
+        assert doc["phases"]["theta2"] == math.atan2(1.0, 0.01**2 * -1e18)
+
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "phases.json"
         code, stdout, _ = _run(
@@ -605,9 +618,13 @@ class TestGoldenOutputs:
     The surface digests were taken at commit 893718a, before the
     fixed-phase and free-phase surfaces were evaluated by one function;
     the others at 8745ad0, before phases were stored as cotangents and
-    squeezing as dB alone.  Any change to what a command computes or
-    prints moves one of them.  The 21x21 default grid holds pole cells
-    (b = 0) and the removable line d = 1 of the weights 5, 5, 4, 4.
+    squeezing as dB alone.  The solve-phases digest was re-taken at
+    6c8d5bf plus one named fix, with every other byte unchanged: theta2
+    and theta4 are computed from the exact cotangents (theta4 here moved
+    by 1 ulp, to the correctly rounded value).  Any change to what a
+    command computes or prints moves one of them.  The 21x21 default grid
+    holds pole cells (b = 0) and the removable line d = 1 of the weights
+    5, 5, 4, 4.
     """
 
     GRID = ("--nb", "21", "--nd", "21")
@@ -643,7 +660,7 @@ class TestGoldenOutputs:
                               *self.WEIGHTS, "--theta4p", "1.2")
         assert code == 0, err
         assert _sha256(out) == (
-            "0b4c41a14a48a3dbf9fd52b8ba8bbe499f0a24467992c7e0a3a9f0278a4ec127")
+            "17004c2fc2a809dfa5f756a4e8963585cedefd9393edede14d39191c72ac96d9")
 
     def test_cz_decompose(self, capsys):
         code, out, err = _run(capsys, "cz-decompose", "--g", "1.5")

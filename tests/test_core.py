@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from clustergauss import (
     db_to_variance,
     validate_target,
 )
+from clustergauss import core
 from clustergauss.core import DomainError, angle_cot
 
 
@@ -53,6 +56,52 @@ class TestAngleConversions:
         got = [angle_cot("theta", th)
                for th in (np.pi / 4, np.pi / 2, 3 * np.pi / 4)]
         np.testing.assert_allclose(got, [1.0, 0.0, -1.0], atol=1e-15)
+
+
+class TestPhaseSolutionDomain:
+    def test_degenerate_below_the_tolerance(self):
+        assert core.is_degenerate(0.0) and core.is_degenerate(-9.9e-10)
+        assert not core.is_degenerate(core.DEGENERATE_D_TOL)
+        np.testing.assert_array_equal(
+            core.is_degenerate(np.array([1e-12, -1e-9, 2e-9])),
+            [True, False, False])
+
+    def test_cot3_and_its_pole_rule(self):
+        ratio = 0.8
+        denom = np.array([0.0, 1e-10, 0.0, 2.0])
+        d = np.array([ratio, ratio * (1 + 1e-12), 3.0, 3.0])
+        cot3, removable, pole = core.solve_cot3(denom, d, ratio)
+        np.testing.assert_array_equal(removable, [True, True, False, False])
+        np.testing.assert_array_equal(pole, [False, False, True, False])
+        np.testing.assert_array_equal(cot3, [0.0, 0.0, 0.0, (3.0 - ratio) / 2])
+
+    @given(p=st.floats(min_value=-5.0, max_value=5.0),
+           d=st.floats(min_value=1e-9, max_value=5.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_window_edges_are_just_outside_the_pole(self, p, d, sign):
+        d *= sign
+        edges = core.pole_window_edges(p, d)
+        _, _, pole = core.solve_cot3(p + d * edges, d, 1e3)
+        assert not pole.any()
+        _, _, pole = core.solve_cot3(p + d * (-p / d), d, 1e3)
+        assert pole
+
+    def test_only_core_names_the_tolerances(self):
+        # One domain rule: every other module asks core, so no second copy
+        # of the pole or degeneracy test can grow.
+        tolerances = {"POLE_TOL", "DEGENERATE_D_TOL"}
+        for path in Path(core.__file__).parent.glob("*.py"):
+            if path.name == "core.py":
+                continue
+            tree = ast.parse(path.read_text())
+            names = {node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)}
+            names |= {alias.name for node in ast.walk(tree)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))
+                      for alias in node.names}
+            assert not names & tolerances, path.name
 
 
 class TestSqueezing:

@@ -204,6 +204,29 @@ class TestGainSurface:
         i_plus = int(np.flatnonzero(gs.b_values == 0.5)[0])
         assert gs.ratio[i_plus, 0] == pytest.approx(gs.ratio[i_minus, 0], rel=1e-12)
 
+    def test_headline_maximum_sits_next_to_the_baseline_pole(
+            self, unit_weights, strong_weights):
+        # The default 101x101 map, weights + phase against the fixed-phase
+        # baseline: the baseline's pole b = 0 drives p_base towards 1 in
+        # the b cells beside it, so the maximum sits there, on a d edge,
+        # below 1/p_opt of its cell, and grows as the grid gets finer.
+        ratios = []
+        for n in (101, 201):
+            gs = gain_surface(
+                _spec(unit_weights, MODE_GAUSSIAN_FIXED, n=n),
+                _spec(strong_weights, MODE_GAUSSIAN_OPTIMIZED, n=n),
+                SQZ,
+            )
+            i, j = gs._argmax()
+            assert abs(i - n // 2) == 1 and gs.b_values[n // 2] == 0.0
+            assert abs(gs.d_values[j]) == 5.0
+            assert gs.p_base[i, j] > 0.9
+            assert gs.max_ratio == gs.p_base[i, j] / gs.p_opt[i, j]
+            assert gs.max_ratio < 1.0 / gs.p_opt[i, j]
+            ratios.append(gs.max_ratio)
+        assert ratios[0] == pytest.approx(576.142471119171, rel=1e-9)
+        assert ratios[1] > ratios[0]
+
     def test_pole_cells_are_nan_in_both(self, unit_weights, strong_weights):
         gs = gain_surface(
             _spec(unit_weights, MODE_GAUSSIAN_FIXED),
