@@ -10,110 +10,70 @@ simulator, decomposes weighted CZ gates into linear optics, and maps
 the resulting gain in grid-state error correction.
 """
 
-from .core import (
-    CubicConfig,
-    DegenerateD,
-    DenominatorPole,
-    DomainError,
-    ErrorVector,
-    NonpositiveIm,
-    NotSymplectic,
-    PhaseSet,
-    SqueezingSpec,
-    SymplecticTarget,
-    WeightConfig,
-    arccot,
-    db_to_variance,
-    validate_target,
-)
-from .czgate import (
-    CzDecomposition,
-    bloch_messiah,
-    cz_matrix,
-    max_weight,
-    squeeze_ratio,
-)
-from .errormodel import (
-    MODE_CUBIC_OPTIMIZED,
-    MODE_GAUSSIAN_FIXED,
-    MODE_GAUSSIAN_OPTIMIZED,
-    MODES,
-    ErrorSurface,
-    ErrorSurfaceSpec,
-    OptimizeResult,
-    error_surface,
-    error_vector_cubic,
-    error_vector_gaussian,
-    error_vector_raw,
-    optimize_theta4,
-)
-from .gkp import (
-    CORRECTION_VARIANCE_UNITS,
-    GKP_X_OFFSET,
-    GKP_Y_OFFSET,
-    GainSurface,
-    PerrInput,
-    gain_surface,
-    p_err,
-    p_err_values,
-)
-from .phases import (
-    ArbitrarinessReport,
-    SolverResult,
-    check_arbitrariness,
-    forward_entries,
-    forward_matrix,
-    sample_targets,
-    solve_cots,
-    solve_phases,
-    theta2_unprimed,
-    theta4_unprimed,
-)
-from .simulate import (
-    RECORD_COLUMNS,
-    SHOT_BLOCK,
-    VARIANT_CUBIC,
-    VARIANT_GAUSSIAN,
-    VARIANTS,
-    InputState,
-    LinearizationReport,
-    SimConfig,
-    SimSummary,
-    SmallDisplacementWarning,
-    linearization_check,
-    replay_record,
-    run,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core types and conversions
-    "CubicConfig", "ErrorVector", "PhaseSet", "SqueezingSpec",
-    "SymplecticTarget", "WeightConfig", "arccot", "db_to_variance",
-    "validate_target",
-    # errors
-    "DomainError", "DegenerateD", "DenominatorPole", "NonpositiveIm",
-    "NotSymplectic",
+# Each public name, by the module that defines it.  A name is imported on
+# first use (PEP 562), so ``import clustergauss`` loads no submodule, and
+# each CLI command loads only the modules it computes with.
+_EXPORTS = {
+    # core types, conversions, errors and the mode / variant choices
+    "core": (
+        "CubicConfig", "ErrorVector", "PhaseSet", "SqueezingSpec",
+        "SymplecticTarget", "WeightConfig", "arccot", "db_to_variance",
+        "validate_target",
+        "DomainError", "DegenerateD", "DenominatorPole", "NonpositiveIm",
+        "NotSymplectic",
+        "MODES", "MODE_CUBIC_OPTIMIZED", "MODE_GAUSSIAN_FIXED",
+        "MODE_GAUSSIAN_OPTIMIZED",
+        "VARIANTS", "VARIANT_CUBIC", "VARIANT_GAUSSIAN",
+    ),
     # phase solving
-    "ArbitrarinessReport", "SolverResult", "check_arbitrariness",
-    "forward_entries", "forward_matrix", "sample_targets", "solve_cots",
-    "solve_phases", "theta2_unprimed", "theta4_unprimed",
+    "phases": (
+        "ArbitrarinessReport", "SolverResult", "check_arbitrariness",
+        "forward_entries", "forward_matrix", "sample_targets", "solve_cots",
+        "solve_phases", "theta2_unprimed", "theta4_unprimed",
+    ),
     # error model
-    "MODES", "MODE_CUBIC_OPTIMIZED", "MODE_GAUSSIAN_FIXED",
-    "MODE_GAUSSIAN_OPTIMIZED", "ErrorSurface", "ErrorSurfaceSpec",
-    "OptimizeResult", "error_surface", "error_vector_cubic",
-    "error_vector_gaussian", "error_vector_raw", "optimize_theta4",
+    "errormodel": (
+        "ErrorSurface", "ErrorSurfaceSpec", "OptimizeResult",
+        "error_surface", "error_vector_cubic", "error_vector_gaussian",
+        "error_vector_raw", "optimize_theta4",
+    ),
     # CZ gate decomposition
-    "CzDecomposition", "bloch_messiah", "cz_matrix", "max_weight",
-    "squeeze_ratio",
+    "czgate": (
+        "CzDecomposition", "bloch_messiah", "cz_matrix", "max_weight",
+        "squeeze_ratio",
+    ),
     # simulation
-    "RECORD_COLUMNS", "SHOT_BLOCK", "VARIANTS", "VARIANT_CUBIC",
-    "VARIANT_GAUSSIAN", "InputState", "LinearizationReport", "SimConfig",
-    "SimSummary", "SmallDisplacementWarning", "linearization_check",
-    "replay_record", "run",
+    "simulate": (
+        "RECORD_COLUMNS", "SHOT_BLOCK", "InputState", "LinearizationReport",
+        "SimConfig", "SimSummary", "SmallDisplacementWarning",
+        "linearization_check", "replay_record", "run",
+    ),
     # grid-state correction
-    "CORRECTION_VARIANCE_UNITS", "GKP_X_OFFSET", "GKP_Y_OFFSET",
-    "GainSurface", "PerrInput", "gain_surface", "p_err", "p_err_values",
-]
+    "gkp": (
+        "CORRECTION_VARIANCE_UNITS", "GKP_X_OFFSET", "GKP_Y_OFFSET",
+        "GainSurface", "PerrInput", "gain_surface", "p_err", "p_err_values",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        # Unknown here, so ``from clustergauss import cli`` imports the
+        # submodule instead.
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

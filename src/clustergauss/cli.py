@@ -45,7 +45,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+# Only core at module level: each command imports the modules it computes
+# with, so that a process loads no more of the package than its command.
 from .core import (
+    MAX_DRAW_HELPERS,
+    MODE_CUBIC_OPTIMIZED,
+    MODE_GAUSSIAN_FIXED,
+    MODE_GAUSSIAN_OPTIMIZED,
+    MODES,
+    VARIANT_CUBIC,
+    VARIANT_GAUSSIAN,
+    VARIANTS,
     CubicConfig,
     DegenerateD,
     DenominatorPole,
@@ -55,29 +65,7 @@ from .core import (
     SqueezingSpec,
     SymplecticTarget,
     WeightConfig,
-    arccot,
     usable_cpus,
-)
-from .czgate import bloch_messiah, max_weight
-from .errormodel import (
-    MODE_CUBIC_OPTIMIZED,
-    MODE_GAUSSIAN_FIXED,
-    MODE_GAUSSIAN_OPTIMIZED,
-    MODES,
-    ErrorSurfaceSpec,
-    error_surface,
-)
-from .gkp import gain_surface
-from .phases import solve_phases
-from .simulate import (
-    MAX_DRAW_HELPERS,
-    RECORD_COLUMNS,
-    VARIANT_CUBIC,
-    VARIANT_GAUSSIAN,
-    VARIANTS,
-    InputState,
-    SimConfig,
-    run,
 )
 
 __all__ = ["main"]
@@ -88,9 +76,28 @@ WORKERS_ENV = "CLUSTERGAUSS_WORKERS"
 ERROR_SURFACE_HEADER = ("b", "d", "err_x", "err_y", "err_inf", "theta4p_used")
 GAIN_SURFACE_HEADER = ("b", "d", "p_err_base", "p_err_opt", "ratio")
 # Values formatted and written per write call; bounds the text held at
-# once, whatever the column count.  The formatter's work arrays take
-# about 400 bytes a value; chunks of 2**13 values keep them in cache.
-CSV_CHUNK_VALUES = 2**13
+# once, whatever the column count.  The formatter's work arrays take about
+# 400 bytes a value.  Under the allocator thresholds below, a fresh 401^2
+# error-surface process wrote its CSV in 0.21 s at 2**14 values against
+# 0.24 s at 2**13 (medians of 16 alternating pairs, 2-vCPU Xeon).  Under
+# glibc's defaults, a chunk's cost was mostly faulting in the pages of the
+# work arrays the last chunk freed, not cache misses.
+CSV_CHUNK_VALUES = 2**14
+
+# glibc malloc thresholds that ``main`` sets for its process (mallopt).
+# glibc's defaults mmap a block above 128 KiB and trim free memory above
+# 128 KiB off the heap top.  Both adapt upwards as mmapped blocks are freed,
+# but the evaluator's and the CSV writer's per-chunk temporaries (a few
+# hundred KB at a time) still went back to the system when freed, and the
+# next chunk faulted them in afresh: about 86 000 minor faults for a 401^2
+# error-surface.  Fixed thresholds keep such blocks in the heap for reuse;
+# the cost is up to TRIM_THRESHOLD_BYTES of freed memory left resident.
+# 32 MiB is the ceiling of glibc's adaptive mmap threshold on 64-bit.
+MMAP_THRESHOLD_BYTES = 32 * 2**20
+TRIM_THRESHOLD_BYTES = 64 * 2**20
+# mallopt's parameter numbers, from glibc's malloc.h.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 _ERROR_SLUGS = (
     (NotSymplectic, "not-symplectic"),
@@ -361,6 +368,8 @@ _SOLVE_OPTIONS = {**_TARGET, **_weights(), **_THETA4P, "out": _JSON_OUT}
 
 
 def cmd_solve_phases(args) -> int:
+    from .phases import solve_phases, theta2_unprimed, theta4_unprimed
+
     _angles_to_radians(args)
     values, recorded = _resolve(args, _load_config(args.config),
                                 _SOLVE_OPTIONS)
@@ -378,8 +387,8 @@ def cmd_solve_phases(args) -> int:
             "theta2p": ph.theta2p,
             "theta3": ph.theta3,
             "theta4p": ph.theta4p,
-            "theta2": arccot(w.g4**2 * ph.cot2p),
-            "theta4": arccot(w.g2**2 * ph.cot4p),
+            "theta2": theta2_unprimed(ph.cot2p, w),
+            "theta4": theta4_unprimed(ph.cot4p, w),
         },
         "cots": {
             "cot_theta1": ph.cot1,
@@ -421,6 +430,8 @@ def _surface_config(path) -> dict:
 
 
 def cmd_error_surface(args) -> int:
+    from .errormodel import ErrorSurfaceSpec, error_surface
+
     values, recorded = _resolve(args, _surface_config(args.config),
                                 _SURFACE_OPTIONS)
     mode = values["mode"]
@@ -455,6 +466,9 @@ _GAIN_OPTIONS = {
 
 
 def cmd_gain_surface(args) -> int:
+    from .errormodel import ErrorSurfaceSpec
+    from .gkp import gain_surface
+
     values, recorded = _resolve(args, _surface_config(args.config),
                                 _GAIN_OPTIONS)
     _require(values, "out")
@@ -537,6 +551,8 @@ def _gate_failure(summary, z_gate: float):
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import RECORD_COLUMNS, InputState, SimConfig, run
+
     _angles_to_radians(args)
     file_config = _load_config(args.config)
     _default_workers(args, file_config)
@@ -587,6 +603,8 @@ _WEIGHT_BOUND_OPTIONS = {
 
 
 def cmd_weight_bound(args) -> int:
+    from .czgate import max_weight
+
     values, _ = _resolve(args, _load_config(args.config),
                          _WEIGHT_BOUND_OPTIONS)
     _require(values, "db")
@@ -610,6 +628,8 @@ _CZ_OPTIONS = {"g": (float, None, "CZ weight (nonnegative)"), "out": _JSON_OUT}
 
 
 def cmd_cz_decompose(args) -> int:
+    from .czgate import bloch_messiah
+
     values, _ = _resolve(args, _load_config(args.config), _CZ_OPTIONS)
     _require(values, "g")
     dec = bloch_messiah(values["g"])
@@ -692,9 +712,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tune_allocator() -> None:
+    """Set the malloc thresholds above; a no-op where libc has no mallopt."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _tune_allocator()
     try:
         return args.func(args)
     except DomainError as exc:

@@ -42,6 +42,29 @@ DEGENERATE_D_TOL = 1e-9
 #: |b g3^2/g2^2 + d cot(theta4')| below this is treated as a denominator pole.
 POLE_TOL = 1e-9
 
+# The choices the CLI's option tables list.  They are declared here, and
+# re-exported by errormodel and simulate, so that a command loads only the
+# modules it computes with.
+
+#: Error-model modes: the fixed free phase theta4' = pi/2, or the optimized
+#: one for the Gaussian scheme or the cubic variant.
+MODE_GAUSSIAN_FIXED = "gaussian_fixed_phase"
+MODE_GAUSSIAN_OPTIMIZED = "gaussian_optimized_phase"
+MODE_CUBIC_OPTIMIZED = "cubic_optimized_phase"
+MODES = (MODE_GAUSSIAN_FIXED, MODE_GAUSSIAN_OPTIMIZED, MODE_CUBIC_OPTIMIZED)
+
+#: Protocol variants of the simulator.
+VARIANT_GAUSSIAN = "gaussian"
+VARIANT_CUBIC = "cubic"
+VARIANTS = (VARIANT_GAUSSIAN, VARIANT_CUBIC)
+
+# Most helper threads that draw shot blocks ahead of the simulator's
+# calling thread.  Drawing and scaling a block costs about twice what
+# propagating, reducing and merging it costs (2.1-2.3x on Gaussian and
+# cubic blocks, 2-vCPU Xeon), so two helpers all but keep the calling
+# thread busy and more would mostly hold ring buffers.
+MAX_DRAW_HELPERS = 2
+
 
 def is_degenerate(d):
     """|d| < DEGENERATE_D_TOL (a float, or elementwise): no phases exist."""

@@ -178,14 +178,22 @@ def solve_phases(
     return SolverResult(phases=phases, realized=realized, residual=residual)
 
 
-def theta2_unprimed(theta2p: float, w: WeightConfig) -> float:
-    """Physical node-1 phase: cot(theta2) = g4^2 cot(theta2')."""
-    return float(arccot(w.g4**2 * np.cos(theta2p) / np.sin(theta2p)))
+def theta2_unprimed(cot2p, w: WeightConfig):
+    """Physical node-1 phase from cot(theta2'): cot(theta2) = g4^2 cot(theta2').
+
+    Takes the cotangent, as ``PhaseSet.cot2p`` stores it, not the angle:
+    near 0 or pi an angle has lost digits that the cotangent keeps.
+    """
+    return arccot(w.g4**2 * cot2p)
 
 
-def theta4_unprimed(theta4p: float, w: WeightConfig) -> float:
-    """Physical node-3 phase: cot(theta4) = g2^2 cot(theta4')."""
-    return float(arccot(w.g2**2 * np.cos(theta4p) / np.sin(theta4p)))
+def theta4_unprimed(cot4p, w: WeightConfig):
+    """Physical node-3 phase from cot(theta4'): cot(theta4) = g2^2 cot(theta4').
+
+    Takes the cotangent, as ``PhaseSet.cot4p`` stores it; see
+    ``theta2_unprimed``.
+    """
+    return arccot(w.g2**2 * cot4p)
 
 
 def sample_targets(n: int, seed: int):

@@ -37,6 +37,10 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import (
+    MAX_DRAW_HELPERS,
+    VARIANT_CUBIC,
+    VARIANT_GAUSSIAN,
+    VARIANTS,
     CubicConfig,
     DomainError,
     PhaseSet,
@@ -64,22 +68,12 @@ __all__ = [
     "linearization_check",
 ]
 
-VARIANT_GAUSSIAN = "gaussian"
-VARIANT_CUBIC = "cubic"
-VARIANTS = (VARIANT_GAUSSIAN, VARIANT_CUBIC)
-
 # Shots are generated in fixed-size blocks; block k always uses the
 # counter-based generator advanced by k * _BLOCK_STRIDE from the seed, so
 # results are bit-identical for any worker partitioning.
 SHOT_BLOCK = 8192
 _BLOCK_STRIDE = 2**40
 
-# Most helper threads that draw blocks ahead of the calling thread.
-# Drawing and scaling a block costs about twice what propagating,
-# reducing and merging it costs (2.1-2.3x on Gaussian and cubic blocks,
-# 2-vCPU Xeon), so two helpers all but keep the calling thread busy and
-# more would mostly hold ring buffers.
-MAX_DRAW_HELPERS = 2
 # Ring buffers per helper: one being drawn while the calling thread
 # consumes another.
 _SLOTS_PER_HELPER = 2

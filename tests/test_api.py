@@ -26,6 +26,15 @@ def test_every_exported_name_resolves(name):
     assert not missing
 
 
+def test_dir_lists_every_exported_name():
+    assert set(clustergauss.__all__) <= set(dir(clustergauss))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        clustergauss.no_such_name
+
+
 def test_readme_quickstart_runs():
     text = README.read_text()
     section = text[text.index("## Library quickstart"):]

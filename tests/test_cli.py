@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import io
@@ -14,6 +15,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -22,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import clustergauss
-from clustergauss import RECORD_COLUMNS, WeightConfig, cli, csvtext
+from clustergauss import RECORD_COLUMNS, WeightConfig, cli, csvtext, simulate
 from clustergauss.cli import main
 from clustergauss.errormodel import MODES, ErrorSurfaceSpec, error_surface
 from clustergauss.simulate import SHOT_BLOCK, VARIANTS
@@ -153,7 +155,7 @@ class TestWriteCsv:
         assert fallback.call_count == 2
         assert text == f"1.5,{x!r},,{x!r},2.0\n"
 
-    @pytest.mark.parametrize("chunk", [cli.CSV_CHUNK_VALUES, 2**14, 600])
+    @pytest.mark.parametrize("chunk", [2**13, 2**14, 600])
     def test_optimized_map_matches_the_row_recipe(self, tmp_path, chunk):
         out = tmp_path / "map.csv"
         argv = ["error-surface", "--mode", "gaussian_optimized_phase",
@@ -272,7 +274,8 @@ class TestErrorCodes:
         too_large = MemoryError("Unable to allocate 7.28 TiB")
         with mock.patch("clustergauss.gkp.error_surface",
                         side_effect=too_large), \
-                mock.patch.object(cli, "error_surface", side_effect=too_large):
+                mock.patch("clustergauss.errormodel.error_surface",
+                           side_effect=too_large):
             code, out, err = _run(capsys, command, "--nb", "1000000000000",
                                   "--nd", "2", "--out", str(tmp_path / "x"))
         assert code == 2
@@ -449,13 +452,13 @@ class TestSimulateCommand:
     ])
     def test_invalid_statistics_fail_the_gate(self, capsys, monkeypatch,
                                               field, value):
-        real_run = cli.run
+        real_run = simulate.run
 
         def corrupted_run(*args, **kwargs):
             return dataclasses.replace(real_run(*args, **kwargs),
                                        **{field: np.array(value)})
 
-        monkeypatch.setattr(cli, "run", corrupted_run)
+        monkeypatch.setattr(simulate, "run", corrupted_run)
         code, _, err = _run(capsys, *self.BASE)
         assert code == 3
         assert json.loads(err)["error"] == "invalid-statistics"
@@ -499,7 +502,7 @@ class TestSimulateCommand:
         # 20 000 shots span three blocks; alpha = 5 makes the cubic gate
         # discard shots, whose record fields are missing values.
         summaries, blocks = [], []
-        real_run = cli.run
+        real_run = simulate.run
 
         def keep_summary(*args, record_sink, **kwargs):
             def tee(block):
@@ -508,7 +511,7 @@ class TestSimulateCommand:
             summaries.append(real_run(*args, record_sink=tee, **kwargs))
             return summaries[-1]
 
-        monkeypatch.setattr(cli, "run", keep_summary)
+        monkeypatch.setattr(simulate, "run", keep_summary)
         rec = tmp_path / "shots.csv"
         code, _, _ = _run(
             capsys, "simulate", "--a", "1.2", "--b", "0.5", "--c", "0.3",
@@ -758,28 +761,78 @@ class TestResolve:
         assert '"nb": 2.0,' in manifest
 
 
+# Prints the clustergauss submodules loaded so far, sorted, without the
+# package prefix.
+_PRINT_LOADED = ("import sys; print(sorted(m[len('clustergauss.'):] "
+                 "for m in sys.modules if m.startswith('clustergauss.')))")
+
+
+def _in_child(code: str, cwd=None) -> str:
+    """stdout of ``code`` in a fresh interpreter that imports this package."""
+    src = str(Path(clustergauss.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout
+
+
 class TestImports:
     @pytest.mark.parametrize("module", ["clustergauss", "clustergauss.cli"])
     def test_import_leaves_scipy_unloaded(self, module):
-        src = str(Path(clustergauss.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
         code = (f"import sys, {module}; "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        assert out == "[]\n"
+        assert _in_child(code) == "[]\n"
 
-    def test_only_csv_commands_load_the_formatter(self, tmp_path):
-        src = str(Path(clustergauss.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        code = ("import sys, clustergauss.cli as c; "
-                "print('clustergauss.csvtext' in sys.modules); "
-                "c.main(['error-surface', '--nb', '2', '--nd', '2', "
-                f"'--out', {str(tmp_path / 'x.csv')!r}]); "
-                "print('clustergauss.csvtext' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        assert out == "False\nTrue\n"
+    @pytest.mark.parametrize("argv, modules", [
+        (["error-surface", "--nb", "2", "--nd", "2"],
+         ["cli", "core", "csvtext", "errormodel"]),
+        (["gain-surface", "--nb", "2", "--nd", "2", "--out", "gain.csv"],
+         ["cli", "core", "csvtext", "errormodel", "gkp", "ndtr"]),
+        (TestSimulateCommand.BASE, ["cli", "core", "phases", "simulate"]),
+        (["solve-phases", *TARGET_ARGS], ["cli", "core", "phases"]),
+        (["weight-bound", "--db", "-15"], ["cli", "core", "czgate"]),
+        (["cz-decompose", "--g", "1"], ["cli", "core", "czgate"]),
+        (["--help"], ["cli", "core"]),
+    ], ids=["error-surface", "gain-surface", "simulate", "solve-phases",
+            "weight-bound", "cz-decompose", "help"])
+    def test_each_command_loads_only_its_modules(self, tmp_path, argv,
+                                                 modules):
+        code = ("import contextlib, io\n"
+                "from clustergauss import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()), "
+                "contextlib.suppress(SystemExit):\n"
+                f"    cli.main({argv!r})\n" + _PRINT_LOADED)
+        assert _in_child(code, cwd=tmp_path) == f"{modules!r}\n"
+
+    def test_package_import_loads_no_submodule(self):
+        assert _in_child("import clustergauss\n" + _PRINT_LOADED) == "[]\n"
+
+    def test_submodules_import_by_name(self):
+        code = ("from clustergauss import cli, errormodel, gkp, phases\n"
+                + _PRINT_LOADED)
+        assert _in_child(code) == (
+            "['cli', 'core', 'errormodel', 'gkp', 'phases']\n")
+
+
+class TestAllocator:
+    ARGV = ("error-surface", "--mode", "gaussian_optimized_phase",
+            "--nb", "7", "--nd", "7")
+
+    def test_main_sets_both_thresholds(self, capsys, monkeypatch):
+        calls = []
+        lib = SimpleNamespace(mallopt=lambda *args: calls.append(args) or 1)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: lib)
+        code, _, err = _run(capsys, *self.ARGV)
+        assert code == 0, err
+        assert calls == [
+            (cli._M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD_BYTES),
+            (cli._M_TRIM_THRESHOLD, cli.TRIM_THRESHOLD_BYTES),
+        ]
+
+    def test_libc_without_mallopt_changes_no_byte(self, capsys, monkeypatch):
+        tuned = _run(capsys, *self.ARGV)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert _run(capsys, *self.ARGV) == tuned
+        assert tuned[0] == 0
 
 
 class TestVersion:

@@ -22,6 +22,29 @@ from clustergauss import core
 from clustergauss.core import DomainError, angle_cot
 
 
+def _names_by_module(skip: str):
+    """(file name, names) of each package module but ``skip``.
+
+    The names are every identifier, attribute, imported name and string
+    constant that the module's code uses.
+    """
+    for path in Path(core.__file__).parent.glob("*.py"):
+        if path.name == skip:
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                              str):
+                names.add(node.value)
+        yield path.name, names
+
+
 class TestAngleConversions:
     def test_arccot_zero_is_half_pi(self):
         assert arccot(0.0) == pytest.approx(np.pi / 2, abs=1e-15)
@@ -90,18 +113,15 @@ class TestPhaseSolutionDomain:
         # One domain rule: every other module asks core, so no second copy
         # of the pole or degeneracy test can grow.
         tolerances = {"POLE_TOL", "DEGENERATE_D_TOL"}
-        for path in Path(core.__file__).parent.glob("*.py"):
-            if path.name == "core.py":
-                continue
-            tree = ast.parse(path.read_text())
-            names = {node.id for node in ast.walk(tree)
-                     if isinstance(node, ast.Name)}
-            names |= {node.attr for node in ast.walk(tree)
-                      if isinstance(node, ast.Attribute)}
-            names |= {alias.name for node in ast.walk(tree)
-                      if isinstance(node, (ast.Import, ast.ImportFrom))
-                      for alias in node.names}
-            assert not names & tolerances, path.name
+        for module, names in _names_by_module(skip="core.py"):
+            assert not names & tolerances, module
+
+
+def test_only_cli_names_mallopt():
+    # The library never changes process-wide allocator state; only the
+    # command-line entry point does.
+    for module, names in _names_by_module(skip="cli.py"):
+        assert "mallopt" not in names, module
 
 
 class TestSqueezing:

@@ -144,27 +144,39 @@ class TestCubicPhaseCorrection:
 
 class TestUnprimedPhases:
     def test_scaling_by_squared_weight(self, strong_weights):
-        theta2p = np.pi / 4
-        theta2 = theta2_unprimed(theta2p, strong_weights)
+        theta2 = theta2_unprimed(1.0, strong_weights)  # theta2' = pi/4
         assert angle_cot("theta2", theta2) == pytest.approx(
             strong_weights.g4**2, rel=1e-12)
-        theta4 = theta4_unprimed(np.pi / 4, strong_weights)
+        theta4 = theta4_unprimed(1.0, strong_weights)
         assert angle_cot("theta4", theta4) == pytest.approx(
             strong_weights.g2**2, rel=1e-12)
 
     def test_half_pi_is_fixed_point(self, strong_weights):
-        assert theta2_unprimed(np.pi / 2, strong_weights) == pytest.approx(np.pi / 2)
-        assert theta4_unprimed(np.pi / 2, strong_weights) == pytest.approx(np.pi / 2)
+        assert theta2_unprimed(0.0, strong_weights) == np.pi / 2
+        assert theta4_unprimed(0.0, strong_weights) == np.pi / 2
 
-    @given(theta=st.floats(min_value=0.05, max_value=3.09))
-    def test_unprimed_stays_on_branch(self, theta):
+    @given(cot=st.floats(min_value=-1e6, max_value=1e6))
+    def test_unprimed_stays_on_branch(self, cot):
         w = WeightConfig(5.0, 5.0, 4.0, 4.0)
-        assert 0.0 < theta2_unprimed(theta, w) < np.pi
-        assert 0.0 < theta4_unprimed(theta, w) < np.pi
+        assert 0.0 < theta2_unprimed(cot, w) < np.pi
+        assert 0.0 < theta4_unprimed(cot, w) < np.pi
 
     def test_unit_weights_change_nothing(self, unit_weights):
         for theta in (0.3, 1.0, 2.0):
-            assert theta2_unprimed(theta, unit_weights) == pytest.approx(theta, rel=1e-12)
+            cot = angle_cot("theta", theta)
+            assert theta2_unprimed(cot, unit_weights) == pytest.approx(
+                theta, rel=1e-12)
+
+    def test_keeps_the_digits_the_rounded_angle_lost(self):
+        # cot(theta2') = -1e18 rounds theta2' to pi, while cot(theta2) =
+        # g4^2 cot(theta2') = -1e14 has an angle below pi.  From the angle,
+        # theta2 came out as 3.1415926535885688.
+        w = WeightConfig(1.0, 1.0, 1.0, 0.01)
+        res = solve_phases(SymplecticTarget(1.0, 1e16, 0.0, 1.0), w,
+                           np.pi / 2)
+        assert res.phases.theta2p == math.pi
+        assert theta2_unprimed(res.phases.cot2p, w) == 3.1415926535897833
+        assert theta4_unprimed(res.phases.cot4p, w) == np.pi / 2
 
 
 class TestSampling:
