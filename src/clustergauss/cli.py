@@ -29,6 +29,10 @@ be finite: a manifest is JSON, which has no NaN or infinity.  So
 the block is simulated, so the file is complete before the gate verdict
 (exit 3 included); a run that ends in exit 2 after sampling, with fewer
 than two kept shots, leaves the records it wrote.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` where the
+environment does not set it, before numpy loads, so that OpenBLAS starts
+no thread pool; ``--workers`` sizes ``simulate``'s draw helpers, not BLAS.
 """
 
 from __future__ import annotations
@@ -41,6 +45,15 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+# Set before numpy loads, here or through .core.  numpy's bundled OpenBLAS
+# starts one server thread per extra CPU at load, and each spin-waits for
+# work before it sleeps: a fresh `import numpy` took 0.18 s of wall and
+# CPU time with the pool, 0.11 s without (2-vCPU Xeon).  The package hands
+# BLAS no work a pool would share: its dot products of at most one shot
+# block and its 2x2 / 4x4 matrix products run on the calling thread anyway.
+# A value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

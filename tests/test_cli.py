@@ -767,12 +767,24 @@ _PRINT_LOADED = ("import sys; print(sorted(m[len('clustergauss.'):] "
                  "for m in sys.modules if m.startswith('clustergauss.')))")
 
 
-def _in_child(code: str, cwd=None) -> str:
-    """stdout of ``code`` in a fresh interpreter that imports this package."""
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
+def _child_env(env=None) -> dict:
+    """``env`` (default: this process's) with this package on the path.
+
+    Once this process has imported ``cli``, its own environment already
+    sets BLAS_THREADS; a test of that setting passes its own ``env``.
+    """
     src = str(Path(clustergauss.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
-                          capture_output=True, text=True, check=True).stdout
+    return {**(os.environ if env is None else env), "PYTHONPATH": src}
+
+
+def _in_child(code: str, cwd=None, env=None) -> str:
+    """stdout of ``code`` in a fresh interpreter that imports this package."""
+    return subprocess.run([sys.executable, "-c", code], env=_child_env(env),
+                          cwd=cwd, capture_output=True, text=True,
+                          check=True).stdout
 
 
 class TestImports:
@@ -811,6 +823,55 @@ class TestImports:
                 + _PRINT_LOADED)
         assert _in_child(code) == (
             "['cli', 'core', 'errormodel', 'gkp', 'phases']\n")
+
+    # The BLAS_THREADS value, and the process's thread count where
+    # /proc/self/task lists it, after importing the command-line module.
+    _BLAS_REPORT = ("import os, clustergauss.cli\n"
+                    "task = '/proc/self/task'\n"
+                    f"print(os.environ.get({BLAS_THREADS!r}), "
+                    "len(os.listdir(task)) if os.path.isdir(task) else '-')")
+
+    def test_cli_import_starts_no_blas_pool(self):
+        env = {k: v for k, v in os.environ.items() if k != BLAS_THREADS}
+        value, threads = _in_child(self._BLAS_REPORT, env=env).split()
+        assert value == "1"
+        if threads == "-":
+            pytest.skip("no /proc/self/task to count threads in")
+        assert threads == "1"
+
+    def test_cli_import_keeps_a_preset_blas_thread_count(self):
+        # The value only: a numpy without OpenBLAS starts no pool to count.
+        env = {**os.environ, BLAS_THREADS: "2"}
+        value, _ = _in_child(self._BLAS_REPORT, env=env).split()
+        assert value == "2"
+
+
+class TestBlasThreads:
+    """CLI outputs do not depend on the size of OpenBLAS's thread pool."""
+
+    SIMULATE = ("simulate", *TARGET_ARGS, *TestGoldenOutputs.WEIGHTS)
+
+    @pytest.mark.parametrize("argv", [
+        (*SIMULATE, "--shots", "3000", "--seed", "3",
+         "--records", "shots.csv"),
+        (*SIMULATE, "--variant", "cubic", "--gamma", "0.1",
+         "--alpha", "11.180339887498949", "--shots", "3000", "--seed", "2",
+         "--records", "shots.csv"),
+        ("cz-decompose", "--g", "1.5"),
+    ], ids=["gaussian", "cubic", "cz-decompose"])
+    def test_outputs_are_byte_identical(self, tmp_path, argv):
+        runs = []
+        for threads in ("1", "2"):
+            workdir = tmp_path / threads
+            workdir.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-m", "clustergauss.cli", *argv],
+                env=_child_env({**os.environ, BLAS_THREADS: threads}),
+                cwd=workdir, capture_output=True)
+            files = {p.name: p.read_bytes() for p in workdir.iterdir()}
+            runs.append((proc.returncode, proc.stdout, proc.stderr, files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0, runs[0][2]
 
 
 class TestAllocator:

@@ -124,6 +124,13 @@ def test_only_cli_names_mallopt():
         assert "mallopt" not in names, module
 
 
+def test_only_cli_names_the_blas_thread_count():
+    # Likewise for the BLAS thread pool: only the command-line entry point
+    # sets OPENBLAS_NUM_THREADS.
+    for module, names in _names_by_module(skip="cli.py"):
+        assert "OPENBLAS_NUM_THREADS" not in names, module
+
+
 class TestSqueezing:
     def test_db_to_variance_15db(self):
         assert db_to_variance(-15.0) == pytest.approx(
