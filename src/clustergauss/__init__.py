@@ -50,12 +50,12 @@ _EXPORTS = {
     "simulate": (
         "RECORD_COLUMNS", "SHOT_BLOCK", "InputState", "LinearizationReport",
         "SimConfig", "SimSummary", "SmallDisplacementWarning",
-        "linearization_check", "replay_record", "run",
+        "linearization_check", "run",
     ),
     # grid-state correction
     "gkp": (
         "CORRECTION_VARIANCE_UNITS", "GKP_X_OFFSET", "GKP_Y_OFFSET",
-        "GainSurface", "PerrInput", "gain_surface", "p_err", "p_err_values",
+        "GainSurface", "gain_surface", "p_err_values",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

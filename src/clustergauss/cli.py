@@ -31,8 +31,9 @@ the block is simulated, so the file is complete before the gate verdict
 than two kept shots, leaves the records it wrote.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` where the
-environment does not set it, before numpy loads, so that OpenBLAS starts
-no thread pool; ``--workers`` sizes ``simulate``'s draw helpers, not BLAS.
+environment does not set it or sets it empty (which OpenBLAS reads as
+unset), before numpy loads, so that OpenBLAS starts no thread pool;
+``--workers`` sizes ``simulate``'s draw helpers, not BLAS.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ from pathlib import Path
 # CPU time with the pool, 0.11 s without (2-vCPU Xeon).  The package hands
 # BLAS no work a pool would share: its dot products of at most one shot
 # block and its 2x2 / 4x4 matrix products run on the calling thread anyway.
-# A value the user set is kept.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# A value the user set is kept; an empty one, which OpenBLAS reads as unset,
+# is not.
+if not os.environ.get("OPENBLAS_NUM_THREADS"):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

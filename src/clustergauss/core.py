@@ -30,9 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Vacuum quadrature variance in the units used throughout the package.
-VACUUM_VARIANCE = 0.25
-
 #: Tolerance on |det - 1| for a matrix to count as symplectic.
 SYMPLECTIC_TOL = 1e-12
 
@@ -185,13 +182,6 @@ class SymplecticTarget:
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
-
-    @classmethod
-    def from_matrix(cls, m) -> "SymplecticTarget":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2):
-            raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
-        return cls(float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
 
 
 def validate_target(target: SymplecticTarget) -> SymplecticTarget:

@@ -13,7 +13,7 @@ corrected).  The correction model is calibrated in units where the
 vacuum quadrature variance is 1/2; this package works in vacuum-1/4
 units, so squeezed variances must be doubled on the way in
 (CORRECTION_VARIANCE_UNITS).  ``gain_surface`` applies the conversion;
-``p_err`` takes ``var_s`` literally.
+``p_err_values`` takes ``var_s`` literally.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ __all__ = [
     "GKP_X_OFFSET",
     "GKP_Y_OFFSET",
     "CORRECTION_VARIANCE_UNITS",
-    "PerrInput",
     "GainSurface",
-    "p_err",
     "p_err_values",
     "gain_surface",
 ]
@@ -43,28 +41,6 @@ GKP_Y_OFFSET = np.sqrt(5.0) + 1.0
 # 1/2; this package's squeezed variances use vacuum 1/4.  Multiply a
 # var_y from SqueezingSpec by this factor before feeding the formula.
 CORRECTION_VARIANCE_UNITS = 2.0
-
-
-@dataclass(frozen=True)
-class PerrInput:
-    """Dimensionless error multipliers and the squeezed variance scale.
-
-    The actual quadrature error variances are x_er*var_s and y_er*var_s;
-    ``var_s`` must already be expressed in the correction model's
-    vacuum-1/2 units.
-    """
-
-    x_er: float
-    y_er: float
-    var_s: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x_er) and self.x_er >= 0):
-            raise DomainError(f"x_er = {self.x_er!r} must be >= 0")
-        if not (np.isfinite(self.y_er) and self.y_er >= 0):
-            raise DomainError(f"y_er = {self.y_er!r} must be >= 0")
-        if not (np.isfinite(self.var_s) and self.var_s > 0):
-            raise DomainError(f"var_s = {self.var_s!r} must be > 0")
 
 
 def p_err_values(x_er, y_er, var_s):
@@ -86,11 +62,6 @@ def p_err_values(x_er, y_er, var_s):
     return a + b - a * b
 
 
-def p_err(inp: PerrInput) -> float:
-    """Probability that the quadrature-displacement correction fails."""
-    return float(p_err_values(inp.x_er, inp.y_er, inp.var_s))
-
-
 @dataclass(frozen=True)
 class GainSurface:
     """Cellwise ratio of baseline over optimized failure probabilities.
@@ -102,7 +73,6 @@ class GainSurface:
 
     baseline: ErrorSurface
     optimized: ErrorSurface
-    squeezing: SqueezingSpec
     p_base: np.ndarray
     p_opt: np.ndarray
     ratio: np.ndarray
@@ -128,7 +98,9 @@ class GainSurface:
         Over a fixed-phase baseline a free-phase maximum sits next to the
         baseline's pole b = 0, where p_base -> 1, on a d edge; it tends to
         1/p_opt there, so it grows with resolution: 576.1 at (-0.1, -5) on
-        the default 101x101 map (p_base 0.907), 605.4 at 201x201, ~635.
+        the default 101x101 map (p_base 0.907), 605.4 at 201x201, 627.3 at
+        (-0.025, 5) at 401x401.  The limits 1/p_opt(0, d) at the d edges
+        are 650.1 at d = 5 and 634.8 at d = -5.
         """
         ij = self._argmax()
         return float("nan") if ij is None else float(self.ratio[ij])
@@ -195,7 +167,6 @@ def gain_surface(
     return GainSurface(
         baseline=base,
         optimized=opt,
-        squeezing=squeezing,
         p_base=p_base,
         p_opt=p_opt,
         ratio=ratio,

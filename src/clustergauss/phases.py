@@ -51,6 +51,10 @@ __all__ = [
     "check_arbitrariness",
 ]
 
+# Largest solve -> forward round-trip residual that check_arbitrariness
+# accepts.
+ROUND_TRIP_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SolverResult:
@@ -230,14 +234,12 @@ def check_arbitrariness(
     theta4p: float,
     n_samples: int = 1000,
     seed: int = 0,
-    *,
-    residual_tol: float = 1e-9,
 ) -> ArbitrarinessReport:
     """Verify the solver round-trips a random sample of symplectic targets.
 
     Flagged degenerate/pole instances are excluded from the residual
     statistics and reported separately; any non-flagged instance whose
-    round-trip residual exceeds ``residual_tol`` is recorded as a failure.
+    round-trip residual exceeds ROUND_TRIP_TOL is recorded as a failure.
     """
     a, b, c, d = sample_targets(n_samples, seed)
     u4 = angle_cot("theta4p", theta4p)
@@ -250,7 +252,7 @@ def check_arbitrariness(
     indices = np.flatnonzero(ok)
     failures = tuple(
         (int(indices[i]), float(residuals[i]))
-        for i in np.flatnonzero(residuals > residual_tol)
+        for i in np.flatnonzero(residuals > ROUND_TRIP_TOL)
     )
     return ArbitrarinessReport(
         n_samples=n_samples,

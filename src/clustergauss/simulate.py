@@ -64,7 +64,6 @@ __all__ = [
     "SimSummary",
     "LinearizationReport",
     "run",
-    "replay_record",
     "linearization_check",
 ]
 
@@ -77,6 +76,9 @@ _BLOCK_STRIDE = 2**40
 # Ring buffers per helper: one being drawn while the calling thread
 # consumes another.
 _SLOTS_PER_HELPER = 2
+
+# Both linearization ratios must reach this for LinearizationReport.passed.
+LINEARIZATION_SAFETY = 10.0
 
 RECORD_COLUMNS = (
     "x_in", "y_in",
@@ -231,12 +233,11 @@ class LinearizationReport:
 
     ratio_first_moment: float
     ratio_second_moment: float
-    safety: float
 
     @property
     def passed(self) -> bool:
         return min(self.ratio_first_moment, self.ratio_second_moment) \
-            >= self.safety
+            >= LINEARIZATION_SAFETY
 
 
 def _sin_cos_from_cot(cot):
@@ -617,33 +618,18 @@ def run(config: SimConfig, n_workers: int = 1,
     return _summarize(config, total, u, solved)
 
 
-def replay_record(config: SimConfig, record_row: np.ndarray):
-    """Recompute one stored shot from its sampled initial quadratures.
-
-    The protocol is affine in the Gaussian variant and deterministic in
-    both, so the returned (x_out, y_out) reproduces the stored values
-    exactly (bit-for-bit) for kept shots.
-    """
-    phases = solve_phases(config.target, config.w, config.theta4p).phases
-    q = np.asarray(record_row, dtype=float)[:10].reshape(10, 1).copy()
-    rec = _record_block(q, _propagate(q, config, phases))
-    return float(rec[0, 17]), float(rec[0, 18])
-
-
-def linearization_check(config: SimConfig, safety: float = 10.0
-                        ) -> LinearizationReport:
+def linearization_check(config: SimConfig) -> LinearizationReport:
     """Check the square-root series truncation for a cubic run.
 
     Evaluates the two dimensionless validity conditions — the
     first-moment condition 3*gamma*alpha^2 >> |M11 <x_in> + M12 <y_in>|
     and the second-moment condition (3*gamma*alpha^2)^2 >>
     M11^2 <x_in^2> + 2 M11 M12 <x_in><y_in> + M12^2 <y_in^2>
-    + <y_s1^2>/g1^2 + <y_s2^2> — and reports the two ratios against a
-    safety factor.
+    + <y_s1^2>/g1^2 + <y_s2^2> — and reports the two ratios; ``passed``
+    requires both to reach LINEARIZATION_SAFETY.
 
     Args:
         config: cubic run description.
-        safety: required minimum of both ratios for ``passed``.
 
     Returns:
         LinearizationReport (ratios are +inf when the moment term is 0).
@@ -673,5 +659,4 @@ def linearization_check(config: SimConfig, safety: float = 10.0
     return LinearizationReport(
         ratio_first_moment=float(ratio1),
         ratio_second_moment=float(ratio2),
-        safety=float(safety),
     )

@@ -26,6 +26,17 @@ def test_every_exported_name_resolves(name):
     assert not missing
 
 
+# core declares its public names in _EXPORTS alone; each other module
+# declares them in its __all__ too, where errormodel and simulate also
+# re-export the mode and variant choices from core.
+@pytest.mark.parametrize(
+    "name", [m for m in clustergauss._EXPORTS if m != "core"])
+def test_exports_match_module_all(name):
+    module = importlib.import_module(f"clustergauss.{name}")
+    own = [n for n in module.__all__ if n not in clustergauss._EXPORTS["core"]]
+    assert sorted(clustergauss._EXPORTS[name]) == sorted(own)
+
+
 def test_dir_lists_every_exported_name():
     assert set(clustergauss.__all__) <= set(dir(clustergauss))
 

@@ -825,24 +825,28 @@ class TestImports:
             "['cli', 'core', 'errormodel', 'gkp', 'phases']\n")
 
     # The BLAS_THREADS value, and the process's thread count where
-    # /proc/self/task lists it, after importing the command-line module.
-    _BLAS_REPORT = ("import os, clustergauss.cli\n"
+    # /proc/self/task lists it (else null), after importing the
+    # command-line module, as a JSON pair.
+    _BLAS_REPORT = ("import json, os, clustergauss.cli\n"
                     "task = '/proc/self/task'\n"
-                    f"print(os.environ.get({BLAS_THREADS!r}), "
-                    "len(os.listdir(task)) if os.path.isdir(task) else '-')")
+                    f"print(json.dumps([os.environ.get({BLAS_THREADS!r}), "
+                    "len(os.listdir(task)) if os.path.isdir(task) else None]))")
 
     def test_cli_import_starts_no_blas_pool(self):
-        env = {k: v for k, v in os.environ.items() if k != BLAS_THREADS}
-        value, threads = _in_child(self._BLAS_REPORT, env=env).split()
-        assert value == "1"
-        if threads == "-":
+        unset = {k: v for k, v in os.environ.items() if k != BLAS_THREADS}
+        # OpenBLAS reads an empty value as unset, so cli must replace it.
+        values, threads = zip(*(
+            json.loads(_in_child(self._BLAS_REPORT, env=env))
+            for env in (unset, {**unset, BLAS_THREADS: ""})))
+        assert values == ("1", "1")
+        if None in threads:
             pytest.skip("no /proc/self/task to count threads in")
-        assert threads == "1"
+        assert threads == (1, 1)
 
     def test_cli_import_keeps_a_preset_blas_thread_count(self):
         # The value only: a numpy without OpenBLAS starts no pool to count.
         env = {**os.environ, BLAS_THREADS: "2"}
-        value, _ = _in_child(self._BLAS_REPORT, env=env).split()
+        value, _ = json.loads(_in_child(self._BLAS_REPORT, env=env))
         assert value == "2"
 
 

@@ -15,11 +15,9 @@ from clustergauss import (
     MODE_GAUSSIAN_OPTIMIZED,
     DomainError,
     ErrorSurfaceSpec,
-    PerrInput,
     SqueezingSpec,
     WeightConfig,
     gain_surface,
-    p_err,
     p_err_values,
 )
 from clustergauss.ndtr import erfc
@@ -46,23 +44,6 @@ class TestOffsets:
         assert CORRECTION_VARIANCE_UNITS == 2.0
 
 
-class TestPerrInput:
-    def test_accepts_zero_multipliers(self):
-        PerrInput(0.0, 0.0, 0.1)
-
-    @pytest.mark.parametrize("bad", [
-        dict(x_er=-0.1, y_er=0.0, var_s=0.1),
-        dict(x_er=0.0, y_er=-0.1, var_s=0.1),
-        dict(x_er=0.0, y_er=0.0, var_s=0.0),
-        dict(x_er=0.0, y_er=0.0, var_s=-1.0),
-        dict(x_er=float("nan"), y_er=0.0, var_s=0.1),
-        dict(x_er=0.0, y_er=0.0, var_s=float("inf")),
-    ])
-    def test_rejects_bad_values(self, bad):
-        with pytest.raises(DomainError):
-            PerrInput(**bad)
-
-
 class TestPerr:
     @pytest.mark.parametrize("x_er,y_er,var_s", [
         (0.0, 0.0, 0.1),
@@ -72,25 +53,25 @@ class TestPerr:
         (0.3, 0.3, 1.0),
     ])
     def test_matches_erf_product_oracle(self, x_er, y_er, var_s):
-        got = p_err(PerrInput(x_er, y_er, var_s))
+        got = p_err_values(x_er, y_er, var_s)
         want = _erf_oracle(x_er, y_er, var_s)
         assert got == pytest.approx(want, abs=1e-15)
 
     def test_bounded_probability(self):
         for var_s in (0.01, 0.1, 1.0, 100.0):
-            p = p_err(PerrInput(2.0, 2.0, var_s))
+            p = p_err_values(2.0, 2.0, var_s)
             assert 0.0 < p < 1.0
         # far below any representable probability the result underflows
         # to an exact zero rather than going negative
-        assert p_err(PerrInput(2.0, 2.0, 1e-4)) == 0.0
+        assert p_err_values(2.0, 2.0, 1e-4) == 0.0
 
     @given(
         x_lo=st.floats(min_value=0.0, max_value=20.0),
         bump=st.floats(min_value=0.01, max_value=20.0),
     )
     def test_monotone_in_x_multiplier(self, x_lo, bump):
-        lo = p_err(PerrInput(x_lo, 1.0, 0.05))
-        hi = p_err(PerrInput(x_lo + bump, 1.0, 0.05))
+        lo = p_err_values(x_lo, 1.0, 0.05)
+        hi = p_err_values(x_lo + bump, 1.0, 0.05)
         assert hi > lo
 
     @given(
@@ -98,32 +79,32 @@ class TestPerr:
         bump=st.floats(min_value=0.01, max_value=20.0),
     )
     def test_monotone_in_y_multiplier(self, y_lo, bump):
-        lo = p_err(PerrInput(1.0, y_lo, 0.05))
-        hi = p_err(PerrInput(1.0, y_lo + bump, 0.05))
+        lo = p_err_values(1.0, y_lo, 0.05)
+        hi = p_err_values(1.0, y_lo + bump, 0.05)
         assert hi > lo
 
     @given(var_s=st.floats(min_value=1e-3, max_value=1.0))
     def test_monotone_in_variance(self, var_s):
-        assert p_err(PerrInput(2.0, 2.0, 1.5 * var_s)) \
-            > p_err(PerrInput(2.0, 2.0, var_s))
+        assert p_err_values(2.0, 2.0, 1.5 * var_s) \
+            > p_err_values(2.0, 2.0, var_s)
 
     def test_quadratures_enter_asymmetrically(self):
-        assert p_err(PerrInput(3.0, 0.0, 0.05)) \
-            != p_err(PerrInput(0.0, 3.0, 0.05))
+        assert p_err_values(3.0, 0.0, 0.05) \
+            != p_err_values(0.0, 3.0, 0.05)
 
     def test_vectorised_matches_scalar(self):
         x = np.array([0.0, 1.0, 2.0, 5.0])
         y = np.array([0.5, 0.5, 3.0, 3.0])
         vals = p_err_values(x, y, 0.1)
         for i in range(4):
-            assert vals[i] == p_err(PerrInput(float(x[i]), float(y[i]), 0.1))
+            assert vals[i] == p_err_values(float(x[i]), float(y[i]), 0.1)
 
     def test_nan_multipliers_propagate(self):
         vals = p_err_values(np.array([np.nan, 1.0]), np.array([1.0, np.nan]), 0.1)
         assert np.all(np.isnan(vals))
 
     def test_tiny_variance_underflows_gracefully(self):
-        p = p_err(PerrInput(0.0, 0.0, 1e-8))
+        p = p_err_values(0.0, 0.0, 1e-8)
         assert p >= 0.0 and p < 1e-300
 
 

@@ -31,9 +31,9 @@ from clustergauss import (
     SymplecticTarget,
     WeightConfig,
     linearization_check,
-    replay_record,
     run,
     sample_targets,
+    solve_phases,
 )
 from clustergauss import simulate
 from clustergauss.cli import main
@@ -177,7 +177,17 @@ class TestDeterminism:
         assert one.mean_im == three.mean_im
 
 
+def _replay(cfg, row):
+    """(x_out, y_out) of one record, re-propagated from its 10 samples."""
+    phases = solve_phases(cfg.target, cfg.w, cfg.theta4p).phases
+    q = row[:10].reshape(10, 1).copy()
+    rec = simulate._record_block(q, simulate._propagate(q, cfg, phases))
+    return rec[0, 17], rec[0, 18]
+
+
 class TestReplay:
+    # The protocol is affine in the Gaussian variant and deterministic in
+    # both, so a kept shot's outputs replay bit for bit.
     def test_gaussian_records_replay_exactly(self, unit_weights):
         cfg = _gauss_config(
             SymplecticTarget(1.0, 0.0, 0.0, 1.0), unit_weights, np.pi / 2,
@@ -186,7 +196,7 @@ class TestReplay:
         _, (records,) = _run_recorded(cfg)
         assert records.shape == (500, len(RECORD_COLUMNS))
         for row in records[::97]:
-            x_out, y_out = replay_record(cfg, row)
+            x_out, y_out = _replay(cfg, row)
             assert x_out == row[17]
             assert y_out == row[18]
 
@@ -195,7 +205,7 @@ class TestReplay:
         _, (records,) = _run_recorded(cfg)
         kept = records[records[:, 20] == 0.0]
         for row in kept[::397]:
-            x_out, y_out = replay_record(cfg, row)
+            x_out, y_out = _replay(cfg, row)
             assert x_out == row[17]
             assert y_out == row[18]
 
@@ -424,19 +434,19 @@ class TestAmplitude:
 
 class TestLinearization:
     def test_operating_point_passes(self):
-        report = linearization_check(_cubic_config(100, seed=0), safety=10.0)
+        report = linearization_check(_cubic_config(100, seed=0))
         assert report.passed
         assert report.ratio_first_moment == np.inf
 
     def test_tiny_displacement_fails(self):
         cfg = _cubic_config(100, seed=0,
                             cubic=CubicConfig(gamma=0.1, alpha=0.1))
-        assert not linearization_check(cfg, safety=10.0).passed
+        assert not linearization_check(cfg).passed
 
     def test_large_input_mean_breaks_first_condition(self):
         cfg = _cubic_config(100, seed=0,
                             input_state=InputState(mean_x=1e6))
-        report = linearization_check(cfg, safety=10.0)
+        report = linearization_check(cfg)
         assert np.isfinite(report.ratio_first_moment)
         assert not report.passed
 
