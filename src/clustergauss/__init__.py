@@ -14,9 +14,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each public name, by the module that defines it.  A name is imported on
-# first use (PEP 562), so ``import clustergauss`` loads no submodule, and
-# each CLI command loads only the modules it computes with.
+# Each public name, by the module that defines it: the package's only list
+# of public names, since no submodule declares an ``__all__``.  A name is
+# imported on first use (PEP 562), so ``import clustergauss`` loads no
+# submodule, and each CLI command loads only the modules it computes with.
 _EXPORTS = {
     # core types, conversions, errors and the mode / variant choices
     "core": (

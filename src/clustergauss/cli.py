@@ -84,8 +84,6 @@ from .core import (
     usable_cpus,
 )
 
-__all__ = ["main"]
-
 MANIFEST_SCHEMA_VERSION = 1
 WORKERS_ENV = "CLUSTERGAUSS_WORKERS"
 

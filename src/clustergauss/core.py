@@ -106,6 +106,18 @@ def pole_window_edges(p, d):
     return np.array([(t - p) / d, (-t - p) / d])
 
 
+def stage_matrix(cot_in, cot_node, rho):
+    """Entries (f00, f01, f10, f11) of one stage's matrix F, elementwise.
+
+    F(cot_in, cot_node, rho) = [[(cot_in cot_node - 1)/rho, cot_node/rho],
+                                [-rho cot_in,               -rho        ]]
+    acts on the stage input's (x, y); rho = g1/g4 for stage one and g3/g2
+    for stage two.  f11 is ``-rho`` itself, whatever the cotangents' shape.
+    """
+    return ((cot_in * cot_node - 1.0) / rho, cot_node / rho,
+            -rho * cot_in, -rho)
+
+
 class DomainError(ValueError):
     """Base class for configuration/domain errors raised by this package."""
 
@@ -143,15 +155,6 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         return os.cpu_count() or 1
-
-
-def pool_threads(n_workers: int, n_tasks: int) -> int:
-    """Threads to start for ``n_tasks`` tasks when ``n_workers`` are asked.
-
-    At most one per task and one per CPU this process may run on, and at
-    least one: more threads than that cannot run at once.
-    """
-    return max(1, min(n_workers, n_tasks, usable_cpus()))
 
 
 def db_to_variance(db: float) -> float:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["csv_rows"]
-
 _POW10 = 10.0 ** np.arange(21)  # exact doubles
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)
 # "0000" .. "9999" as 4-byte words.

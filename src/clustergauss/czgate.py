@@ -22,14 +22,6 @@ import numpy as np
 
 from .core import DomainError
 
-__all__ = [
-    "CzDecomposition",
-    "cz_matrix",
-    "bloch_messiah",
-    "max_weight",
-    "squeeze_ratio",
-]
-
 
 def cz_matrix(g: float) -> np.ndarray:
     """4x4 CZ matrix with weight g on quadrature order (X1, X2, Y1, Y2)."""
@@ -44,11 +36,13 @@ def squeeze_ratio(g: float) -> float:
 
     Monotone decreasing from s(0) = 1 toward 0; computed in the
     subtraction-free form 2/(2 + g^2 + g*sqrt(4 + g^2)) to avoid
-    cancellation at large g.
+    cancellation at large g.  From g ~ 9.5e153 the denominator overflows
+    and s is 0.0; beyond ~1.34e154 g^2 itself raises OverflowError.
     """
     if g < 0:
         raise DomainError(f"weight g = {g!r} must be nonnegative")
-    return 2.0 / (2.0 + g**2 + g * np.sqrt(4.0 + g**2))
+    with np.errstate(over="ignore"):
+        return 2.0 / (2.0 + g**2 + g * np.sqrt(4.0 + g**2))
 
 
 @dataclass(frozen=True)
@@ -60,12 +54,11 @@ class CzDecomposition:
 
     Attributes:
         g: CZ weight.
-        s: squeezer ratio, in [0, 1] for g >= 0.
+        s: squeezer ratio, in (0, 1].
         r_bs: beam-splitter reflection amplitude sqrt(s/(1+s)).
         t_bs: beam-splitter transmission amplitude 1/sqrt(1+s).
         phase_left, bs_left, squeezer, bs_right, phase_right: the factor
             matrices.
-        residual: max-abs deviation of the factor product from cz_matrix(g).
     """
 
     g: float
@@ -77,7 +70,6 @@ class CzDecomposition:
     squeezer: np.ndarray
     bs_right: np.ndarray
     phase_right: np.ndarray
-    residual: float
 
     @property
     def factors(self) -> tuple:
@@ -90,6 +82,11 @@ class CzDecomposition:
             p = p @ f
         return p
 
+    @property
+    def residual(self) -> float:
+        """Max-abs deviation of the factor product from cz_matrix(g)."""
+        return float(np.max(np.abs(self.product() - cz_matrix(self.g))))
+
 
 def bloch_messiah(g: float) -> CzDecomposition:
     """Decompose cz_matrix(g) into phase shifters, beam splitters, squeezer.
@@ -98,10 +95,15 @@ def bloch_messiah(g: float) -> CzDecomposition:
         g: nonnegative CZ weight.
 
     Returns:
-        CzDecomposition whose factor product reconstructs the gate; the
-        reconstruction residual is recorded on the result.
+        CzDecomposition whose factor product reconstructs the gate.
+
+    Raises:
+        DomainError: if the squeezer ratio underflows to 0 (g from about
+            9.5e153), where the squeezer has no finite factor.
     """
     s = squeeze_ratio(g)
+    if not s > 0.0:
+        raise DomainError(f"squeezer ratio of weight g = {g!r} is 0")
     r = np.sqrt(s / (1.0 + s))
     t = 1.0 / np.sqrt(1.0 + s)
     phase_left = np.array([
@@ -130,14 +132,10 @@ def bloch_messiah(g: float) -> CzDecomposition:
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],
     ])
-    # In the order of CzDecomposition.product, whose residual this is.
-    product = np.eye(4) @ phase_left @ bs_left @ squeezer @ bs_right \
-        @ phase_right
     return CzDecomposition(
         g=float(g), s=float(s), r_bs=float(r), t_bs=float(t),
         phase_left=phase_left, bs_left=bs_left, squeezer=squeezer,
         bs_right=bs_right, phase_right=phase_right,
-        residual=float(np.max(np.abs(product - cz_matrix(g)))),
     )
 
 

@@ -44,20 +44,9 @@ from .core import (
     arccot,
     pole_window_edges,
     solve_cot3,
+    stage_matrix,
     validate_target,
 )
-
-__all__ = [
-    "MODES",
-    "ErrorSurfaceSpec",
-    "ErrorSurface",
-    "OptimizeResult",
-    "error_vector_raw",
-    "error_vector_gaussian",
-    "error_vector_cubic",
-    "optimize_theta4",
-    "error_surface",
-]
 
 # Newton steps that polish each closed-form root on its own polynomial.
 _NEWTON_STEPS = 2
@@ -83,11 +72,9 @@ def _components_from_cots(cot3, u4, w: WeightConfig, mid_weight):
     ``mid_weight`` scales the middle term of each component: 1 for the
     Gaussian scheme, 1/(12*gamma*I_m) for the cubic variant.
     """
-    g1, g2, g3, g4 = w.as_tuple()
-    r2 = w.g3_over_g2
-    ex = (1.0 / g1**2) * ((cot3 * u4 - 1.0) / r2) ** 2 \
-        + mid_weight * (u4 / r2) ** 2 + 1.0 / g3**2
-    ey = (1.0 / g1**2) * (r2 * cot3) ** 2 + mid_weight * r2**2 + 1.0
+    f00, f01, f10, f11 = stage_matrix(cot3, u4, w.g3_over_g2)
+    ex = (1.0 / w.g1**2) * f00**2 + mid_weight * f01**2 + 1.0 / w.g3**2
+    ey = (1.0 / w.g1**2) * f10**2 + mid_weight * f11**2 + 1.0
     return ex, ey
 
 

@@ -25,15 +25,6 @@ import numpy as np
 from .core import DomainError, SqueezingSpec
 from .errormodel import ErrorSurface, ErrorSurfaceSpec, error_surface
 
-__all__ = [
-    "GKP_X_OFFSET",
-    "GKP_Y_OFFSET",
-    "CORRECTION_VARIANCE_UNITS",
-    "GainSurface",
-    "p_err_values",
-    "gain_surface",
-]
-
 GKP_X_OFFSET = (np.sqrt(5.0) + 1.0) / 2.0
 GKP_Y_OFFSET = np.sqrt(5.0) + 1.0
 

@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-__all__ = ["erfc"]
-
 # Highest power first; the leading 1 of Q, S and U is implicit.
 _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
            7.46321056442269912687e0, 4.86371970985681366614e1,

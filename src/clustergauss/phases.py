@@ -7,10 +7,11 @@ applies the matrix
     F(cot_in, cot_node, rho) = [[(cot_in*cot_node - 1)/rho, cot_node/rho],
                                 [-rho*cot_in,               -rho       ]]
 
-to the (x, y) quadratures, where rho = g1/g4 for the first stage and
-rho = g3/g2 for the second.  The full operation is U = F2 @ F1.  Given a
-target ((a, b), (c, d)) and a free stage-two node phase theta4', the three
-remaining cotangents follow in closed form; all four share the denominator
+(``core.stage_matrix``) to the (x, y) quadratures, where rho = g1/g4 for
+the first stage and rho = g3/g2 for the second.  The full operation is
+U = F2 @ F1.  Given a target ((a, b), (c, d)) and a free stage-two node
+phase theta4', the three remaining cotangents follow in closed form; all
+four share the denominator
 
     D = (g3^2/g2^2) * b + d * cot(theta4').
 
@@ -35,21 +36,9 @@ from .core import (
     arccot,
     is_degenerate,
     solve_cot3,
+    stage_matrix,
     validate_target,
 )
-
-__all__ = [
-    "SolverResult",
-    "ArbitrarinessReport",
-    "forward_matrix",
-    "solve_phases",
-    "solve_cots",
-    "forward_entries",
-    "theta2_unprimed",
-    "theta4_unprimed",
-    "sample_targets",
-    "check_arbitrariness",
-]
 
 # Largest solve -> forward round-trip residual that check_arbitrariness
 # accepts.
@@ -83,18 +72,11 @@ class ArbitrarinessReport:
 
 def forward_entries(cot1, cot2p, cot3, cot4p, w: WeightConfig):
     """Entries (a, b, c, d) of U = F2 @ F1, broadcasting over cot arrays."""
-    r1 = w.g1_over_g4
-    r2 = w.g3_over_g2
-    # First stage
-    a1 = (cot1 * cot2p - 1.0) / r1
-    b1 = cot2p / r1
-    c1 = -r1 * cot1
-    d1 = -r1 + 0.0 * np.asarray(cot1, dtype=float)
-    # Second stage
-    a2 = (cot3 * cot4p - 1.0) / r2
-    b2 = cot4p / r2
-    c2 = -r2 * cot3
-    d2 = -r2 + 0.0 * np.asarray(cot3, dtype=float)
+    cot1, cot2p, cot3, cot4p = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (cot1, cot2p, cot3, cot4p))
+    )
+    a1, b1, c1, d1 = stage_matrix(cot1, cot2p, w.g1_over_g4)
+    a2, b2, c2, d2 = stage_matrix(cot3, cot4p, w.g3_over_g2)
     a = a2 * a1 + b2 * c1
     b = a2 * b1 + b2 * d1
     c = c2 * a1 + d2 * c1

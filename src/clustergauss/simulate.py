@@ -48,24 +48,10 @@ from .core import (
     SymplecticTarget,
     WeightConfig,
     angle_cot,
-    pool_threads,
+    stage_matrix,
+    usable_cpus,
 )
 from .phases import solve_phases
-
-__all__ = [
-    "VARIANT_GAUSSIAN",
-    "VARIANT_CUBIC",
-    "VARIANTS",
-    "SHOT_BLOCK",
-    "RECORD_COLUMNS",
-    "SmallDisplacementWarning",
-    "InputState",
-    "SimConfig",
-    "SimSummary",
-    "LinearizationReport",
-    "run",
-    "linearization_check",
-]
 
 # Shots are generated in fixed-size blocks; block k always uses the
 # counter-based generator advanced by k * _BLOCK_STRIDE from the seed, so
@@ -353,6 +339,8 @@ def _propagate(q: np.ndarray, config: SimConfig, phases: PhaseSet) -> _Shots:
     c2x = i_3 / (g3 * s4) - i_2 * cot4 / (g3 * g2 * s3)
     c2y = i_2 * g3 / (g2 * s3)
 
+    # Written out, not core.stage_matrix: the oracle's feedforward stays
+    # independent of the F that the closed forms use.
     f00 = (cot3 * phases.cot4p - 1.0) / r2
     f01 = phases.cot4p / r2
     f10 = -r2 * cot3
@@ -495,11 +483,8 @@ def _predicted_error_cov(config: SimConfig, phases: PhaseSet,
     vector times var_y.
     """
     w = config.w
-    r2 = w.g3_over_g2
-    m2 = np.array([
-        [(phases.cot3 * phases.cot4p - 1.0) / r2, phases.cot4p / r2],
-        [-r2 * phases.cot3, -r2],
-    ])
+    f00, f01, f10, f11 = stage_matrix(phases.cot3, phases.cot4p, w.g3_over_g2)
+    m2 = np.array([[f00, f01], [f10, f11]])
     var_y = config.squeezing.var_y
     mid = 1.0 if mean_im is None else 1.0 / (12.0 * config.cubic.gamma
                                              * mean_im)
@@ -581,9 +566,9 @@ def run(config: SimConfig, n_workers: int = 1,
 
     Args:
         config: run description.
-        n_workers: threads in all, the calling thread included, capped by
-            ``core.pool_threads`` at the block count and the CPU count
-            and by MAX_DRAW_HELPERS helpers.
+        n_workers: threads in all, the calling thread included, capped at
+            the block count, at the CPUs this process may run on and at
+            MAX_DRAW_HELPERS helpers.
         record_sink: if given, called with each block's per-shot record
             array (n x len(RECORD_COLUMNS), RECORD_COLUMNS order), in
             block order, before the next block is taken.
@@ -601,7 +586,8 @@ def run(config: SimConfig, n_workers: int = 1,
         return _block_moments(q, shots, u)
 
     n_blocks = -(-config.n_shots // SHOT_BLOCK)
-    helpers = min(pool_threads(n_workers, n_blocks) - 1, MAX_DRAW_HELPERS)
+    threads = max(1, min(n_workers, n_blocks, usable_cpus()))
+    helpers = min(threads - 1, MAX_DRAW_HELPERS)
     n_slots = min(max(1, _SLOTS_PER_HELPER * helpers), n_blocks)
     ring = [np.empty((10, SHOT_BLOCK)) for _ in range(n_slots)]
     total = _NO_SHOTS
@@ -638,9 +624,7 @@ def linearization_check(config: SimConfig) -> LinearizationReport:
         raise DomainError("linearization_check requires variant='cubic'")
     solved = solve_phases(config.target, config.w, config.theta4p)
     p = solved.phases
-    r1 = config.w.g1_over_g4
-    m11 = (p.cot1 * p.cot2p - 1.0) / r1
-    m12 = p.cot2p / r1
+    m11, m12, _, _ = stage_matrix(p.cot1, p.cot2p, config.w.g1_over_g4)
 
     inp = config.input_state
     var_y = config.squeezing.var_y

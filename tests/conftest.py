@@ -75,6 +75,25 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+def exact_protocol_map(config, phases):
+    """Offset and 2x10 linear map L of a Gaussian run's ``_propagate``.
+
+    The Gaussian protocol is affine in the 10 sampled quadratures (the
+    ``_draw_block`` rows), so propagating 11 columns, zero and then each
+    unit vector, gives (x_out, y_out) = offset + L @ q exactly, with no
+    sampling.  Only ``simulate._propagate`` is called.
+    """
+    q = np.hstack([np.zeros((10, 1)), np.eye(10)])
+    shots = simulate._propagate(q, config, phases)
+    out = np.stack([shots.x_out, shots.y_out])
+    return out[:, 0], out[:, 1:] - out[:, :1]
+
+
+@pytest.fixture
+def protocol_map():
+    return exact_protocol_map
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if acceptance_log.LINES:
         terminalreporter.ensure_newline()

@@ -1,7 +1,9 @@
 """The public surface: every exported name exists, and README's code runs."""
 
+import ast
 import contextlib
 import importlib
+import inspect
 import io
 import pkgutil
 import re
@@ -12,6 +14,7 @@ import pytest
 import clustergauss
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(clustergauss.__file__).parent
 MODULES = ["clustergauss"] + [
     f"clustergauss.{info.name}"
     for info in pkgutil.iter_modules(clustergauss.__path__)]
@@ -26,15 +29,27 @@ def test_every_exported_name_resolves(name):
     assert not missing
 
 
-# core declares its public names in _EXPORTS alone; each other module
-# declares them in its __all__ too, where errormodel and simulate also
-# re-export the mode and variant choices from core.
-@pytest.mark.parametrize(
-    "name", [m for m in clustergauss._EXPORTS if m != "core"])
-def test_exports_match_module_all(name):
-    module = importlib.import_module(f"clustergauss.{name}")
-    own = [n for n in module.__all__ if n not in clustergauss._EXPORTS["core"]]
-    assert sorted(clustergauss._EXPORTS[name]) == sorted(own)
+def test_only_the_package_declares_all():
+    """``__init__._EXPORTS`` is the one list of public names."""
+    assigning = [
+        path.name for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        and any(isinstance(node, ast.Name) and node.id == "__all__"
+                and isinstance(node.ctx, ast.Store)
+                for node in ast.walk(ast.parse(path.read_text())))]
+    assert not assigning
+
+
+@pytest.mark.parametrize("module", sorted(clustergauss._EXPORTS))
+def test_exported_names_are_defined_where_listed(module):
+    namespace = importlib.import_module(f"clustergauss.{module}")
+    defined_elsewhere = []
+    for name in clustergauss._EXPORTS[module]:
+        value = getattr(namespace, name)
+        if (inspect.isclass(value) or inspect.isfunction(value)) \
+                and value.__module__ != f"clustergauss.{module}":
+            defined_elsewhere.append(name)
+    assert not defined_elsewhere
 
 
 def test_dir_lists_every_exported_name():

@@ -727,6 +727,28 @@ class TestCzDecomposeCommand:
         }
         assert np.asarray(doc["factors"]["squeezer"]).shape == (4, 4)
 
+    @staticmethod
+    def _strict_child(g):
+        """cz-decompose at weight ``g`` in a child that errors on warnings."""
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "clustergauss.cli",
+             "cz-decompose", "--g", g],
+            env=_child_env(), capture_output=True, text=True)
+
+    def test_underflowing_squeezer_ratio_exits_2(self):
+        proc = self._strict_child("1e154")
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid-config"
+        assert proc.stdout == ""
+
+    def test_largest_representable_ratio_still_decomposes(self):
+        proc = self._strict_child("9.4e153")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = json.loads(proc.stdout)
+        assert 0.0 < doc["s"] and math.isfinite(doc["residual"])
+
 
 class TestResolve:
     def test_every_option_kind_is_one_resolve_checks(self):

@@ -30,6 +30,7 @@ from clustergauss import (
     SqueezingSpec,
     SymplecticTarget,
     WeightConfig,
+    forward_matrix,
     linearization_check,
     run,
     sample_targets,
@@ -291,6 +292,43 @@ def _random_targets(n, seed):
         SymplecticTarget(*map(float, t))
         for t in zip(a[keep], b[keep], c[keep], d[keep])
     ]
+
+
+class TestExactMap:
+    """``_propagate``'s exact linear map against the one stage matrix F.
+
+    Tolerances: the input columns deviated from ``forward_matrix`` by at
+    most 9.9e-14 of max|U|, and the noise covariance from
+    ``_predicted_error_cov`` by at most 7.4e-16 of its largest entry,
+    over these 900 targets.
+    """
+
+    @pytest.mark.parametrize("weights", [(5.0, 5.0, 4.0, 4.0),
+                                         (1.0, 1.0, 1.0, 1.0),
+                                         (0.3, 2.0, 7.0, 0.5)])
+    def test_matches_forward_matrix_and_predicted_cov(self, weights,
+                                                      protocol_map):
+        w = WeightConfig(*weights)
+        a, b, c, d = sample_targets(300, 1)
+        theta4p = np.random.default_rng(2207).uniform(0.2, 2.9, a.size)
+        var = np.tile([SQZ.var_x, SQZ.var_y], 4)
+        worst_lin = worst_cov = 0.0
+        for i in range(a.size):
+            cfg = _gauss_config(SymplecticTarget(a[i], b[i], c[i], d[i]), w,
+                                theta4p[i], n_shots=1, seed=0)
+            phases = solve_phases(cfg.target, w, cfg.theta4p).phases
+            offset, lin = protocol_map(cfg, phases)
+            u = forward_matrix(phases, w).as_matrix()
+            noise = lin[:, 2:]
+            cov = noise @ np.diag(var) @ noise.T
+            pred = simulate._predicted_error_cov(cfg, phases, None)
+            assert not offset.any()
+            worst_lin = max(worst_lin,
+                            np.max(np.abs(lin[:, :2] - u)) / np.max(np.abs(u)))
+            worst_cov = max(worst_cov,
+                            np.max(np.abs(cov - pred)) / np.max(np.abs(pred)))
+        assert worst_lin <= 1e-12
+        assert worst_cov <= 1e-14
 
 
 class TestCubicAgreement:
