@@ -44,6 +44,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -87,8 +88,6 @@ from .core import (
 MANIFEST_SCHEMA_VERSION = 1
 WORKERS_ENV = "CLUSTERGAUSS_WORKERS"
 
-ERROR_SURFACE_HEADER = ("b", "d", "err_x", "err_y", "err_inf", "theta4p_used")
-GAIN_SURFACE_HEADER = ("b", "d", "p_err_base", "p_err_opt", "ratio")
 # Values formatted and written per write call; bounds the text held at
 # once, whatever the column count.  The formatter's work arrays take about
 # 400 bytes a value.  Under the allocator thresholds below, a fresh 401^2
@@ -323,19 +322,24 @@ def _target(values: dict) -> SymplecticTarget:
     return SymplecticTarget(*(values[k] for k in "abcd"))
 
 
-def _grid(values: dict) -> dict:
-    """ErrorSurfaceSpec keyword arguments of the (b, d) grid."""
-    return dict(b_range=(values["b_min"], values["b_max"]),
-                d_range=(values["d_min"], values["d_max"]),
-                nb=values["nb"], nd=values["nd"])
-
-
 def _cubic_config(values: dict, needed: bool):
     if not needed:
         return None
     _require(values, "gamma", "alpha")
     return CubicConfig(gamma=values["gamma"], alpha=values["alpha"],
                        i_m=values.get("im"))
+
+
+def _surface_spec(values: dict, prefix: str, mode: str):
+    """The ErrorSurfaceSpec of the (b, d) grid for weights ``prefix``1-4."""
+    from .errormodel import ErrorSurfaceSpec
+
+    return ErrorSurfaceSpec(
+        b_range=(values["b_min"], values["b_max"]),
+        d_range=(values["d_min"], values["d_max"]),
+        nb=values["nb"], nd=values["nd"],
+        w=_weight_config(values, prefix), mode=mode,
+        cubic=_cubic_config(values, mode == MODE_CUBIC_OPTIMIZED))
 
 
 # ---------------------------------------------------------------------------
@@ -393,25 +397,18 @@ def cmd_solve_phases(args) -> int:
     result = solve_phases(target, w, values["theta4p"])
     ph = result.phases
     payload = {
-        "target": {"a": target.a, "b": target.b,
-                   "c": target.c, "d": target.d},
-        "weights": [w.g1, w.g2, w.g3, w.g4],
-        "phases": {
-            "theta1": ph.theta1,
-            "theta2p": ph.theta2p,
-            "theta3": ph.theta3,
-            "theta4p": ph.theta4p,
-            "theta2": theta2_unprimed(ph.cot2p, w),
-            "theta4": theta4_unprimed(ph.cot4p, w),
-        },
+        "target": asdict(target),
+        "weights": list(w.as_tuple()),
+        "phases": {**ph.angles(),
+                   "theta2": theta2_unprimed(ph.cot2p, w),
+                   "theta4": theta4_unprimed(ph.cot4p, w)},
         "cots": {
             "cot_theta1": ph.cot1,
             "cot_theta2p": ph.cot2p,
             "cot_theta3": ph.cot3,
             "cot_theta4p": ph.cot4p,
         },
-        "realized": {"a": result.realized.a, "b": result.realized.b,
-                     "c": result.realized.c, "d": result.realized.d},
+        "realized": asdict(result.realized),
         "residual": result.residual,
     }
     _deliver(_dumps(payload), values["out"])
@@ -444,19 +441,12 @@ def _surface_config(path) -> dict:
 
 
 def cmd_error_surface(args) -> int:
-    from .errormodel import ErrorSurfaceSpec, error_surface
+    from .errormodel import error_surface
 
     values, recorded = _resolve(args, _surface_config(args.config),
                                 _SURFACE_OPTIONS)
-    mode = values["mode"]
-    spec = ErrorSurfaceSpec(
-        w=_weight_config(values),
-        mode=mode,
-        cubic=_cubic_config(values, mode == MODE_CUBIC_OPTIMIZED),
-        **_grid(values),
-    )
-    surface = error_surface(spec)
-    _write_csv(ERROR_SURFACE_HEADER, surface.to_rows(), values["out"])
+    surface = error_surface(_surface_spec(values, "g", values["mode"]))
+    _write_csv(surface.COLUMNS, surface.to_rows(), values["out"])
     if values["out"] is not None:
         _write_manifest(values["out"], "error-surface", recorded)
     return 0
@@ -480,26 +470,15 @@ _GAIN_OPTIONS = {
 
 
 def cmd_gain_surface(args) -> int:
-    from .errormodel import ErrorSurfaceSpec
     from .gkp import gain_surface
 
     values, recorded = _resolve(args, _surface_config(args.config),
                                 _GAIN_OPTIONS)
     _require(values, "out")
-    grid = _grid(values)
-    base_mode = values["base_mode"]
-    opt_mode = values["opt_mode"]
-    base_spec = ErrorSurfaceSpec(
-        w=_weight_config(values, "base_g"), mode=base_mode,
-        cubic=_cubic_config(values, base_mode == MODE_CUBIC_OPTIMIZED),
-        **grid)
-    opt_spec = ErrorSurfaceSpec(
-        w=_weight_config(values, "opt_g"), mode=opt_mode,
-        cubic=_cubic_config(values, opt_mode == MODE_CUBIC_OPTIMIZED),
-        **grid)
-    squeezing = SqueezingSpec.from_db(values["db"])
-    gs = gain_surface(base_spec, opt_spec, squeezing)
-    _write_csv(GAIN_SURFACE_HEADER, gs.to_rows(), values["out"])
+    gs = gain_surface(_surface_spec(values, "base_g", values["base_mode"]),
+                      _surface_spec(values, "opt_g", values["opt_mode"]),
+                      SqueezingSpec.from_db(values["db"]))
+    _write_csv(gs.COLUMNS, gs.to_rows(), values["out"])
     _write_manifest(values["out"], "gain-surface", recorded)
     bmax, dmax = gs.argmax_cell
     sys.stdout.write(_dumps({

@@ -329,6 +329,11 @@ class PhaseSet:
     def theta4p(self) -> float:
         return arccot(self.cot4p)
 
+    def angles(self) -> dict:
+        """The four angles by name: theta1, theta2p, theta3, theta4p."""
+        return {"theta1": self.theta1, "theta2p": self.theta2p,
+                "theta3": self.theta3, "theta4p": self.theta4p}
+
 
 @dataclass(frozen=True)
 class ErrorVector:

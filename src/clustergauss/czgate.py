@@ -37,12 +37,17 @@ def squeeze_ratio(g: float) -> float:
     Monotone decreasing from s(0) = 1 toward 0; computed in the
     subtraction-free form 2/(2 + g^2 + g*sqrt(4 + g^2)) to avoid
     cancellation at large g.  From g ~ 9.5e153 the denominator overflows
-    and s is 0.0; beyond ~1.34e154 g^2 itself raises OverflowError.
+    and s is 0.0; from ~1.34e154 g^2 itself overflows: DomainError.
     """
     if g < 0:
         raise DomainError(f"weight g = {g!r} must be nonnegative")
+    try:
+        g2 = g**2
+    except OverflowError:
+        raise DomainError(
+            f"weight g = {g!r} is too large: g^2 overflows") from None
     with np.errstate(over="ignore"):
-        return 2.0 / (2.0 + g**2 + g * np.sqrt(4.0 + g**2))
+        return 2.0 / (2.0 + g2 + g * np.sqrt(4.0 + g2))
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,8 @@ def bloch_messiah(g: float) -> CzDecomposition:
 
     Raises:
         DomainError: if the squeezer ratio underflows to 0 (g from about
-            9.5e153), where the squeezer has no finite factor.
+            9.5e153), where the squeezer has no finite factor, or if g^2
+            overflows (g from about 1.34e154).
     """
     s = squeeze_ratio(g)
     if not s > 0.0:

@@ -512,6 +512,9 @@ class ErrorSurface:
     no pole-free evaluation hold NaN and serialize as missing values.
     """
 
+    # The CSV header: the names of ``to_rows``' columns, in order.
+    COLUMNS = ("b", "d", "err_x", "err_y", "err_inf", "theta4p_used")
+
     spec: ErrorSurfaceSpec
     ex: np.ndarray
     ey: np.ndarray
@@ -531,7 +534,7 @@ class ErrorSurface:
         return int(np.count_nonzero(~np.isfinite(self.err_inf)))
 
     def to_rows(self):
-        """The CSV columns b, d, ex, ey, err_inf, theta4p, flattened b-major.
+        """The COLUMNS as arrays, flattened b-major.
 
         A tuple of equal-length float64 arrays: entry k of each column
         belongs to row k of the table.  Missing cells are NaN.

@@ -62,6 +62,9 @@ class GainSurface:
     NaN.
     """
 
+    # The CSV header: the names of ``to_rows``' columns, in order.
+    COLUMNS = ("b", "d", "p_err_base", "p_err_opt", "ratio")
+
     baseline: ErrorSurface
     optimized: ErrorSurface
     p_base: np.ndarray
@@ -105,7 +108,7 @@ class GainSurface:
         return (float(self.b_values[ij[0]]), float(self.d_values[ij[1]]))
 
     def to_rows(self):
-        """The CSV columns b, d, p_err_base, p_err_opt, ratio, b-major.
+        """The COLUMNS as arrays, flattened b-major.
 
         A tuple of equal-length float64 arrays: entry k of each column
         belongs to row k of the table.  Missing cells are NaN.

@@ -31,7 +31,7 @@ import math
 import warnings
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -185,32 +185,13 @@ class SimSummary:
         return self.n_kept + self.n_discarded
 
     def to_dict(self) -> dict:
-        def arr(a):
-            return np.asarray(a).tolist()
-
-        return {
-            "variant": self.variant,
-            "n_shots": int(self.n_shots),
-            "n_kept": int(self.n_kept),
-            "n_discarded": int(self.n_discarded),
-            "mean_out": arr(self.mean_out),
-            "cov_out": arr(self.cov_out),
-            "error_mean": arr(self.error_mean),
-            "error_cov": arr(self.error_cov),
-            "predicted_mean": arr(self.predicted_mean),
-            "predicted_out_cov": arr(self.predicted_out_cov),
-            "predicted_error_cov": arr(self.predicted_error_cov),
-            "z_mean": arr(self.z_mean),
-            "z_error_var": arr(self.z_error_var),
-            "mean_im": None if self.mean_im is None else float(self.mean_im),
-            "realized": arr(self.realized.as_matrix()),
-            "phases": {
-                "theta1": self.phases.theta1,
-                "theta2p": self.phases.theta2p,
-                "theta3": self.phases.theta3,
-                "theta4p": self.phases.theta4p,
-            },
-        }
+        """Fields as plain values (``realized`` a matrix, ``phases`` angles)."""
+        out = {f.name: np.asarray(getattr(self, f.name)).tolist()
+               for f in fields(self)}
+        out.update(n_shots=self.n_shots,
+                   realized=self.realized.as_matrix().tolist(),
+                   phases=self.phases.angles())
+        return out
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ import contextlib
 import importlib
 import inspect
 import io
-import pkgutil
 import re
 from pathlib import Path
 
@@ -15,12 +14,11 @@ import clustergauss
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = Path(clustergauss.__file__).parent
-MODULES = ["clustergauss"] + [
-    f"clustergauss.{info.name}"
-    for info in pkgutil.iter_modules(clustergauss.__path__)]
 
 
-@pytest.mark.parametrize("name", MODULES)
+# Only the package has an ``__all__``; each submodule's names are checked
+# against ``_EXPORTS`` below.
+@pytest.mark.parametrize("name", ["clustergauss"])
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", [])

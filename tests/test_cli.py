@@ -24,12 +24,30 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import clustergauss
-from clustergauss import RECORD_COLUMNS, WeightConfig, cli, csvtext, simulate
+from clustergauss import (
+    MODE_CUBIC_OPTIMIZED,
+    RECORD_COLUMNS,
+    CubicConfig,
+    DenominatorPole,
+    DomainError,
+    InputState,
+    NonpositiveIm,
+    SymplecticTarget,
+    WeightConfig,
+    cli,
+    csvtext,
+    error_vector_cubic,
+    optimize_theta4,
+    simulate,
+)
 from clustergauss.cli import main
-from clustergauss.errormodel import MODES, ErrorSurfaceSpec, error_surface
+from clustergauss.errormodel import (
+    MODES, ErrorSurface, ErrorSurfaceSpec, error_surface)
 from clustergauss.simulate import SHOT_BLOCK, VARIANTS
 
 D_OK = (1.0 + 0.5 * 0.3) / 1.2  # completes a=1.2, b=0.5, c=0.3
+OK_TARGET = SymplecticTarget(1.2, 0.5, 0.3, D_OK)
+W5544 = WeightConfig(5.0, 5.0, 4.0, 4.0)
 TARGET_ARGS = ("--a", "1.2", "--b", "0.5", "--c", "0.3", "--d", repr(D_OK))
 
 
@@ -174,7 +192,7 @@ class TestWriteCsv:
                          surf.theta4p[i, j]]
                 rows.append([bv, dv] + [float(v) if math.isfinite(v) else None
                                         for v in cells])
-        expected = ",".join(cli.ERROR_SURFACE_HEADER) + "\n" + "".join(
+        expected = ",".join(ErrorSurface.COLUMNS) + "\n" + "".join(
             ",".join(map(repr, row)) + "\n" for row in rows
         ).replace("None", "")
         assert out.read_text() == expected
@@ -329,6 +347,47 @@ class TestErrorCodes:
         code, _, err = _run(capsys, "gain-surface", "--nb", "3", "--nd", "3")
         assert code == 2
         assert json.loads(err)["error"] == "invalid-config"
+
+    @pytest.mark.parametrize("case, error, message", [
+        (lambda: InputState(mean_x=math.nan), DomainError,
+         "mean_x must be finite"),
+        (lambda: InputState(var_y=0.0), DomainError,
+         "var_y must be positive and finite"),
+        (lambda: ErrorSurfaceSpec((-5.0, math.inf), (-5.0, 5.0), 3, 3,
+                                  W5544, MODES[0]), DomainError,
+         "b_range must be a finite"),
+        # 12 gamma I_m underflows to 0 although gamma and I_m are positive.
+        (lambda: optimize_theta4(OK_TARGET, W5544, MODE_CUBIC_OPTIMIZED,
+                                 CubicConfig(1e-200, 1.0, 1e-200)),
+         NonpositiveIm, r"12\*gamma\*I_m = 0\.0 must be positive"),
+        (lambda: error_vector_cubic(SymplecticTarget(0.5, 0.0, 0.0, 2.0),
+                                    W5544, None, math.pi / 2,
+                                    CubicConfig(0.1, 11.0)),
+         DenominatorPole, "phase-solution denominator vanishes"),
+        (lambda: CubicConfig(0.1, -1.0), DomainError,
+         "alpha must be positive"),
+        # The word after --config is the text of the config file.
+        (["cz-decompose", "--config", "[1]"], "invalid-config",
+         "config file must contain a JSON object"),
+        (["simulate", "--workers", "0"], "invalid-config",
+         "workers must be >= 1, got 0"),
+    ], ids=["mean-nan", "var-zero", "b-range-inf", "twelve-gamma-im-0",
+            "cubic-pole", "alpha-negative", "config-list", "workers-0"])
+    def test_validation_raises(self, capsys, tmp_path, case, error, message):
+        """A library check raises; a CLI check exits 2 with one JSON line."""
+        if callable(case):
+            with pytest.raises(error, match=message):
+                case()
+            return
+        argv = list(case)
+        if "--config" in argv:
+            at = argv.index("--config") + 1
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(argv[at])
+            argv[at] = str(cfg)
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": error, "message": message}
 
 
 class TestErrorSurfaceCommand:
@@ -742,6 +801,13 @@ class TestCzDecomposeCommand:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "invalid-config"
         assert proc.stdout == ""
+
+    def test_overflowing_weight_square_exits_2_naming_the_weight(self):
+        proc = self._strict_child("2e154")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert "2e+154" in json.loads(lines[0])["message"]
 
     def test_largest_representable_ratio_still_decomposes(self):
         proc = self._strict_child("9.4e153")

@@ -430,6 +430,19 @@ class TestStreamingReduction:
         z = (np.diag(s.error_cov) - np.diag(s.predicted_error_cov)) / se_var
         np.testing.assert_allclose(s.z_error_var, z, rtol=1e-9)
 
+    def test_a_block_with_no_kept_shot_adds_only_its_discards(self):
+        # At alpha 0.3, seed 4 discards the one shot of block 1.
+        cubic = CubicConfig(gamma=0.1, alpha=0.3)
+        one, two = (run(_cubic_config(n, seed=4, cubic=cubic))
+                    for n in (SHOT_BLOCK, SHOT_BLOCK + 1))
+        assert (one.n_kept, one.n_discarded) == (6970, 1222)
+        assert (two.n_kept, two.n_discarded) == (6970, 1223)
+        assert two.error_cov.tobytes() == one.error_cov.tobytes()
+        a, b = one.to_dict(), two.to_dict()
+        for summary in (a, b):
+            del summary["n_shots"], summary["n_discarded"]
+        assert a == b
+
 
 class TestAmplitude:
     """Statistics do not depend on the input's coherent amplitude."""
