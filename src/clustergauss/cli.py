@@ -32,8 +32,7 @@ than two kept shots, leaves the records it wrote.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` where the
 environment does not set it or sets it empty (which OpenBLAS reads as
-unset), before numpy loads, so that OpenBLAS starts no thread pool;
-``--workers`` sizes ``simulate``'s draw helpers, not BLAS.
+unset), before numpy loads, so that OpenBLAS starts no thread pool.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ from . import __version__
 # Only core at module level: each command imports the modules it computes
 # with, so that a process loads no more of the package than its command.
 from .core import (
-    MAX_DRAW_HELPERS,
     MODE_CUBIC_OPTIMIZED,
     MODE_GAUSSIAN_FIXED,
     MODE_GAUSSIAN_OPTIMIZED,
@@ -82,10 +80,11 @@ from .core import (
     SqueezingSpec,
     SymplecticTarget,
     WeightConfig,
-    usable_cpus,
 )
 
 MANIFEST_SCHEMA_VERSION = 1
+# No command reads this variable.  Only the benchmark harness reads the
+# name, to unset it, so it stays while the harness does.
 WORKERS_ENV = "CLUSTERGAUSS_WORKERS"
 
 # Values formatted and written per write call; bounds the text held at
@@ -226,6 +225,18 @@ def _load_config(path):
     return data
 
 
+def _config_less_workers(path) -> dict:
+    """A config less the thread count that older manifests recorded.
+
+    Manifests of error-surface, gain-surface and simulate from earlier
+    versions record ``"workers"``; no command takes it now, and dropping
+    it lets such a manifest rerun.
+    """
+    config = _load_config(path)
+    config.pop("workers", None)
+    return config
+
+
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
@@ -286,22 +297,6 @@ def _require(values: dict, *keys: str) -> None:
     if missing:
         flags = ", ".join(_flag(k) for k in missing)
         raise DomainError(f"missing required value(s): {flags}")
-
-
-def _default_workers(args, config: dict) -> None:
-    """Set --workers to $CLUSTERGAUSS_WORKERS or the usable CPUs.
-
-    Only when neither the flag nor the config gives a count, so that
-    ``_resolve`` checks and records the count the run uses as it would a
-    flag value.
-    """
-    if args.workers is None and config.get("workers") is None:
-        env = os.environ.get(WORKERS_ENV)
-        try:
-            args.workers = usable_cpus() if env is None else int(env)
-        except ValueError:
-            raise DomainError(
-                f"${WORKERS_ENV} must be an integer, got {env!r}") from None
 
 
 def _angles_to_radians(args) -> None:
@@ -433,17 +428,10 @@ _SURFACE_OPTIONS = {
 }
 
 
-def _surface_config(path) -> dict:
-    """A surface config, less the thread count older manifests recorded."""
-    config = _load_config(path)
-    config.pop("workers", None)
-    return config
-
-
 def cmd_error_surface(args) -> int:
     from .errormodel import error_surface
 
-    values, recorded = _resolve(args, _surface_config(args.config),
+    values, recorded = _resolve(args, _config_less_workers(args.config),
                                 _SURFACE_OPTIONS)
     surface = error_surface(_surface_spec(values, "g", values["mode"]))
     _write_csv(surface.COLUMNS, surface.to_rows(), values["out"])
@@ -472,7 +460,7 @@ _GAIN_OPTIONS = {
 def cmd_gain_surface(args) -> int:
     from .gkp import gain_surface
 
-    values, recorded = _resolve(args, _surface_config(args.config),
+    values, recorded = _resolve(args, _config_less_workers(args.config),
                                 _GAIN_OPTIONS)
     _require(values, "out")
     gs = gain_surface(_surface_spec(values, "base_g", values["base_mode"]),
@@ -511,10 +499,6 @@ _SIMULATE_OPTIONS = {
     "z_gate": (float, 5.0, "max |z| before exit code 3 (default 5); finite "
                            "and > 0: inf is rejected because the manifest "
                            "could not record it"),
-    "workers": (int, None, f"threads: the calling thread plus up to "
-                           f"{MAX_DRAW_HELPERS} that draw shot blocks ahead "
-                           f"(default: ${WORKERS_ENV} or the CPUs this "
-                           f"process may use)"),
     "records": ("FILE", None, "also write per-shot records as CSV, streamed "
                               "block by block; written in full before the "
                               "gate verdict"),
@@ -547,13 +531,8 @@ def cmd_simulate(args) -> int:
     from .simulate import RECORD_COLUMNS, InputState, SimConfig, run
 
     _angles_to_radians(args)
-    file_config = _load_config(args.config)
-    _default_workers(args, file_config)
-    values, recorded = _resolve(args, file_config, _SIMULATE_OPTIONS)
-    # The manifest records the count the run used: 2 for a config's 2.0.
-    workers = recorded["workers"] = values["workers"]
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    values, recorded = _resolve(args, _config_less_workers(args.config),
+                                _SIMULATE_OPTIONS)
     _require(values, "a", "b", "c", "d")
     z_gate = values["z_gate"]
     if z_gate <= 0.0:
@@ -574,7 +553,7 @@ def cmd_simulate(args) -> int:
     records = values["records"]
     with (contextlib.nullcontext() if records is None
           else _csv_writer(RECORD_COLUMNS, records)) as write_records:
-        summary = run(config, n_workers=workers, record_sink=write_records)
+        summary = run(config, record_sink=write_records)
     _deliver(_dumps(summary.to_dict()), values["out"])
     if values["out"] is not None:
         _write_manifest(values["out"], "simulate", recorded)

@@ -25,7 +25,6 @@ not limited by angle quantisation.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +53,6 @@ MODES = (MODE_GAUSSIAN_FIXED, MODE_GAUSSIAN_OPTIMIZED, MODE_CUBIC_OPTIMIZED)
 VARIANT_GAUSSIAN = "gaussian"
 VARIANT_CUBIC = "cubic"
 VARIANTS = (VARIANT_GAUSSIAN, VARIANT_CUBIC)
-
-# Most helper threads that draw shot blocks ahead of the simulator's
-# calling thread.  Drawing and scaling a block costs about twice what
-# propagating, reducing and merging it costs (2.1-2.3x on Gaussian and
-# cubic blocks, 2-vCPU Xeon), so two helpers all but keep the calling
-# thread busy and more would mostly hold ring buffers.
-MAX_DRAW_HELPERS = 2
 
 
 def is_degenerate(d):
@@ -147,14 +139,6 @@ def arccot(value):
     value = np.asarray(value, dtype=float)
     out = np.arctan2(1.0, value)
     return out if out.ndim else float(out)
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, where there is one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
 
 
 def db_to_variance(db: float) -> float:
@@ -256,8 +240,15 @@ class SqueezingSpec:
     def __post_init__(self):
         if not math.isfinite(self.db):
             raise DomainError(f"db must be finite, got {self.db!r}")
-        if not (self.var_y > 0):
-            raise DomainError(f"var_y must be positive, got {self.var_y!r}")
+        try:
+            var_y = self.var_y
+        except OverflowError:
+            raise DomainError(
+                f"db = {self.db!r} is out of range: 10^(db/10) overflows"
+            ) from None
+        if not (var_y > 0):
+            raise DomainError(f"var_y must be positive, got {var_y!r}: "
+                              f"db = {self.db!r} is out of range")
 
     @classmethod
     def from_db(cls, db: float) -> "SqueezingSpec":
@@ -275,8 +266,17 @@ class SqueezingSpec:
 
     @property
     def var_x(self) -> float:
-        """Anti-squeezed quadrature variance exp(2r)/4 (minimum uncertainty)."""
-        return math.exp(2.0 * self.r) / 4.0
+        """Anti-squeezed quadrature variance exp(2r)/4 (minimum uncertainty).
+
+        Raises DomainError where exp(2r) overflows (db below about -3083),
+        although var_y is then still positive.
+        """
+        try:
+            return math.exp(2.0 * self.r) / 4.0
+        except OverflowError:
+            raise DomainError(
+                f"db = {self.db!r} is out of range: exp(2r) overflows"
+            ) from None
 
 
 def angle_cot(name: str, theta: float) -> float:

@@ -154,4 +154,9 @@ def max_weight(db: float) -> float:
     Monotone decreasing in db: less squeezing admits smaller weights.
     """
     x = float(db)
-    return 10.0 ** (-x / 20.0) / np.sqrt(1.0 + 10.0 ** (x / 10.0))
+    try:
+        return 10.0 ** (-x / 20.0) / np.sqrt(1.0 + 10.0 ** (x / 10.0))
+    except OverflowError:
+        raise DomainError(
+            f"db = {db!r} is out of range: the weight bound overflows"
+        ) from None

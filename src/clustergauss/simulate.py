@@ -26,18 +26,14 @@ Shots with I_m <= 0 are discarded and counted, never clamped.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .core import (
-    MAX_DRAW_HELPERS,
     VARIANT_CUBIC,
     VARIANT_GAUSSIAN,
     VARIANTS,
@@ -49,19 +45,15 @@ from .core import (
     WeightConfig,
     angle_cot,
     stage_matrix,
-    usable_cpus,
 )
 from .phases import solve_phases
 
 # Shots are generated in fixed-size blocks; block k always uses the
-# counter-based generator advanced by k * _BLOCK_STRIDE from the seed, so
-# results are bit-identical for any worker partitioning.
+# counter-based generator advanced by k * _BLOCK_STRIDE from the seed.
+# This seeding defines every sample a run draws, and so every output byte:
+# one generator stream over all shots would draw different samples.
 SHOT_BLOCK = 8192
 _BLOCK_STRIDE = 2**40
-
-# Ring buffers per helper: one being drawn while the calling thread
-# consumes another.
-_SLOTS_PER_HELPER = 2
 
 # Both linearization ratios must reach this for LinearizationReport.passed.
 LINEARIZATION_SAFETY = 10.0
@@ -141,16 +133,18 @@ class SimConfig:
         if int(self.seed) != self.seed or self.seed < 0:
             raise DomainError("seed must be a nonnegative integer")
         angle_cot("theta4p", self.theta4p)
-        if self.variant == VARIANT_CUBIC:
-            spread = self.squeezing.var_x
-            if self.cubic.alpha**2 < 100.0 * spread:
-                warnings.warn(
-                    "alpha^2 = {:.4g} is less than 100x the node-2 x spread "
-                    "{:.4g}; the square-root linearisation may be inaccurate"
-                    .format(self.cubic.alpha**2, spread),
-                    SmallDisplacementWarning,
-                    stacklevel=2,
-                )
+        # Read for both variants, so that a var_x that overflows fails
+        # here, before any sampling.
+        spread = self.squeezing.var_x
+        if (self.variant == VARIANT_CUBIC
+                and self.cubic.alpha**2 < 100.0 * spread):
+            warnings.warn(
+                "alpha^2 = {:.4g} is less than 100x the node-2 x spread "
+                "{:.4g}; the square-root linearisation may be inaccurate"
+                .format(self.cubic.alpha**2, spread),
+                SmallDisplacementWarning,
+                stacklevel=2,
+            )
 
 
 @dataclass(frozen=True)
@@ -227,7 +221,7 @@ def _draw_block(config: SimConfig, block: int,
     Row order: x_in, y_in, then (x_s, y_s) for nodes 1..4.  The node x
     rows carry the anti-squeezed variance e^{2r}/4, the node y rows the
     squeezed variance e^{-2r}/4.  Nothing is allocated per block beyond
-    the generator, so a helper thread's heap does not grow.
+    the generator.
     """
     _block_rng(config.seed, block).standard_normal(out=buffer)
     q = buffer[:, :min(SHOT_BLOCK, config.n_shots - block * SHOT_BLOCK)]
@@ -239,13 +233,6 @@ def _draw_block(config: SimConfig, block: int,
     q[2::2] *= math.sqrt(config.squeezing.var_x)
     q[3::2] *= math.sqrt(config.squeezing.var_y)
     return q
-
-
-def _run_now(fn, *args) -> Future:
-    """``fn(*args)``, run at once, as a finished Future: a pool of no threads."""
-    done = Future()
-    done.set_result(fn(*args))
-    return done
 
 
 class _Shots(NamedTuple):
@@ -526,62 +513,36 @@ def _summarize(config: SimConfig, m: _Moments, u: np.ndarray,
     )
 
 
-def run(config: SimConfig, n_workers: int = 1,
+def run(config: SimConfig,
         record_sink: Optional[Callable[[np.ndarray], object]] = None
         ) -> SimSummary:
     """Run the Monte Carlo protocol described by ``config``.
 
-    Shots are generated in fixed blocks with counter-based seeding.  The
-    calling thread takes the blocks in block order; it propagates each
-    one, reduces it to centred moments (count, means, co-moment sums and
-    the error's third and fourth moment sums) and merges those into the
-    running total.  Memory does not grow with ``n_shots``, and the summary
-    is bit-identical for any ``n_workers``.
-
-    With ``n_workers`` > 1, up to MAX_DRAW_HELPERS helper threads draw and
-    scale blocks ahead into a ring of preallocated buffers, two per
-    helper.  A buffer goes back to the helpers only once the calling
-    thread is done with its block, records included, so every per-block
-    temporary lives on the calling thread.  With no helpers, the calling
-    thread draws each block into one reused buffer.
+    Shots are generated in fixed blocks with counter-based seeding, on the
+    calling thread, into one reused buffer.  Each block is propagated,
+    reduced to centred moments (count, means, co-moment sums and the
+    error's third and fourth moment sums) and merged into the running
+    total in block order, so memory does not grow with ``n_shots``.
 
     Args:
         config: run description.
-        n_workers: threads in all, the calling thread included, capped at
-            the block count, at the CPUs this process may run on and at
-            MAX_DRAW_HELPERS helpers.
         record_sink: if given, called with each block's per-shot record
             array (n x len(RECORD_COLUMNS), RECORD_COLUMNS order), in
-            block order, before the next block is taken.
+            block order, before the next block is drawn.
 
     Returns:
         SimSummary.
     """
     solved = solve_phases(config.target, config.w, config.theta4p)
     u = solved.realized.as_matrix()
-
-    def consume(q: np.ndarray) -> _Moments:
+    buffer = np.empty((10, SHOT_BLOCK))
+    total = _NO_SHOTS
+    for k in range(-(-config.n_shots // SHOT_BLOCK)):
+        q = _draw_block(config, k, buffer)
         shots = _propagate(q, config, solved.phases)
         if record_sink is not None:
             record_sink(_record_block(q, shots))
-        return _block_moments(q, shots, u)
-
-    n_blocks = -(-config.n_shots // SHOT_BLOCK)
-    threads = max(1, min(n_workers, n_blocks, usable_cpus()))
-    helpers = min(threads - 1, MAX_DRAW_HELPERS)
-    n_slots = min(max(1, _SLOTS_PER_HELPER * helpers), n_blocks)
-    ring = [np.empty((10, SHOT_BLOCK)) for _ in range(n_slots)]
-    total = _NO_SHOTS
-    with (ThreadPoolExecutor(max_workers=helpers) if helpers
-          else contextlib.nullcontext()) as pool:
-        submit = pool.submit if helpers else _run_now
-        drawn = deque(submit(_draw_block, config, k, buffer)
-                      for k, buffer in enumerate(ring))
-        for k in range(n_blocks):
-            total = _merge(total, consume(drawn.popleft().result()))
-            if k + n_slots < n_blocks:
-                drawn.append(submit(_draw_block, config, k + n_slots,
-                                    ring[k % n_slots]))
+        total = _merge(total, _block_moments(q, shots, u))
     return _summarize(config, total, u, solved)
 
 

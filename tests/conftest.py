@@ -1,6 +1,3 @@
-import os
-from concurrent.futures import Future
-
 import numpy as np
 import pytest
 
@@ -41,38 +38,6 @@ def complete_target(a, b, c):
 @pytest.fixture
 def make_target():
     return complete_target
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Record the ``max_workers`` of each ``simulate`` pool; start no thread.
-
-    The pool becomes an inline stand-in that runs each submitted task on
-    the calling thread, and the process appears to have three CPUs.
-    Returns the list of recorded sizes.
-    """
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    return sizes
 
 
 def exact_protocol_map(config, phases):

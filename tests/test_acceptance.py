@@ -310,7 +310,7 @@ def test_criterion_11_manifest_rerun_determinism(tmp_path, capsys):
     sim2 = tmp_path / "sim2.json"
     code = cli_main([
         "simulate", "--config", str(sim1) + ".manifest.json",
-        "--out", str(sim2), "--workers", "3",
+        "--out", str(sim2),
     ])
     assert code == 0
     sim_same = sim1.read_bytes() == sim2.read_bytes()

@@ -369,10 +369,8 @@ class TestErrorCodes:
         # The word after --config is the text of the config file.
         (["cz-decompose", "--config", "[1]"], "invalid-config",
          "config file must contain a JSON object"),
-        (["simulate", "--workers", "0"], "invalid-config",
-         "workers must be >= 1, got 0"),
     ], ids=["mean-nan", "var-zero", "b-range-inf", "twelve-gamma-im-0",
-            "cubic-pole", "alpha-negative", "config-list", "workers-0"])
+            "cubic-pole", "alpha-negative", "config-list"])
     def test_validation_raises(self, capsys, tmp_path, case, error, message):
         """A library check raises; a CLI check exits 2 with one JSON line."""
         if callable(case):
@@ -388,6 +386,30 @@ class TestErrorCodes:
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": error, "message": message}
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--a", "1", "--b", "0", "--c", "0", "--d", "1",
+         "--db", "4000"],
+        # var_y is still positive here; var_x = exp(2r)/4 overflows.
+        ["simulate", "--a", "1", "--b", "0", "--c", "0", "--d", "1",
+         "--db=-3090"],
+        # var_y = 10^(db/10)/4 underflows to 0.
+        ["simulate", "--a", "1", "--b", "0", "--c", "0", "--d", "1",
+         "--db=-4000"],
+        ["gain-surface", "--db", "4000", "--nb", "3", "--nd", "3",
+         "--out", "unused.csv"],
+        ["weight-bound", "--db", "4000"],
+    ], ids=["simulate-high", "simulate-low", "simulate-underflow",
+            "gain-surface", "weight-bound"])
+    def test_overflowing_db_exits_2_naming_db(self, capsys, tmp_path,
+                                              monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["error"] == "invalid-config"
+        assert "db" in doc["message"]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestErrorSurfaceCommand:
@@ -463,12 +485,17 @@ class TestErrorSurfaceCommand:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "invalid-config"
 
-    @pytest.mark.parametrize("command", ["error-surface", "gain-surface"])
-    def test_manifest_workers_key_is_ignored(self, capsys, tmp_path, command):
-        # Surface manifests once recorded a thread count; they still rerun.
+    @pytest.mark.parametrize("command, args", [
+        ("error-surface", ("--nb", "3", "--nd", "3")),
+        ("gain-surface", ("--nb", "3", "--nd", "3")),
+        ("simulate", ("--a", "1", "--b", "0", "--c", "0", "--d", "1",
+                      "--shots", "2000")),
+    ], ids=["error-surface", "gain-surface", "simulate"])
+    def test_manifest_workers_key_is_ignored(self, capsys, tmp_path, command,
+                                             args):
+        # Manifests once recorded a thread count; they still rerun.
         first = tmp_path / "first.csv"
-        code, summary, _ = _run(capsys, command, "--nb", "3", "--nd", "3",
-                                "--out", str(first))
+        code, summary, _ = _run(capsys, command, *args, "--out", str(first))
         assert code == 0
         doc = json.loads((tmp_path / "first.csv.manifest.json").read_text())
         assert "workers" not in doc["resolved_config"]
@@ -532,9 +559,8 @@ class TestSimulateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("z_gate", None), ("db", None), ("mean_x", None), ("workers", [2]),
-        ("records", 5), ("db", True), ("z_gate", "5"), ("var_x", "0.25"),
-        ("workers", 1.5), ("alpha", [1]),
+        ("z_gate", None), ("db", None), ("mean_x", None), ("records", 5),
+        ("db", True), ("z_gate", "5"), ("var_x", "0.25"), ("alpha", [1]),
     ])
     def test_config_value_of_the_wrong_type_is_invalid(self, capsys,
                                                        tmp_path, key, value):
@@ -618,38 +644,6 @@ class TestSimulateCommand:
         assert doc["variant"] == "cubic"
         assert doc["mean_im"] is not None
         assert doc["n_kept"] + doc["n_discarded"] == 2000
-
-    def test_default_workers_are_the_usable_cpus(self, capsys, monkeypatch,
-                                                 tmp_path):
-        monkeypatch.delenv("CLUSTERGAUSS_WORKERS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                            raising=False)
-        out1 = tmp_path / "sim1.json"
-        code, _, _ = _run(capsys, *self.BASE, "--out", str(out1))
-        assert code == 0
-        manifest = tmp_path / "sim1.json.manifest.json"
-        resolved = json.loads(manifest.read_text())["resolved_config"]
-        assert resolved["workers"] == 3
-        out2 = tmp_path / "sim2.json"
-        code, _, _ = _run(capsys, "simulate", "--config", str(manifest),
-                          "--out", str(out2))
-        assert code == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_workers_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CLUSTERGAUSS_WORKERS", "3")
-        doc_env = _run_json(capsys, *self.BASE)
-        monkeypatch.delenv("CLUSTERGAUSS_WORKERS")
-        doc_one = _run_json(capsys, *self.BASE)
-        assert doc_env["cov_out"] == doc_one["cov_out"]
-
-    @pytest.mark.parametrize("value", ["1.5", "two", ""])
-    def test_workers_env_must_be_an_integer(self, capsys, monkeypatch,
-                                            value):
-        monkeypatch.setenv("CLUSTERGAUSS_WORKERS", value)
-        code, out, err = _run(capsys, *self.BASE)
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"] == "invalid-config"
 
 
 class TestGainSurfaceCommand:
@@ -745,7 +739,7 @@ class TestGoldenOutputs:
                       records_digest):
         records = tmp_path / "shots.csv"
         got, out, err = _run(capsys, "simulate", *TARGET_ARGS, *self.WEIGHTS,
-                             *extra, "--workers", "1", "--records", str(records))
+                             *extra, "--records", str(records))
         assert got == code, err
         assert _sha256(out) == summary_digest
         assert _sha256(records.read_bytes()) == records_digest
@@ -1001,12 +995,14 @@ class TestUsageErrors:
         [*TestSimulateCommand.BASE, "--shots", "1e5"],
         ["error-surface", "--workers", "2"],
         ["gain-surface", "--workers", "2", "--out", "unused.csv"],
+        [*TestSimulateCommand.BASE, "--workers", "2"],
         [*TestSimulateCommand.BASE, "--im", "1000"],
         ["solve-phases", "--no-such-flag"],
         ["no-such-command"],
         [],
     ], ids=["bad-int", "error-surface-workers", "gain-surface-workers",
-            "simulate-im", "unknown-flag", "unknown-command", "no-command"])
+            "simulate-workers", "simulate-im", "unknown-flag",
+            "unknown-command", "no-command"])
     def test_exit_2_with_one_json_line(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -1023,7 +1019,8 @@ class TestUsageErrors:
             main(["simulate", "--help"])
         assert exc.value.code == 0
         out, err = capsys.readouterr()
-        assert "--workers" in out and "--im" not in out
+        assert "--records" in out
+        assert "--workers" not in out and "--im" not in out
         assert err == ""
 
 
@@ -1037,11 +1034,11 @@ EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
 # A config file may also hold what is no number at all.
 CONFIG_JUNK = st.sampled_from(["abc", "", "nan", "1.5", None, True, [1.0], {}])
 # Size-like integers stay tiny: grids of at most 3 x 3, at most two shot
-# blocks, at most 4 workers.
+# blocks.
 SMALL_INTS = {
     "nb": st.integers(-1, 3), "nd": st.integers(-1, 3),
     "shots": st.sampled_from([-1, 0, 1, 2, SHOT_BLOCK + 1, 2 * SHOT_BLOCK]),
-    "seed": st.integers(-2, 3), "workers": st.integers(-1, 4),
+    "seed": st.integers(-2, 3),
 }
 
 CUBIC_POINT = {"gamma": 0.1, "alpha": math.sqrt(125.0)}
@@ -1058,7 +1055,7 @@ FUZZ_BASES = {
                  "g2": 5.0, "g3": 4.0, "g4": 4.0, "theta4p": 1.1,
                  "db": -15.0, "shots": 2000, "seed": 3, **CUBIC_POINT,
                  "mean_x": 0.0, "mean_y": 0.0, "var_x": 0.25, "var_y": 0.25,
-                 "z_gate": 5.0, "workers": 2},
+                 "z_gate": 5.0},
     "weight-bound": {"db": -15.0, "g": [5.4]},
     "cz-decompose": {"g": 1.0},
 }

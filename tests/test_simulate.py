@@ -8,9 +8,7 @@ predictions at frozen seeds as well as its determinism contract.
 import json
 import math
 import os
-import sys
 import threading
-import time
 import warnings
 from unittest import mock
 
@@ -51,10 +49,10 @@ def _gauss_config(target, w, theta4p, n_shots, seed, **kw):
     )
 
 
-def _run_recorded(cfg, **kw):
+def _run_recorded(cfg):
     """(summary, record blocks) of a run whose records go to a list sink."""
     blocks = []
-    return run(cfg, record_sink=blocks.append, **kw), blocks
+    return run(cfg, record_sink=blocks.append), blocks
 
 
 def _cubic_config(n_shots, seed, cubic=OP_CUBIC, target=OP_TARGET, **kw):
@@ -66,99 +64,6 @@ def _cubic_config(n_shots, seed, cubic=OP_CUBIC, target=OP_TARGET, **kw):
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_anything(self, strong_weights):
-        cfg = _gauss_config(OP_TARGET, strong_weights, 1.1, 20_000, seed=42)
-        one = run(cfg, n_workers=1)
-        three = run(cfg, n_workers=3)
-        four = run(cfg, n_workers=4)
-        for a, b in ((one, three), (one, four)):
-            np.testing.assert_array_equal(a.mean_out, b.mean_out)
-            np.testing.assert_array_equal(a.cov_out, b.cov_out)
-            np.testing.assert_array_equal(a.error_cov, b.error_cov)
-            np.testing.assert_array_equal(a.z_error_var, b.z_error_var)
-
-    # ``threads`` lists the pool sizes: the helpers that draw blocks ahead
-    # of the calling thread, one fewer than the threads in all.
-    @pytest.mark.parametrize("shots, workers, threads", [
-        (30_000, 1_000_000, [2]),  # four blocks, capped at the CPU count
-        (10_000, 1_000_000, [1]),  # capped at the block count
-        (500, 4, []),  # one block: no pool
-    ])
-    def test_thread_count_is_capped(self, strong_weights, pool_sizes,
-                                    shots, workers, threads):
-        cfg = _gauss_config(OP_TARGET, strong_weights, 1.1, shots, seed=5)
-        capped = run(cfg, n_workers=workers)
-        assert pool_sizes == threads
-        np.testing.assert_array_equal(capped.cov_out, run(cfg).cov_out)
-
-    @pytest.mark.parametrize("slow", ["propagate", "draw"])
-    @pytest.mark.parametrize("variant, shots", [
-        (VARIANT_GAUSSIAN, 5 * SHOT_BLOCK + 123),  # partial last block
-        (VARIANT_GAUSSIAN, 2 * SHOT_BLOCK + 7),  # 3 blocks, 4 ring slots
-        (VARIANT_CUBIC, 50_000),  # discards, 7 blocks
-    ])
-    def test_real_helper_threads_change_nothing(self, monkeypatch,
-                                                strong_weights, variant,
-                                                shots, slow):
-        if variant == VARIANT_GAUSSIAN:
-            cfg = _gauss_config(OP_TARGET, strong_weights, 1.1, shots,
-                                seed=9, input_state=InputState(mean_x=3.0,
-                                                               mean_y=-2.0))
-        else:
-            cfg = _cubic_config(shots, seed=2,
-                                cubic=CubicConfig(gamma=0.1, alpha=5.0))
-        serial, serial_blocks = _run_recorded(cfg, n_workers=1)
-
-        # Three CPUs give two helper threads, and a sleep makes one side
-        # of the ring lag: helpers wait for free slots when propagation
-        # is slow, the calling thread waits for drawn blocks when drawing
-        # is.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                            raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        drawing_threads = set()
-        draw = simulate._draw_block
-
-        def tracked_draw(*args):
-            drawing_threads.add(threading.get_ident())
-            return draw(*args)
-
-        def slowed(fn):
-            def slow_call(*args):
-                time.sleep(0.003)
-                return fn(*args)
-            return slow_call
-
-        monkeypatch.setattr(simulate, "_draw_block", slowed(tracked_draw)
-                            if slow == "draw" else tracked_draw)
-        if slow == "propagate":
-            monkeypatch.setattr(simulate, "_propagate",
-                                slowed(simulate._propagate))
-        # The run goes on its own thread, so that a hang fails the test
-        # instead of stalling it; a short switch interval interleaves the
-        # threads finely.
-        results = []
-        caller = threading.Thread(
-            target=lambda: results.append(_run_recorded(cfg, n_workers=3)),
-            daemon=True)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            caller.start()
-            caller.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not caller.is_alive()
-        (threaded, threaded_blocks), = results
-
-        assert drawing_threads
-        assert caller.ident not in drawing_threads
-        assert threaded.to_dict() == serial.to_dict()
-        assert len(threaded_blocks) == len(serial_blocks) == \
-            -(-shots // SHOT_BLOCK)
-        for a, b in zip(threaded_blocks, serial_blocks):
-            np.testing.assert_array_equal(a, b)
-
     def test_same_seed_same_result(self, strong_weights):
         cfg = _gauss_config(OP_TARGET, strong_weights, 1.1, 5_000, seed=7)
         a, b = run(cfg), run(cfg)
@@ -169,13 +74,26 @@ class TestDeterminism:
         b = run(_gauss_config(OP_TARGET, strong_weights, 1.1, 5_000, seed=8))
         assert not np.array_equal(a.cov_out, b.cov_out)
 
-    def test_cubic_worker_invariance(self):
-        cfg = _cubic_config(20_000, seed=3)
-        one = run(cfg, n_workers=1)
-        three = run(cfg, n_workers=3)
-        np.testing.assert_array_equal(one.error_cov, three.error_cov)
-        assert one.n_discarded == three.n_discarded
-        assert one.mean_im == three.mean_im
+    def test_simulate_draws_on_the_calling_thread(self, monkeypatch,
+                                                  capsys):
+        # Three CPUs and three blocks: a thread count that defaulted to
+        # the CPUs would draw blocks on helper threads.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        drawing_threads = []
+        draw = simulate._draw_block
+
+        def tracked_draw(*args):
+            drawing_threads.append(threading.get_ident())
+            return draw(*args)
+
+        monkeypatch.setattr(simulate, "_draw_block", tracked_draw)
+        rc = main(["simulate", "--a", "1", "--b", "0", "--c", "0", "--d", "1",
+                   "--shots", str(3 * SHOT_BLOCK), "--seed", "1"])
+        capsys.readouterr()
+        assert rc == 0
+        assert drawing_threads == [threading.get_ident()] * 3
 
 
 def _replay(cfg, row):
