@@ -162,11 +162,12 @@ def _deliver(text: str, out) -> None:
 
 @contextlib.contextmanager
 def _csv_writer(header, out):
-    """Open ``out`` (stdout if None), write ``header``, yield a row writer.
+    """Open ``out`` (stdout if None), write ``header``, yield a column writer.
 
-    The writer takes a C-contiguous float64 block of rows in header order.
-    Each value is written as the repr of its Python float, a non-finite
-    one as an empty field; nothing needs quoting.  Rows are formatted
+    The writer takes a tuple of equal-length float64 columns in header
+    order, and may be called again for more rows.  Each value is written
+    as the repr of its Python float, a non-finite one as an empty field;
+    nothing needs quoting.  The columns are stacked into rows, formatted
     (``csvtext.csv_rows``) and written about CSV_CHUNK_VALUES values at a
     time, so the text is never held whole.
     """
@@ -175,28 +176,15 @@ def _csv_writer(header, out):
 
     chunk = max(1, CSV_CHUNK_VALUES // len(header))
 
-    def write_rows(block: np.ndarray) -> None:
-        for start in range(0, len(block), chunk):
-            fh.write(csv_rows(block[start:start + chunk]))
+    def write_columns(columns) -> None:
+        for start in range(0, len(columns[0]), chunk):
+            fh.write(csv_rows(np.column_stack(
+                [col[start:start + chunk] for col in columns])))
 
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w")) as fh:
         fh.write(",".join(header) + "\n")
-        yield write_rows
-
-
-def _write_csv(header, columns, out) -> None:
-    """Write ``header`` and equal-length float64 ``columns`` as CSV.
-
-    ``out`` is a path, or None for stdout.  The columns are stacked into
-    rows one writer chunk at a time.
-    """
-    columns = [np.asarray(col, dtype=np.float64) for col in columns]
-    chunk = max(1, CSV_CHUNK_VALUES // len(columns))
-    with _csv_writer(header, out) as write_rows:
-        for start in range(0, len(columns[0]), chunk):
-            write_rows(np.column_stack(
-                [col[start:start + chunk] for col in columns]))
+        yield write_columns
 
 
 def _write_manifest(out, subcommand: str, resolved: dict) -> None:
@@ -434,7 +422,8 @@ def cmd_error_surface(args) -> int:
     values, recorded = _resolve(args, _config_less_workers(args.config),
                                 _SURFACE_OPTIONS)
     surface = error_surface(_surface_spec(values, "g", values["mode"]))
-    _write_csv(surface.COLUMNS, surface.to_rows(), values["out"])
+    with _csv_writer(surface.COLUMNS, values["out"]) as write_columns:
+        write_columns(surface.to_rows())
     if values["out"] is not None:
         _write_manifest(values["out"], "error-surface", recorded)
     return 0
@@ -466,7 +455,8 @@ def cmd_gain_surface(args) -> int:
     gs = gain_surface(_surface_spec(values, "base_g", values["base_mode"]),
                       _surface_spec(values, "opt_g", values["opt_mode"]),
                       SqueezingSpec.from_db(values["db"]))
-    _write_csv(gs.COLUMNS, gs.to_rows(), values["out"])
+    with _csv_writer(gs.COLUMNS, values["out"]) as write_columns:
+        write_columns(gs.to_rows())
     _write_manifest(values["out"], "gain-surface", recorded)
     bmax, dmax = gs.argmax_cell
     sys.stdout.write(_dumps({
@@ -569,13 +559,13 @@ def cmd_simulate(args) -> int:
 
 _WEIGHT_BOUND_OPTIONS = {
     "db": (float, None, "squeezing level in dB"),
-    "g": ([float], None, "weight to test for admissibility (repeatable)"),
+    "g": ([float], None, "weight >= 0 to test for admissibility (repeatable)"),
     "out": _JSON_OUT,
 }
 
 
 def cmd_weight_bound(args) -> int:
-    from .czgate import max_weight
+    from .czgate import check_weight, max_weight
 
     values, _ = _resolve(args, _load_config(args.config),
                          _WEIGHT_BOUND_OPTIONS)
@@ -584,6 +574,8 @@ def cmd_weight_bound(args) -> int:
     bound = max_weight(db)
     # null, from a config file, means "not given", as for every other key.
     weights = [] if values["g"] is None else values["g"]
+    for g in weights:
+        check_weight(g)
     payload = {
         "db": db,
         "max_weight": bound,

@@ -31,6 +31,12 @@ def cz_matrix(g: float) -> np.ndarray:
     return m
 
 
+def check_weight(g: float) -> None:
+    """Raise DomainError unless the CZ weight g is nonnegative."""
+    if g < 0:
+        raise DomainError(f"weight g = {g!r} must be nonnegative")
+
+
 def squeeze_ratio(g: float) -> float:
     """Squeezer ratio s(g) = (2 + g^2 - g*sqrt(4 + g^2))/2.
 
@@ -39,8 +45,7 @@ def squeeze_ratio(g: float) -> float:
     cancellation at large g.  From g ~ 9.5e153 the denominator overflows
     and s is 0.0; from ~1.34e154 g^2 itself overflows: DomainError.
     """
-    if g < 0:
-        raise DomainError(f"weight g = {g!r} must be nonnegative")
+    check_weight(g)
     try:
         g2 = g**2
     except OverflowError:

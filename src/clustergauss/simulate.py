@@ -257,12 +257,6 @@ class _Shots(NamedTuple):
     kept: Optional[np.ndarray]
 
 
-# Record columns blanked (NaN) for discarded shots: the quantities that
-# depend on the per-shot mode-2 basis, which I_m <= 0 leaves undefined.
-_STAGE2_COLUMNS = [RECORD_COLUMNS.index(c) for c in (
-    "i_2", "i_3", "ff_x", "ff_y", "x_out", "y_out", "cot_theta3_used")]
-
-
 def _propagate(q: np.ndarray, config: SimConfig, phases: PhaseSet) -> _Shots:
     """Exact protocol on sampled quadratures, one shot per column.
 
@@ -322,22 +316,28 @@ def _propagate(q: np.ndarray, config: SimConfig, phases: PhaseSet) -> _Shots:
                   cot3, kept)
 
 
-def _record_block(q: np.ndarray, shots: _Shots) -> np.ndarray:
-    """Per-shot record rows (n, len(RECORD_COLUMNS)) of one block.
+def _record_block(q: np.ndarray, shots: _Shots) -> tuple:
+    """Per-shot record columns of one block, in RECORD_COLUMNS order.
 
-    Discarded shots have the flag column 1 and NaN stage-2 columns.
+    A tuple of float64 arrays over the block's shots: the ten rows of
+    ``q`` (copied, since the next block is drawn into the same buffer),
+    the ``_Shots`` fields and the discarded flag, 0.0 or 1.0.  A
+    discarded shot has NaN in the seven stage-2 columns, the quantities
+    that depend on the per-shot mode-2 basis, which I_m <= 0 leaves
+    undefined.
     """
-    rec = np.empty((q.shape[1], len(RECORD_COLUMNS)))
-    rec[:, 0:10] = q.T
-    for j, column in enumerate(shots[:10], start=10):
-        rec[:, j] = column
-    if shots.kept is None:
-        rec[:, 20] = 0.0
+    n = q.shape[1]
+    i_in, i_1, i_2, i_3, i_m, ff_x, ff_y, x_out, y_out, cot3, kept = shots
+    cot3 = np.broadcast_to(cot3, n)
+    if kept is None:
+        discarded = np.zeros(n)
     else:
-        discarded = ~shots.kept
-        rec[:, 20] = discarded
-        rec[np.ix_(discarded, _STAGE2_COLUMNS)] = np.nan
-    return rec
+        discarded = np.where(kept, 0.0, 1.0)
+        i_2, i_3, ff_x, ff_y, x_out, y_out, cot3 = (
+            np.where(kept, v, np.nan)
+            for v in (i_2, i_3, ff_x, ff_y, x_out, y_out, cot3))
+    return (*q.copy(), i_in, i_1, i_2, i_3, i_m, ff_x, ff_y, x_out, y_out,
+            cot3, discarded)
 
 
 @dataclass(frozen=True)
@@ -514,7 +514,7 @@ def _summarize(config: SimConfig, m: _Moments, u: np.ndarray,
 
 
 def run(config: SimConfig,
-        record_sink: Optional[Callable[[np.ndarray], object]] = None
+        record_sink: Optional[Callable[[tuple], object]] = None
         ) -> SimSummary:
     """Run the Monte Carlo protocol described by ``config``.
 
@@ -526,9 +526,10 @@ def run(config: SimConfig,
 
     Args:
         config: run description.
-        record_sink: if given, called with each block's per-shot record
-            array (n x len(RECORD_COLUMNS), RECORD_COLUMNS order), in
-            block order, before the next block is drawn.
+        record_sink: if given, called with each block's per-shot records,
+            a tuple of len(RECORD_COLUMNS) float64 columns over the
+            block's shots in RECORD_COLUMNS order, in block order, before
+            the next block is drawn.
 
     Returns:
         SimSummary.

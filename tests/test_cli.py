@@ -79,8 +79,9 @@ def _csv_module_text(header, columns) -> str:
 
 def _written_csv(header, columns) -> str:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._write_csv(header, columns, None)
+    with (contextlib.redirect_stdout(out),
+          cli._csv_writer(header, None) as write_columns):
+        write_columns(columns)
     return out.getvalue()
 
 
@@ -369,8 +370,12 @@ class TestErrorCodes:
         # The word after --config is the text of the config file.
         (["cz-decompose", "--config", "[1]"], "invalid-config",
          "config file must contain a JSON object"),
+        # The rule cz-decompose applies to its one weight.
+        (["weight-bound", "--db", "-15", "--g", "5.4", "--g", "-3"],
+         "invalid-config", "weight g = -3.0 must be nonnegative"),
     ], ids=["mean-nan", "var-zero", "b-range-inf", "twelve-gamma-im-0",
-            "cubic-pole", "alpha-negative", "config-list"])
+            "cubic-pole", "alpha-negative", "config-list",
+            "weight-bound-negative-g"])
     def test_validation_raises(self, capsys, tmp_path, case, error, message):
         """A library check raises; a CLI check exits 2 with one JSON line."""
         if callable(case):
@@ -590,9 +595,9 @@ class TestSimulateCommand:
         real_run = simulate.run
 
         def keep_summary(*args, record_sink, **kwargs):
-            def tee(block):
-                blocks.append(block)
-                record_sink(block)
+            def tee(columns):
+                blocks.append(np.column_stack(columns))
+                record_sink(columns)
             summaries.append(real_run(*args, record_sink=tee, **kwargs))
             return summaries[-1]
 
@@ -749,9 +754,11 @@ class TestWeightBoundCommand:
     def test_bound_and_admissibility(self, capsys):
         doc = _run_json(
             capsys, "weight-bound", "--db", "-15", "--g", "5.4", "--g", "5.6",
+            "--g", "0",
         )
         assert doc["max_weight"] == pytest.approx(5.536553985261547, rel=1e-12)
         results = {r["g"]: r["admissible"] for r in doc["weights"]}
+        assert results[0.0] is True
         assert results[5.4] is True
         assert results[5.6] is False
 
@@ -882,12 +889,14 @@ class TestImports:
         (["gain-surface", "--nb", "2", "--nd", "2", "--out", "gain.csv"],
          ["cli", "core", "csvtext", "errormodel", "gkp", "ndtr"]),
         (TestSimulateCommand.BASE, ["cli", "core", "phases", "simulate"]),
+        ([*TestSimulateCommand.BASE, "--records", "shots.csv"],
+         ["cli", "core", "csvtext", "phases", "simulate"]),
         (["solve-phases", *TARGET_ARGS], ["cli", "core", "phases"]),
         (["weight-bound", "--db", "-15"], ["cli", "core", "czgate"]),
         (["cz-decompose", "--g", "1"], ["cli", "core", "czgate"]),
         (["--help"], ["cli", "core"]),
-    ], ids=["error-surface", "gain-surface", "simulate", "solve-phases",
-            "weight-bound", "cz-decompose", "help"])
+    ], ids=["error-surface", "gain-surface", "simulate", "simulate-records",
+            "solve-phases", "weight-bound", "cz-decompose", "help"])
     def test_each_command_loads_only_its_modules(self, tmp_path, argv,
                                                  modules):
         code = ("import contextlib, io\n"

@@ -405,6 +405,34 @@ class TestErrorSurface:
         with pytest.raises(DomainError):
             _spec(MODE_CUBIC_OPTIMIZED, strong_weights)
 
+    @pytest.mark.parametrize("mode, cubic", [
+        (MODE_GAUSSIAN_FIXED, None), (MODE_GAUSSIAN_OPTIMIZED, None),
+        (MODE_CUBIC_OPTIMIZED, OP_POINT)], ids=["fixed", "optimized", "cubic"])
+    @pytest.mark.parametrize("weights", [(5.0, 5.0, 4.0, 4.0),
+                                         (1.0, 1.0, 1.0, 1.0),
+                                         (0.3, 2.0, 7.0, 0.5)])
+    def test_err_inf_is_even_in_b(self, weights, mode, cubic):
+        """err_inf(b, d) equals err_inf(-b, d), invalid cells included.
+
+        ex and ey are unchanged under (b, cot theta4') -> (-b, -cot theta4'),
+        that is theta4' -> pi - theta4', which maps the fixed phase pi/2
+        to itself.  The grid is not bit-antisymmetric in b, so err_inf
+        agrees to rounding: at most 1.84e-14 relative over these nine
+        maps.  Only err_inf is compared: where two candidates tie, the
+        optimizer may pick a phase whose mirror is not the mirror cell's
+        pick (theta4p_used + its mirror's - pi reached 3.07), and then the
+        components differ too (ex by 0.80 relative in the unit-weight
+        cubic map).
+        """
+        surf = error_surface(_spec(mode, WeightConfig(*weights), cubic,
+                                   n=101))
+        err, mirror = surf.err_inf, surf.err_inf[::-1]
+        valid = ~np.isnan(err)
+        assert np.array_equal(valid, ~np.isnan(mirror))
+        rel = np.abs(err[valid] - mirror[valid]) / np.maximum(
+            np.abs(err[valid]), np.abs(mirror[valid]))
+        assert rel.max() <= 1e-13
+
     def test_single_cell_grid(self, unit_weights):
         spec = ErrorSurfaceSpec((0.8, 0.8), (1.5, 1.5), 1, 1,
                                 unit_weights, MODE_GAUSSIAN_FIXED)

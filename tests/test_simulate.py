@@ -28,6 +28,8 @@ from clustergauss import (
     SqueezingSpec,
     SymplecticTarget,
     WeightConfig,
+    arccot,
+    error_vector_gaussian,
     forward_matrix,
     linearization_check,
     run,
@@ -50,9 +52,14 @@ def _gauss_config(target, w, theta4p, n_shots, seed, **kw):
 
 
 def _run_recorded(cfg):
-    """(summary, record blocks) of a run whose records go to a list sink."""
+    """(summary, record blocks) of a run whose records go to a list sink.
+
+    Each block's columns are stacked into an (n, len(RECORD_COLUMNS)) array.
+    """
     blocks = []
-    return run(cfg, record_sink=blocks.append), blocks
+    summary = run(cfg, record_sink=lambda columns: blocks.append(
+        np.column_stack(columns)))
+    return summary, blocks
 
 
 def _cubic_config(n_shots, seed, cubic=OP_CUBIC, target=OP_TARGET, **kw):
@@ -100,7 +107,8 @@ def _replay(cfg, row):
     """(x_out, y_out) of one record, re-propagated from its 10 samples."""
     phases = solve_phases(cfg.target, cfg.w, cfg.theta4p).phases
     q = row[:10].reshape(10, 1).copy()
-    rec = simulate._record_block(q, simulate._propagate(q, cfg, phases))
+    rec = np.column_stack(
+        simulate._record_block(q, simulate._propagate(q, cfg, phases)))
     return rec[0, 17], rec[0, 18]
 
 
@@ -218,7 +226,8 @@ class TestExactMap:
     Tolerances: the input columns deviated from ``forward_matrix`` by at
     most 9.9e-14 of max|U|, and the noise covariance from
     ``_predicted_error_cov`` by at most 7.4e-16 of its largest entry,
-    over these 900 targets.
+    over these 900 targets.  On the removable set, the noise variances
+    deviated from ``error_vector_gaussian`` by at most 3.9e-16 relative.
     """
 
     @pytest.mark.parametrize("weights", [(5.0, 5.0, 4.0, 4.0),
@@ -247,6 +256,36 @@ class TestExactMap:
                             np.max(np.abs(cov - pred)) / np.max(np.abs(pred)))
         assert worst_lin <= 1e-12
         assert worst_cov <= 1e-14
+
+    @pytest.mark.parametrize("db", [-30.0, -15.0, -3.0])
+    @pytest.mark.parametrize("weights", [(5.0, 5.0, 4.0, 4.0),
+                                         (1.0, 1.0, 1.0, 1.0),
+                                         (0.3, 2.0, 7.0, 0.5),
+                                         (40.0, 30.0, 50.0, 20.0)])
+    def test_removable_set_matches_error_vector_gaussian(self, weights, db,
+                                                         protocol_map):
+        # d = g1 g3 / (g2 g4), at the theta4' where r2^2 b + d cot theta4'
+        # = 0: cot theta3 is the 0/0 limit 0 that solve_cot3 takes.
+        w = WeightConfig(*weights)
+        sqz = SqueezingSpec.from_db(db)
+        var = np.tile([sqz.var_x, sqz.var_y], 4)
+        d = w.cross_ratio
+        worst = 0.0
+        for b in (-0.7, 0.4, 1.3):
+            target = SymplecticTarget(1.2, b, (1.2 * d - 1.0) / b, d)
+            theta4p = float(arccot(-w.g3_over_g2**2 * b / d))
+            cfg = SimConfig(target=target, w=w, theta4p=theta4p,
+                            squeezing=sqz, variant=VARIANT_GAUSSIAN,
+                            n_shots=1, seed=0)
+            phases = solve_phases(target, w, theta4p).phases
+            assert phases.cot3 == 0.0
+            _, lin = protocol_map(cfg, phases)
+            noise = lin[:, 2:]
+            exact = np.diag(noise @ np.diag(var) @ noise.T)
+            ev = error_vector_gaussian(target, w, theta4p)
+            closed = np.array([ev.ex, ev.ey]) * sqz.var_y
+            worst = max(worst, np.max(np.abs(exact - closed) / closed))
+        assert worst <= 4e-15
 
 
 class TestCubicAgreement:
