@@ -13,11 +13,13 @@ corrected).  The correction model is calibrated in units where the
 vacuum quadrature variance is 1/2; this package works in vacuum-1/4
 units, so squeezed variances must be doubled on the way in
 (CORRECTION_VARIANCE_UNITS).  ``gain_surface`` applies the conversion;
-``p_err_values`` takes ``var_s`` literally.
+``p_err_values`` takes ``var_s`` literally.  The complementary error
+function is the C library's, through ``math.erfc``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,15 @@ GKP_Y_OFFSET = np.sqrt(5.0) + 1.0
 CORRECTION_VARIANCE_UNITS = 2.0
 
 
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """libm's complementary error function (``math.erfc``), elementwise.
+
+    NaN passes through; +inf and -inf give 0 and 2.
+    """
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
+
+
 def p_err_values(x_er, y_er, var_s):
     """Vectorised residual-failure probability (see module docstring).
 
@@ -41,15 +52,12 @@ def p_err_values(x_er, y_er, var_s):
     of the two arguments; this is exactly 1 - erf*erf but immune to the
     cancellation both erf factors ~ 1 would cause.
     """
-    # Imported here, so that only the failure probabilities load it.
-    from .ndtr import erfc
-
     x_er = np.asarray(x_er, dtype=float)
     y_er = np.asarray(y_er, dtype=float)
     amp = np.sqrt(np.pi) / (2.0 * np.sqrt(2.0))
     with np.errstate(invalid="ignore"):
-        a = erfc(amp / np.sqrt(var_s * (x_er + GKP_X_OFFSET)))
-        b = erfc(amp / np.sqrt(var_s * (y_er + GKP_Y_OFFSET)))
+        a = _erfc(amp / np.sqrt(var_s * (x_er + GKP_X_OFFSET)))
+        b = _erfc(amp / np.sqrt(var_s * (y_er + GKP_Y_OFFSET)))
     return a + b - a * b
 
 

@@ -554,6 +554,25 @@ class TestSimulateCommand:
         assert code == 3
         assert json.loads(err)["error"] == "invalid-statistics"
 
+    @pytest.mark.parametrize("extra", [
+        ("--mean-x", "1e200"),
+        ("--mean-x", "1.7e308"),
+        ("--mean-x", "1.7e308", "--variant", "cubic", "--gamma", "0.1",
+         "--alpha", "30"),
+    ], ids=["gaussian-1e200", "gaussian-1.7e308", "cubic-1.7e308"])
+    def test_huge_amplitude_fails_the_gate_in_one_line(self, extra):
+        # Shots and moments overflow here; numpy must not warn about it on
+        # stderr before the gate's one JSON line.
+        proc = subprocess.run(
+            [sys.executable, "-m", "clustergauss.cli", "simulate",
+             "--a", "1", "--b", "0", "--c", "0", "--d", "1",
+             "--shots", "100", *extra],
+            env=_child_env(), capture_output=True, text=True)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "invalid-statistics"
+
     @pytest.mark.parametrize("gate", ["nan", "inf", "-1", "0"])
     def test_z_gate_must_be_finite_and_positive(self, capsys, tmp_path, gate):
         out = tmp_path / "sim.json"
@@ -682,7 +701,10 @@ class TestGoldenOutputs:
     squeezing as dB alone.  The solve-phases digest was re-taken at
     6c8d5bf plus one named fix, with every other byte unchanged: theta2
     and theta4 are computed from the exact cotangents (theta4 here moved
-    by 1 ulp, to the correctly rounded value).  Any change to what a
+    by 1 ulp, to the correctly rounded value).  The gain-surface digests
+    were re-taken when erfc moved from a Cephes port to libm's
+    (``math.erfc``, glibc 2.36): only the probability columns and
+    max_ratio moved, each by at most 2e-15 relative.  Any change to what a
     command computes or prints moves one of them.  The 21x21 default grid
     holds pole cells (b = 0) and the removable line d = 1 of the weights
     5, 5, 4, 4.
@@ -712,9 +734,9 @@ class TestGoldenOutputs:
                                   "--out", str(csv_path))
         assert code == 0, err
         assert _sha256(csv_path.read_bytes()) == (
-            "9e945ecbe2d9a2ea48d763ae6d7e4e75d2fe2afe60b5808934d34b3b38f18376")
+            "e80ec22d819edf0b304378ca3ec22b4f5ee758e3b298ef57076016d0fb9d19d3")
         assert _sha256(summary) == (
-            "d0edc3b177308576afa33d846b691981f792f2b5d6a3450908352397db590b2b")
+            "0d844932adb7bbd797bb788ab963e6fada56290adae76b8ac70eabbc38b7ef55")
 
     def test_solve_phases(self, capsys):
         code, out, err = _run(capsys, "solve-phases", *TARGET_ARGS,
@@ -887,7 +909,7 @@ class TestImports:
         (["error-surface", "--nb", "2", "--nd", "2"],
          ["cli", "core", "csvtext", "errormodel"]),
         (["gain-surface", "--nb", "2", "--nd", "2", "--out", "gain.csv"],
-         ["cli", "core", "csvtext", "errormodel", "gkp", "ndtr"]),
+         ["cli", "core", "csvtext", "errormodel", "gkp"]),
         (TestSimulateCommand.BASE, ["cli", "core", "phases", "simulate"]),
         ([*TestSimulateCommand.BASE, "--records", "shots.csv"],
          ["cli", "core", "csvtext", "phases", "simulate"]),

@@ -30,6 +30,7 @@ from clustergauss import (
     WeightConfig,
     arccot,
     error_vector_gaussian,
+    error_vector_raw,
     forward_matrix,
     linearization_check,
     run,
@@ -224,10 +225,12 @@ class TestExactMap:
     """``_propagate``'s exact linear map against the one stage matrix F.
 
     Tolerances: the input columns deviated from ``forward_matrix`` by at
-    most 9.9e-14 of max|U|, and the noise covariance from
-    ``_predicted_error_cov`` by at most 7.4e-16 of its largest entry,
-    over these 900 targets.  On the removable set, the noise variances
-    deviated from ``error_vector_gaussian`` by at most 3.9e-16 relative.
+    most 9.9e-14 of max|U|, the noise covariance from
+    ``_predicted_error_cov`` by at most 7.4e-16 of its largest entry, and
+    its diagonal from ``error_vector_raw`` times var_y by at most 7.4e-16
+    relative, over these 900 targets.  On the removable set, the noise
+    variances deviated from ``error_vector_gaussian`` by at most 3.9e-16
+    relative.
     """
 
     @pytest.mark.parametrize("weights", [(5.0, 5.0, 4.0, 4.0),
@@ -239,7 +242,7 @@ class TestExactMap:
         a, b, c, d = sample_targets(300, 1)
         theta4p = np.random.default_rng(2207).uniform(0.2, 2.9, a.size)
         var = np.tile([SQZ.var_x, SQZ.var_y], 4)
-        worst_lin = worst_cov = 0.0
+        worst_lin = worst_cov = worst_raw = 0.0
         for i in range(a.size):
             cfg = _gauss_config(SymplecticTarget(a[i], b[i], c[i], d[i]), w,
                                 theta4p[i], n_shots=1, seed=0)
@@ -254,8 +257,13 @@ class TestExactMap:
                             np.max(np.abs(lin[:, :2] - u)) / np.max(np.abs(u)))
             worst_cov = max(worst_cov,
                             np.max(np.abs(cov - pred)) / np.max(np.abs(pred)))
+            ev = error_vector_raw(phases, w)
+            raw = np.array([ev.ex, ev.ey]) * SQZ.var_y
+            exact = np.diag(cov)
+            worst_raw = max(worst_raw, np.max(np.abs(exact - raw) / exact))
         assert worst_lin <= 1e-12
         assert worst_cov <= 1e-14
+        assert worst_raw <= 1e-14
 
     @pytest.mark.parametrize("db", [-30.0, -15.0, -3.0])
     @pytest.mark.parametrize("weights", [(5.0, 5.0, 4.0, 4.0),
