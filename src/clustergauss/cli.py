@@ -8,11 +8,14 @@ Subcommands:
   weight-bound    largest admissible cluster weight for a squeezing level
   cz-decompose    five-factor optical decomposition of a weighted CZ gate
 
-Value flags may also be supplied through ``--config FILE`` (JSON);
-explicit flags win over the file, the file wins over built-in defaults.
-A run manifest written next to a previous output (``<out>.manifest.json``)
-is accepted directly as a config file, which reproduces that run
-bit-for-bit: data outputs never contain timestamps.
+Every subcommand runs through one pipeline in ``main``: parse the
+flags, convert a flag-given ``--theta4p`` under ``--degrees``, resolve
+the values, run the command on them, and write ``<out>.manifest.json``
+whenever ``--out`` is set.  Value flags may also be supplied through
+``--config FILE`` (JSON); explicit flags win over the file, the file
+wins over built-in defaults.  A run manifest is accepted directly as a
+config file, which reproduces that run bit-for-bit: data outputs never
+contain timestamps.
 
 Exit codes: 0 success; 2 invalid input or configuration, usage errors
 such as an unknown flag included (a JSON object with ``error`` and
@@ -28,7 +31,8 @@ be finite: a manifest is JSON, which has no NaN or infinity.  So
 ``simulate --records`` streams each shot block's records to the file as
 the block is simulated, so the file is complete before the gate verdict
 (exit 3 included); a run that ends in exit 2 after sampling, with fewer
-than two kept shots, leaves the records it wrote.
+than two kept shots, leaves the records it wrote.  A ``--records`` path
+that names the ``--out`` file or its manifest exits 2 before sampling.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` where the
 environment does not set it or sets it empty (which OpenBLAS reads as
@@ -187,6 +191,10 @@ def _csv_writer(header, out):
         yield write_columns
 
 
+def _manifest_path(out) -> Path:
+    return Path(str(out) + ".manifest.json")
+
+
 def _write_manifest(out, subcommand: str, resolved: dict) -> None:
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -196,7 +204,7 @@ def _write_manifest(out, subcommand: str, resolved: dict) -> None:
         "resolved_config": resolved,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    Path(str(out) + ".manifest.json").write_text(_dumps(manifest))
+    _manifest_path(out).write_text(_dumps(manifest))
 
 
 def _load_config(path):
@@ -208,21 +216,14 @@ def _load_config(path):
         raise DomainError("config file is nested too deeply to parse") from None
     if isinstance(data, dict) and "resolved_config" in data:
         data = data["resolved_config"]
+        # Manifests of error-surface, gain-surface and simulate from
+        # earlier versions record a thread count, which no command takes
+        # now; dropping it lets them rerun.
+        if isinstance(data, dict):
+            data.pop("workers", None)
     if not isinstance(data, dict):
         raise DomainError("config file must contain a JSON object")
     return data
-
-
-def _config_less_workers(path) -> dict:
-    """A config less the thread count that older manifests recorded.
-
-    Manifests of error-surface, gain-surface and simulate from earlier
-    versions record ``"workers"``; no command takes it now, and dropping
-    it lets such a manifest rerun.
-    """
-    config = _load_config(path)
-    config.pop("workers", None)
-    return config
 
 
 def _flag(key: str) -> str:
@@ -287,21 +288,12 @@ def _require(values: dict, *keys: str) -> None:
         raise DomainError(f"missing required value(s): {flags}")
 
 
-def _angles_to_radians(args) -> None:
-    """Convert flag-supplied angles when --degrees is set.
-
-    Applies only to values given on the command line; config files and
-    manifests always store radians.
-    """
-    if getattr(args, "degrees", False) and args.theta4p is not None:
-        args.theta4p = math.radians(args.theta4p)
-
-
 def _weight_config(values: dict, prefix: str = "g") -> WeightConfig:
     return WeightConfig(*(values[f"{prefix}{k}"] for k in range(1, 5)))
 
 
 def _target(values: dict) -> SymplecticTarget:
+    _require(values, *"abcd")
     return SymplecticTarget(*(values[k] for k in "abcd"))
 
 
@@ -368,13 +360,9 @@ _JSON_OUT = ("FILE", None, "write JSON here instead of stdout")
 _SOLVE_OPTIONS = {**_TARGET, **_weights(), **_THETA4P, "out": _JSON_OUT}
 
 
-def cmd_solve_phases(args) -> int:
+def cmd_solve_phases(values: dict) -> int:
     from .phases import solve_phases, theta2_unprimed, theta4_unprimed
 
-    _angles_to_radians(args)
-    values, recorded = _resolve(args, _load_config(args.config),
-                                _SOLVE_OPTIONS)
-    _require(values, "a", "b", "c", "d")
     target = _target(values)
     w = _weight_config(values)
     result = solve_phases(target, w, values["theta4p"])
@@ -395,8 +383,6 @@ def cmd_solve_phases(args) -> int:
         "residual": result.residual,
     }
     _deliver(_dumps(payload), values["out"])
-    if values["out"] is not None:
-        _write_manifest(values["out"], "solve-phases", recorded)
     return 0
 
 
@@ -416,16 +402,12 @@ _SURFACE_OPTIONS = {
 }
 
 
-def cmd_error_surface(args) -> int:
+def cmd_error_surface(values: dict) -> int:
     from .errormodel import error_surface
 
-    values, recorded = _resolve(args, _config_less_workers(args.config),
-                                _SURFACE_OPTIONS)
     surface = error_surface(_surface_spec(values, "g", values["mode"]))
     with _csv_writer(surface.COLUMNS, values["out"]) as write_columns:
         write_columns(surface.to_rows())
-    if values["out"] is not None:
-        _write_manifest(values["out"], "error-surface", recorded)
     return 0
 
 
@@ -446,18 +428,15 @@ _GAIN_OPTIONS = {
 }
 
 
-def cmd_gain_surface(args) -> int:
+def cmd_gain_surface(values: dict) -> int:
     from .gkp import gain_surface
 
-    values, recorded = _resolve(args, _config_less_workers(args.config),
-                                _GAIN_OPTIONS)
     _require(values, "out")
     gs = gain_surface(_surface_spec(values, "base_g", values["base_mode"]),
                       _surface_spec(values, "opt_g", values["opt_mode"]),
                       SqueezingSpec.from_db(values["db"]))
     with _csv_writer(gs.COLUMNS, values["out"]) as write_columns:
         write_columns(gs.to_rows())
-    _write_manifest(values["out"], "gain-surface", recorded)
     bmax, dmax = gs.argmax_cell
     sys.stdout.write(_dumps({
         "max_ratio": gs.max_ratio,
@@ -517,19 +496,22 @@ def _gate_failure(summary, z_gate: float):
     return None
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(values: dict) -> int:
     from .simulate import RECORD_COLUMNS, InputState, SimConfig, run
 
-    _angles_to_radians(args)
-    values, recorded = _resolve(args, _config_less_workers(args.config),
-                                _SIMULATE_OPTIONS)
-    _require(values, "a", "b", "c", "d")
+    target = _target(values)
     z_gate = values["z_gate"]
     if z_gate <= 0.0:
         raise DomainError(f"--z-gate must be > 0, got {z_gate!r}")
+    records, out = values["records"], values["out"]
+    # The summary or the manifest would replace the records after the run.
+    if records is not None and out is not None and Path(records).resolve() in (
+            Path(out).resolve(), _manifest_path(out).resolve()):
+        raise DomainError(f"--records {records!r} is the file of --out "
+                          f"{out!r} or of its manifest")
     variant = values["variant"]
     config = SimConfig(
-        target=_target(values),
+        target=target,
         w=_weight_config(values),
         theta4p=values["theta4p"],
         squeezing=SqueezingSpec.from_db(values["db"]),
@@ -540,13 +522,10 @@ def cmd_simulate(args) -> int:
         input_state=InputState(*(values[k] for k in
                                  ("mean_x", "mean_y", "var_x", "var_y"))),
     )
-    records = values["records"]
     with (contextlib.nullcontext() if records is None
           else _csv_writer(RECORD_COLUMNS, records)) as write_records:
         summary = run(config, record_sink=write_records)
-    _deliver(_dumps(summary.to_dict()), values["out"])
-    if values["out"] is not None:
-        _write_manifest(values["out"], "simulate", recorded)
+    _deliver(_dumps(summary.to_dict()), out)
     failure = _gate_failure(summary, z_gate)
     if failure is not None:
         _emit_error(*failure)
@@ -564,11 +543,9 @@ _WEIGHT_BOUND_OPTIONS = {
 }
 
 
-def cmd_weight_bound(args) -> int:
+def cmd_weight_bound(values: dict) -> int:
     from .czgate import check_weight, max_weight
 
-    values, _ = _resolve(args, _load_config(args.config),
-                         _WEIGHT_BOUND_OPTIONS)
     _require(values, "db")
     db = values["db"]
     bound = max_weight(db)
@@ -591,10 +568,9 @@ def cmd_weight_bound(args) -> int:
 _CZ_OPTIONS = {"g": (float, None, "CZ weight (nonnegative)"), "out": _JSON_OUT}
 
 
-def cmd_cz_decompose(args) -> int:
+def cmd_cz_decompose(values: dict) -> int:
     from .czgate import bloch_messiah
 
-    values, _ = _resolve(args, _load_config(args.config), _CZ_OPTIONS)
     _require(values, "g")
     dec = bloch_messiah(values["g"])
     payload = {
@@ -651,7 +627,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, command, options) in _SUBCOMMANDS.items():
+    for name, (text, _, options) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", metavar="FILE",
                         help="JSON file supplying defaults for the value "
@@ -672,7 +648,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="interpret angle flags in degrees "
                                      "(stored and reported values are "
                                      "radians)")
-        sp.set_defaults(func=command)
     return parser
 
 
@@ -691,11 +666,18 @@ def _tune_allocator() -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     _tune_allocator()
+    _, command, options = _SUBCOMMANDS[args.command]
+    if getattr(args, "degrees", False) and args.theta4p is not None:
+        # Only flags take degrees: configs and manifests store radians.
+        args.theta4p = math.radians(args.theta4p)
     try:
-        return args.func(args)
+        values, recorded = _resolve(args, _load_config(args.config), options)
+        code = command(values)
+        if values["out"] is not None:
+            _write_manifest(values["out"], args.command, recorded)
+        return code
     except DomainError as exc:
         _emit_error(_slug(exc), str(exc))
         return 2

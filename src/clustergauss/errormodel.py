@@ -518,8 +518,12 @@ class ErrorSurface:
     spec: ErrorSurfaceSpec
     ex: np.ndarray
     ey: np.ndarray
-    err_inf: np.ndarray
     theta4p: np.ndarray
+
+    @property
+    def err_inf(self) -> np.ndarray:
+        """max(err_x, err_y) per cell, NaN where either is."""
+        return np.maximum(self.ex, self.ey)
 
     @property
     def b_values(self) -> np.ndarray:
@@ -539,7 +543,7 @@ class ErrorSurface:
         A tuple of equal-length float64 arrays: entry k of each column
         belongs to row k of the table.  Missing cells are NaN.
         """
-        nb, nd = self.err_inf.shape
+        nb, nd = self.ex.shape
         return (
             np.repeat(self.b_values, nd), np.tile(self.d_values, nb),
             self.ex.ravel(), self.ey.ravel(), self.err_inf.ravel(),
@@ -565,8 +569,8 @@ def error_surface(spec: ErrorSurfaceSpec) -> ErrorSurface:
     B, D = np.meshgrid(spec.b_values, spec.d_values, indexing="ij")
     u, ex, ey, err = _best_phase(B, D, spec.w, mid, search)
     invalid = ~np.isfinite(err)
-    ex, ey, err, theta = (
+    ex, ey, theta = (
         np.where(invalid, np.nan, part).reshape(spec.nb, spec.nd)
-        for part in (ex, ey, err, arccot(u))
+        for part in (ex, ey, arccot(u))
     )
-    return ErrorSurface(spec=spec, ex=ex, ey=ey, err_inf=err, theta4p=theta)
+    return ErrorSurface(spec=spec, ex=ex, ey=ey, theta4p=theta)

@@ -77,7 +77,12 @@ class GainSurface:
     optimized: ErrorSurface
     p_base: np.ndarray
     p_opt: np.ndarray
-    ratio: np.ndarray
+
+    @property
+    def ratio(self) -> np.ndarray:
+        """p_base / p_opt per cell, NaN where either is missing."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return self.p_base / self.p_opt
 
     @property
     def b_values(self) -> np.ndarray:
@@ -89,7 +94,8 @@ class GainSurface:
 
     def _argmax(self):
         """Index of the largest finite ratio, or None if no cell is valid."""
-        finite = np.where(np.isfinite(self.ratio), self.ratio, -np.inf)
+        ratio = self.ratio
+        finite = np.where(np.isfinite(ratio), ratio, -np.inf)
         i, j = np.unravel_index(int(np.argmax(finite)), finite.shape)
         return (i, j) if np.isfinite(finite[i, j]) else None
 
@@ -121,7 +127,7 @@ class GainSurface:
         A tuple of equal-length float64 arrays: entry k of each column
         belongs to row k of the table.  Missing cells are NaN.
         """
-        nb, nd = self.ratio.shape
+        nb, nd = self.p_base.shape
         return (
             np.repeat(self.b_values, nd), np.tile(self.d_values, nb),
             self.p_base.ravel(), self.p_opt.ravel(), self.ratio.ravel(),
@@ -163,13 +169,5 @@ def gain_surface(
     invalid = ~np.isfinite(base.err_inf) | ~np.isfinite(opt.err_inf)
     p_base = np.where(invalid, np.nan, p_err_values(base.ex, base.ey, var_s))
     p_opt = np.where(invalid, np.nan, p_err_values(opt.ex, opt.ey, var_s))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = p_base / p_opt
-
-    return GainSurface(
-        baseline=base,
-        optimized=opt,
-        p_base=p_base,
-        p_opt=p_opt,
-        ratio=ratio,
-    )
+    return GainSurface(baseline=base, optimized=opt, p_base=p_base,
+                       p_opt=p_opt)

@@ -515,6 +515,17 @@ class TestErrorSurfaceCommand:
         assert rerun_summary == summary
         doc = json.loads((tmp_path / "second.csv.manifest.json").read_text())
         assert "workers" not in doc["resolved_config"]
+        # Only a manifest drops it: in a config written by hand it is an
+        # unknown key, as for every other command.
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"workers": 2}))
+        code, stdout, err = _run(capsys, command, *args, "--config",
+                                 str(plain), "--out", str(tmp_path / "third"))
+        assert code == 2 and stdout == ""
+        error = json.loads(err)
+        assert error["error"] == "invalid-config"
+        assert "'workers'" in error["message"]
+        assert not (tmp_path / "third").exists()
 
 
 class TestSimulateCommand:
@@ -635,6 +646,24 @@ class TestSimulateCommand:
         assert len(blocks) == 3
         assert rec.read_text() == _csv_module_text(RECORD_COLUMNS,
                                                    np.vstack(blocks).T)
+
+    @pytest.mark.parametrize("suffix", ["", ".manifest.json"],
+                             ids=["out", "manifest"])
+    def test_records_may_not_be_overwritten_by_out(self, capsys, tmp_path,
+                                                   suffix):
+        # The summary and its manifest are written after the run, so either
+        # would replace the records, however the path is spelled.
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "x.json"
+        records = f"{tmp_path}/sub/../x.json{suffix}"
+        code, stdout, err = _run(capsys, *self.BASE, "--out", str(out),
+                                 "--records", records)
+        assert code == 2 and stdout == ""
+        error = json.loads(err)
+        assert error["error"] == "invalid-config"
+        assert "--records" in error["message"]
+        assert "--out" in error["message"]
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "sub"]
 
     def test_records_stay_when_too_few_shots_are_kept(self, capsys,
                                                       tmp_path):
@@ -1095,7 +1124,6 @@ FUZZ_CHOICES = {
     "gain-surface": {"base_mode": MODES, "opt_mode": MODES},
     "simulate": {"variant": VARIANTS},
 }
-WRITES_MANIFEST = ("error-surface", "gain-surface", "simulate")
 
 
 def _fuzz_value(key, in_config):
@@ -1166,8 +1194,7 @@ class TestFuzzedInvocations:
             flags, config = call
             with tempfile.TemporaryDirectory() as tmp:
                 tmp = Path(tmp)
-                if command in WRITES_MANIFEST:
-                    flags = {**flags, "out": str(tmp / "out")}
+                flags = {**flags, "out": str(tmp / "out")}
                 cfg = None
                 if config:
                     cfg = tmp / "cfg.json"
@@ -1183,7 +1210,7 @@ class TestFuzzedInvocations:
                        for k, v in config.items()):
                     assert code == 2, (config, err)
                 manifest = tmp / "out.manifest.json"
-                if code != 2 and command in WRITES_MANIFEST:
+                if code != 2:
                     # Every recorded run reruns from its manifest.
                     rerun = _call([command, "--config", str(manifest),
                                    "--out", str(tmp / "rerun")])
