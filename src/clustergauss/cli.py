@@ -10,12 +10,12 @@ Subcommands:
 
 Every subcommand runs through one pipeline in ``main``: parse the
 flags, convert a flag-given ``--theta4p`` under ``--degrees``, resolve
-the values, run the command on them, and write ``<out>.manifest.json``
-whenever ``--out`` is set.  Value flags may also be supplied through
-``--config FILE`` (JSON); explicit flags win over the file, the file
-wins over built-in defaults.  A run manifest is accepted directly as a
-config file, which reproduces that run bit-for-bit: data outputs never
-contain timestamps.
+the values, check the output paths, run the command on them, and write
+``<out>.manifest.json`` whenever ``--out`` is set.  Value flags may
+also be supplied through ``--config FILE`` (JSON); explicit flags win
+over the file, the file wins over built-in defaults.  A run manifest is
+accepted directly as a config file, which reproduces that run
+bit-for-bit: data outputs never contain timestamps.
 
 Exit codes: 0 success; 2 invalid input or configuration, usage errors
 such as an unknown flag included (a JSON object with ``error`` and
@@ -31,8 +31,10 @@ be finite: a manifest is JSON, which has no NaN or infinity.  So
 ``simulate --records`` streams each shot block's records to the file as
 the block is simulated, so the file is complete before the gate verdict
 (exit 3 included); a run that ends in exit 2 after sampling, with fewer
-than two kept shots, leaves the records it wrote.  A ``--records`` path
-that names the ``--out`` file or its manifest exits 2 before sampling.
+than two kept shots, leaves the records it wrote.  Every path a command
+will write (``--out``, its manifest, ``--records``) is checked before any
+work: one in a missing directory, one that is a directory, or two that
+are one file exit 2 and leave every file as it was.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` where the
 environment does not set it or sets it empty (which OpenBLAS reads as
@@ -205,6 +207,31 @@ def _write_manifest(out, subcommand: str, resolved: dict) -> None:
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     _manifest_path(out).write_text(_dumps(manifest))
+
+
+def _check_outputs(values: dict) -> None:
+    """Refuse, before any work, an output path the command could not write.
+
+    ``--out``, its manifest and ``--records`` must each lie in an existing
+    directory, not be one, and not be the file of another, however spelled.
+    """
+    out, records = values["out"], values.get("records")
+    paths = [] if out is None else [(f"--out {out!r}", Path(out)), (
+        f"the manifest of --out {out!r}", _manifest_path(out))]
+    if records is not None:
+        paths.append((f"--records {records!r}", Path(records)))
+    written = {}
+    for name, path in paths:
+        # The kernel resolves "x/.." as open() will, failing if x is
+        # missing; realpath, which names the file, does not.
+        if path.is_dir():
+            raise DomainError(f"{name} is a directory")
+        if not path.parent.is_dir():
+            raise DomainError(f"{name}: no directory {str(path.parent)!r}")
+        real = os.path.realpath(path)
+        if real in written:
+            raise DomainError(f"{name} is the file of {written[real]}")
+        written[real] = name
 
 
 def _load_config(path):
@@ -503,12 +530,7 @@ def cmd_simulate(values: dict) -> int:
     z_gate = values["z_gate"]
     if z_gate <= 0.0:
         raise DomainError(f"--z-gate must be > 0, got {z_gate!r}")
-    records, out = values["records"], values["out"]
-    # The summary or the manifest would replace the records after the run.
-    if records is not None and out is not None and Path(records).resolve() in (
-            Path(out).resolve(), _manifest_path(out).resolve()):
-        raise DomainError(f"--records {records!r} is the file of --out "
-                          f"{out!r} or of its manifest")
+    records = values["records"]
     variant = values["variant"]
     config = SimConfig(
         target=target,
@@ -525,7 +547,7 @@ def cmd_simulate(values: dict) -> int:
     with (contextlib.nullcontext() if records is None
           else _csv_writer(RECORD_COLUMNS, records)) as write_records:
         summary = run(config, record_sink=write_records)
-    _deliver(_dumps(summary.to_dict()), out)
+    _deliver(_dumps(summary.to_dict()), values["out"])
     failure = _gate_failure(summary, z_gate)
     if failure is not None:
         _emit_error(*failure)
@@ -674,6 +696,7 @@ def main(argv=None) -> int:
         args.theta4p = math.radians(args.theta4p)
     try:
         values, recorded = _resolve(args, _load_config(args.config), options)
+        _check_outputs(values)
         code = command(values)
         if values["out"] is not None:
             _write_manifest(values["out"], args.command, recorded)

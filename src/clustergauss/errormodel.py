@@ -503,6 +503,16 @@ class ErrorSurfaceSpec:
     def d_values(self) -> np.ndarray:
         return np.linspace(self.d_range[0], self.d_range[1], self.nd)
 
+    @property
+    def grid(self) -> tuple:
+        """(b_range, d_range, nb, nd): what two specs share to share a grid."""
+        return (tuple(self.b_range), tuple(self.d_range), self.nb, self.nd)
+
+    def cells(self) -> tuple:
+        """(b, d) of every cell, flattened b-major: cell (i, j) is i*nd + j."""
+        return (np.repeat(self.b_values, self.nd),
+                np.tile(self.d_values, self.nb))
+
 
 @dataclass(frozen=True)
 class ErrorSurface:
@@ -526,14 +536,6 @@ class ErrorSurface:
         return np.maximum(self.ex, self.ey)
 
     @property
-    def b_values(self) -> np.ndarray:
-        return self.spec.b_values
-
-    @property
-    def d_values(self) -> np.ndarray:
-        return self.spec.d_values
-
-    @property
     def n_invalid(self) -> int:
         return int(np.count_nonzero(~np.isfinite(self.err_inf)))
 
@@ -543,12 +545,8 @@ class ErrorSurface:
         A tuple of equal-length float64 arrays: entry k of each column
         belongs to row k of the table.  Missing cells are NaN.
         """
-        nb, nd = self.ex.shape
-        return (
-            np.repeat(self.b_values, nd), np.tile(self.d_values, nb),
-            self.ex.ravel(), self.ey.ravel(), self.err_inf.ravel(),
-            self.theta4p.ravel(),
-        )
+        return (*self.spec.cells(), self.ex.ravel(), self.ey.ravel(),
+                self.err_inf.ravel(), self.theta4p.ravel())
 
 
 def error_surface(spec: ErrorSurfaceSpec) -> ErrorSurface:
@@ -566,8 +564,7 @@ def error_surface(spec: ErrorSurfaceSpec) -> ErrorSurface:
         ErrorSurface with NaN marking pole cells.
     """
     mid, search = _mode_terms(spec.mode, spec.cubic)
-    B, D = np.meshgrid(spec.b_values, spec.d_values, indexing="ij")
-    u, ex, ey, err = _best_phase(B, D, spec.w, mid, search)
+    u, ex, ey, err = _best_phase(*spec.cells(), spec.w, mid, search)
     invalid = ~np.isfinite(err)
     ex, ey, theta = (
         np.where(invalid, np.nan, part).reshape(spec.nb, spec.nd)

@@ -84,14 +84,6 @@ class GainSurface:
         with np.errstate(invalid="ignore", divide="ignore"):
             return self.p_base / self.p_opt
 
-    @property
-    def b_values(self) -> np.ndarray:
-        return self.baseline.b_values
-
-    @property
-    def d_values(self) -> np.ndarray:
-        return self.baseline.d_values
-
     def _argmax(self):
         """Index of the largest finite ratio, or None if no cell is valid."""
         ratio = self.ratio
@@ -119,7 +111,8 @@ class GainSurface:
         ij = self._argmax()
         if ij is None:
             return (float("nan"), float("nan"))
-        return (float(self.b_values[ij[0]]), float(self.d_values[ij[1]]))
+        spec = self.baseline.spec
+        return (float(spec.b_values[ij[0]]), float(spec.d_values[ij[1]]))
 
     def to_rows(self):
         """The COLUMNS as arrays, flattened b-major.
@@ -127,11 +120,8 @@ class GainSurface:
         A tuple of equal-length float64 arrays: entry k of each column
         belongs to row k of the table.  Missing cells are NaN.
         """
-        nb, nd = self.p_base.shape
-        return (
-            np.repeat(self.b_values, nd), np.tile(self.d_values, nb),
-            self.p_base.ravel(), self.p_opt.ravel(), self.ratio.ravel(),
-        )
+        return (*self.baseline.spec.cells(), self.p_base.ravel(),
+                self.p_opt.ravel(), self.ratio.ravel())
 
 
 def gain_surface(
@@ -155,9 +145,7 @@ def gain_surface(
     Returns:
         GainSurface; a cell is NaN if either surface is missing there.
     """
-    if (tuple(baseline.b_range) != tuple(optimized.b_range)
-            or tuple(baseline.d_range) != tuple(optimized.d_range)
-            or baseline.nb != optimized.nb or baseline.nd != optimized.nd):
+    if baseline.grid != optimized.grid:
         raise DomainError("baseline and optimized specs must share the grid")
 
     base = error_surface(baseline)

@@ -46,12 +46,18 @@ def exact_protocol_map(config, phases):
     The Gaussian protocol is affine in the 10 sampled quadratures (the
     ``_draw_block`` rows), so propagating 11 columns, zero and then each
     unit vector, gives (x_out, y_out) = offset + L @ q exactly, with no
-    sampling.  Only ``simulate._propagate`` is called.
+    sampling.  Only ``simulate._propagate`` is called, and it reads only
+    ``config.w`` and ``config.cubic`` (None).
+
+    ``phases`` is a ``PhaseSet`` for one target, giving offset (2,) and L
+    (2, 10).  For n cells at once, pass any record with the four
+    cotangent fields as arrays of shape (n, 1); ``_propagate`` broadcasts
+    over the cells, and offset has shape (2, n) and L (2, n, 10).
     """
     q = np.hstack([np.zeros((10, 1)), np.eye(10)])
     shots = simulate._propagate(q, config, phases)
     out = np.stack([shots.x_out, shots.y_out])
-    return out[:, 0], out[:, 1:] - out[:, :1]
+    return out[..., 0], out[..., 1:] - out[..., :1]
 
 
 @pytest.fixture

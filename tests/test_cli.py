@@ -37,7 +37,9 @@ from clustergauss import (
     cli,
     csvtext,
     error_vector_cubic,
+    errormodel,
     optimize_theta4,
+    phases,
     simulate,
 )
 from clustergauss.cli import main
@@ -187,8 +189,8 @@ class TestWriteCsv:
             "gaussian_optimized_phase"))
         assert surf.n_invalid > 0
         rows = []
-        for i, bv in enumerate(surf.b_values.tolist()):
-            for j, dv in enumerate(surf.d_values.tolist()):
+        for i, bv in enumerate(surf.spec.b_values.tolist()):
+            for j, dv in enumerate(surf.spec.d_values.tolist()):
                 cells = [surf.ex[i, j], surf.ey[i, j], surf.err_inf[i, j],
                          surf.theta4p[i, j]]
                 rows.append([bv, dv] + [float(v) if math.isfinite(v) else None
@@ -415,6 +417,69 @@ class TestErrorCodes:
         assert doc["error"] == "invalid-config"
         assert "db" in doc["message"]
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputPaths:
+    """Every path a command will write is checked before it computes.
+
+    The compute call is replaced by one that fails the test if reached.
+    """
+
+    TARGET = ["--a", "1", "--b", "0.5", "--c", "0", "--d", "1"]
+    COMMANDS = [
+        ("simulate", simulate, "run", [*TARGET, "--shots", "2000"]),
+        ("error-surface", errormodel, "error_surface",
+         ["--nb", "3", "--nd", "3"]),
+        ("solve-phases", phases, "solve_phases", TARGET),
+    ]
+
+    @staticmethod
+    def _refused(capsys, monkeypatch, tmp_path, command, module, name, argv,
+                 flag):
+        """Run with compute disabled; check exit 2 and what is left behind."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{module.__name__}.{name} was reached")
+
+        monkeypatch.setattr(module, name, unreachable)
+        kept = tmp_path / "kept.out"
+        kept.write_text("kept")
+        before = sorted(tmp_path.iterdir())
+        code, stdout, err = _run(capsys, command, *argv)
+        assert (code, stdout) == (2, "")
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "invalid-config"
+        assert flag in error["message"]
+        assert kept.read_text() == "kept"
+        assert sorted(tmp_path.iterdir()) == before
+        assert not (tmp_path / "rec.csv").exists()
+
+    @pytest.mark.parametrize("bad", ["missing-directory", "missing-then-up",
+                                     "directory", "manifest-is-a-directory"])
+    @pytest.mark.parametrize("command, module, name, args", COMMANDS,
+                             ids=[c[0] for c in COMMANDS])
+    def test_unwritable_out(self, capsys, monkeypatch, tmp_path, command,
+                            module, name, args, bad):
+        # open() fails on "nodir/../x.out", though it spells a path in an
+        # existing directory.  An existing --out stays as it was when its
+        # manifest cannot be written.
+        out = {"missing-directory": tmp_path / "nodir" / "x.out",
+               "missing-then-up": tmp_path / "nodir" / ".." / "x.out",
+               "directory": tmp_path,
+               "manifest-is-a-directory": tmp_path / "kept.out"}[bad]
+        if bad == "manifest-is-a-directory":
+            (tmp_path / "kept.out.manifest.json").mkdir()
+        records = (["--records", str(tmp_path / "rec.csv")]
+                   if command == "simulate" else [])
+        self._refused(capsys, monkeypatch, tmp_path, command, module, name,
+                      [*args, *records, "--out", str(out)], "--out")
+
+    @pytest.mark.parametrize("records", ["nodir/rec.csv", "."])
+    def test_unwritable_records(self, capsys, monkeypatch, tmp_path, records):
+        command, module, name, args = self.COMMANDS[0]
+        self._refused(capsys, monkeypatch, tmp_path, command, module, name,
+                      [*args, "--out", str(tmp_path / "kept.out"),
+                       "--records", str(tmp_path / records)], "--records")
 
 
 class TestErrorSurfaceCommand:

@@ -277,7 +277,7 @@ class TestErrorSurface:
         # the removable cell d = g1*g3/(g2*g4) = 1.
         assert surf.n_invalid == 10
         i_b0 = 5
-        j_d1 = int(np.where(surf.d_values == 1.0)[0][0])
+        j_d1 = int(np.where(surf.spec.d_values == 1.0)[0][0])
         assert np.isfinite(surf.err_inf[i_b0, j_d1])
         column = np.delete(surf.err_inf[i_b0, :], j_d1)
         assert np.all(~np.isfinite(column))
@@ -312,7 +312,7 @@ class TestErrorSurface:
         fixed = error_surface(ErrorSurfaceSpec(
             (-5.0, 5.0), (d, d), 21, 1, w, MODE_GAUSSIAN_FIXED))
         assert np.nanmin(fixed.err_inf - surf.err_inf) > 0.1
-        for b, err in zip(surf.b_values, surf.err_inf[:, 0]):
+        for b, err in zip(surf.spec.b_values, surf.err_inf[:, 0]):
             if b != 0.0:
                 scan = _dense_minimum(b, d, w, mid_weight)
                 assert err <= scan * (1.0 + 1e-12)
@@ -346,13 +346,24 @@ class TestErrorSurface:
         assert origin[0] == 0.0 and origin[1] == 0.0
         assert np.isnan(origin[2]) and np.isnan(origin[5])
 
+    @pytest.mark.parametrize("nb, nd", [(1, 1), (1, 5), (5, 1), (4, 3)])
+    def test_cells_are_the_raveled_meshgrid(self, strong_weights, nb, nd):
+        spec = ErrorSurfaceSpec((-1.5, 2.0), (-5.0, 5.0), nb, nd,
+                                strong_weights, MODE_GAUSSIAN_OPTIMIZED)
+        grid = np.meshgrid(spec.b_values, spec.d_values, indexing="ij")
+        cells = spec.cells()
+        assert [c.tobytes() for c in cells] == [g.tobytes() for g in grid]
+        assert [c.tobytes() for c in error_surface(spec).to_rows()[:2]] \
+            == [c.tobytes() for c in cells]
+
     def test_to_rows_columns_match_cellwise_flattening(self, strong_weights):
         # The 7x7 grid has b = 0 and d = 0 lines, so it holds pole cells.
         surf = error_surface(_spec(MODE_GAUSSIAN_OPTIMIZED, strong_weights, n=7))
         assert surf.n_invalid > 0
+        b, d = surf.spec.b_values, surf.spec.d_values
         expected = [
-            [surf.b_values[i], surf.d_values[j], surf.ex[i, j], surf.ey[i, j],
-             surf.err_inf[i, j], surf.theta4p[i, j]]
+            [b[i], d[j], surf.ex[i, j], surf.ey[i, j], surf.err_inf[i, j],
+             surf.theta4p[i, j]]
             for i in range(7) for j in range(7)
         ]
         columns = surf.to_rows()
@@ -377,8 +388,8 @@ class TestErrorSurface:
         # refuses |d| < DEGENERATE_D_TOL.
         w = WeightConfig(*weights)
         surf = error_surface(_spec(mode, w, cubic=cubic))
-        for i, b in enumerate(surf.b_values):
-            for j, d in enumerate(surf.d_values):
+        for i, b in enumerate(surf.spec.b_values):
+            for j, d in enumerate(surf.spec.d_values):
                 if abs(d) < DEGENERATE_D_TOL:
                     continue
                 target = SymplecticTarget(1.0 / d, b, 0.0, d)

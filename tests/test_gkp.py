@@ -1,5 +1,6 @@
 """Tests for the grid-state correction-failure model and gain surfaces."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -222,8 +223,9 @@ class TestGainSurface:
         # b -> -b with theta4' -> pi - theta4' maps the objective onto
         # itself, so the cells b = +-0.5 tie and argmax takes the first.
         assert gs.argmax_cell == (-0.5, -5.0)
-        i_minus = int(np.flatnonzero(gs.b_values == -0.5)[0])
-        i_plus = int(np.flatnonzero(gs.b_values == 0.5)[0])
+        b = gs.baseline.spec.b_values
+        i_minus = int(np.flatnonzero(b == -0.5)[0])
+        i_plus = int(np.flatnonzero(b == 0.5)[0])
         assert gs.ratio[i_plus, 0] == pytest.approx(gs.ratio[i_minus, 0], rel=1e-12)
 
     def test_headline_maximum_sits_next_to_the_baseline_pole(
@@ -240,8 +242,9 @@ class TestGainSurface:
                 SQZ,
             )
             i, j = gs._argmax()
-            assert abs(i - n // 2) == 1 and gs.b_values[n // 2] == 0.0
-            assert abs(gs.d_values[j]) == 5.0
+            spec = gs.baseline.spec
+            assert abs(i - n // 2) == 1 and spec.b_values[n // 2] == 0.0
+            assert abs(spec.d_values[j]) == 5.0
             assert gs.p_base[i, j] > 0.9
             assert gs.max_ratio == gs.p_base[i, j] / gs.p_opt[i, j]
             assert gs.max_ratio < 1.0 / gs.p_opt[i, j]
@@ -297,19 +300,27 @@ class TestGainSurface:
         )
         assert gs.p_base[i, j] == pytest.approx(float(expect), rel=1e-15)
 
-    def test_grid_mismatch_rejected(self, unit_weights, strong_weights):
+    @pytest.mark.parametrize("change", [
+        {"b_range": (-4.0, 5.0)}, {"d_range": (-5.0, 4.0)}, {"nb": 11},
+        {"nd": 11}], ids=["b_range", "d_range", "nb", "nd"])
+    def test_grid_mismatch_rejected(self, unit_weights, strong_weights,
+                                    change):
         base = _spec(unit_weights, MODE_GAUSSIAN_FIXED)
-        with pytest.raises(DomainError):
-            gain_surface(
-                base, _spec(strong_weights, MODE_GAUSSIAN_FIXED, n=11), SQZ
-            )
-        with pytest.raises(DomainError):
-            gain_surface(
-                base,
-                ErrorSurfaceSpec((-4.0, 5.0), (-5.0, 5.0), 21, 21,
-                                 strong_weights, MODE_GAUSSIAN_FIXED),
-                SQZ,
-            )
+        other = dataclasses.replace(
+            _spec(strong_weights, MODE_GAUSSIAN_FIXED), **change)
+        with pytest.raises(DomainError, match="share the grid"):
+            gain_surface(base, other, SQZ)
+
+    @pytest.mark.parametrize("nb, nd", [(1, 1), (1, 5), (5, 1), (4, 3)])
+    def test_rows_start_with_the_cells(self, unit_weights, strong_weights,
+                                       nb, nd):
+        base, opt = (ErrorSurfaceSpec((-1.5, 2.0), (-5.0, 5.0), nb, nd, w,
+                                      MODE_GAUSSIAN_FIXED)
+                     for w in (unit_weights, strong_weights))
+        b, d, *_ = gain_surface(base, opt, SQZ).to_rows()
+        cell_b, cell_d = base.cells()
+        assert b.tobytes() == cell_b.tobytes()
+        assert d.tobytes() == cell_d.tobytes()
 
     def test_rows(self, unit_weights, strong_weights):
         gs = gain_surface(
