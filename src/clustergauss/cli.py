@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import math
 import os
@@ -213,7 +214,8 @@ def _check_outputs(values: dict) -> None:
     """Refuse, before any work, an output path the command could not write.
 
     ``--out``, its manifest and ``--records`` must each lie in an existing
-    directory, not be one, and not be the file of another, however spelled.
+    directory, not be one or a loop of symbolic links, and not be the file
+    of another, however spelled.
     """
     out, records = values["out"], values.get("records")
     paths = [] if out is None else [(f"--out {out!r}", Path(out)), (
@@ -222,6 +224,14 @@ def _check_outputs(values: dict) -> None:
         paths.append((f"--records {records!r}", Path(records)))
     written = {}
     for name, path in paths:
+        # A missing target is fine, as open() creates it; a loop of
+        # symbolic links, which is_dir and realpath pass, is not.
+        try:
+            os.stat(path)
+        except OSError as exc:
+            if exc.errno == errno.ELOOP:
+                raise DomainError(f"{name} is a loop of symbolic links") \
+                    from None
         # The kernel resolves "x/.." as open() will, failing if x is
         # missing; realpath, which names the file, does not.
         if path.is_dir():

@@ -80,8 +80,12 @@ class GainSurface:
 
     @property
     def ratio(self) -> np.ndarray:
-        """p_base / p_opt per cell, NaN where either is missing."""
-        with np.errstate(invalid="ignore", divide="ignore"):
+        """p_base / p_opt per cell, NaN where either is missing.
+
+        A ratio beyond the float range is inf, which the CSV leaves empty
+        and ``max_ratio`` skips, like a missing cell.
+        """
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             return self.p_base / self.p_opt
 
     def _argmax(self):

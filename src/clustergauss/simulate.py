@@ -22,12 +22,19 @@ photocurrent combination I_m is computed from measured data, the mode-2
 measurement basis is precompensated per shot so the realised matrix is
 the target one, and the feedforward additionally removes sqrt(I_m/(3*gamma)).
 Shots with I_m <= 0 are discarded and counted, never clamped.
+
+Shots are drawn in blocks, each from its own counter-based Philox
+generator, so a block's samples do not depend on the thread that draws
+it.  ``run`` draws the odd-numbered blocks on one helper thread while the
+calling thread draws the even-numbered ones and does everything else,
+block by block in block order.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -517,36 +524,52 @@ def run(config: SimConfig,
         ) -> SimSummary:
     """Run the Monte Carlo protocol described by ``config``.
 
-    Shots are generated in fixed blocks with counter-based seeding, on the
-    calling thread, into one reused buffer.  Each block is propagated,
-    reduced to centred moments (count, means, co-moment sums and the
-    error's third and fourth moment sums) and merged into the running
-    total in block order, so memory does not grow with ``n_shots``.
+    Shots are generated in fixed blocks with counter-based seeding, so a
+    block's samples do not depend on the thread that draws it: the calling
+    thread draws the even-numbered blocks and one helper thread the
+    odd-numbered ones, each into its own half of a (2, 10, SHOT_BLOCK)
+    buffer.  Everything else runs on the calling thread: each block is
+    propagated, reduced to centred moments (count, means, co-moment sums
+    and the error's third and fourth moment sums) and merged into the
+    running total in block order, so memory does not grow with
+    ``n_shots``.  A one-block run starts no helper thread.
 
     Args:
         config: run description.
         record_sink: if given, called with each block's per-shot records,
             a tuple of len(RECORD_COLUMNS) float64 columns over the
             block's shots in RECORD_COLUMNS order, in block order, before
-            the next block is drawn.
+            that block's half of the buffer is drawn into again.
 
     Returns:
         SimSummary.
     """
     solved = solve_phases(config.target, config.w, config.theta4p)
     u = solved.realized.as_matrix()
-    buffer = np.empty((10, SHOT_BLOCK))
+    buffers = np.empty((2, 10, SHOT_BLOCK))
+    n_blocks = -(-config.n_shots // SHOT_BLOCK)
     total = _NO_SHOTS
+
+    def consume(q):
+        nonlocal total
+        shots = _propagate(q, config, solved.phases)
+        if record_sink is not None:
+            record_sink(_record_block(q, shots))
+        total = _merge(total, _block_moments(q, shots, u))
+
     # At huge input amplitudes shots and statistics overflow to inf or
     # NaN; the CLI's gate reports non-finite statistics, so numpy need
-    # not warn about them on the way.
-    with np.errstate(all="ignore"):
-        for k in range(-(-config.n_shots // SHOT_BLOCK)):
-            q = _draw_block(config, k, buffer)
-            shots = _propagate(q, config, solved.phases)
-            if record_sink is not None:
-                record_sink(_record_block(q, shots))
-            total = _merge(total, _block_moments(q, shots, u))
+    # not warn about them on the way.  The helper thread does not share
+    # this error state, but a draw's scalings of finite values cannot
+    # overflow.
+    with np.errstate(all="ignore"), \
+            ThreadPoolExecutor(max_workers=1) as helper:
+        for k in range(0, n_blocks, 2):
+            odd = (helper.submit(_draw_block, config, k + 1, buffers[1])
+                   if k + 1 < n_blocks else None)
+            consume(_draw_block(config, k, buffers[0]))
+            if odd is not None:
+                consume(odd.result())
         return _summarize(config, total, u, solved)
 
 

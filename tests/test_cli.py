@@ -481,6 +481,24 @@ class TestOutputPaths:
                       [*args, "--out", str(tmp_path / "kept.out"),
                        "--records", str(tmp_path / records)], "--records")
 
+    LOOPED = [(*c, "--out") for c in COMMANDS] + [(*COMMANDS[0], "--records")]
+
+    @pytest.mark.parametrize("command, module, name, args, flag", LOOPED,
+                             ids=[f"{c[0]}-{c[4]}" for c in LOOPED])
+    def test_symlink_loop(self, capsys, monkeypatch, tmp_path, command,
+                          module, name, args, flag):
+        # is_dir and realpath pass a loop; open() would fail only after
+        # the work.
+        (tmp_path / "a").symlink_to("b")
+        (tmp_path / "b").symlink_to("a")
+        paths = {"--out": tmp_path / "kept.out",
+                 "--records": tmp_path / "rec.csv"}
+        paths[flag] = tmp_path / "a"
+        records = (["--records", str(paths["--records"])]
+                   if command == "simulate" else [])
+        self._refused(capsys, monkeypatch, tmp_path, command, module, name,
+                      [*args, *records, "--out", str(paths["--out"])], flag)
+
 
 class TestErrorSurfaceCommand:
     def test_stdout_csv(self, capsys):
@@ -765,6 +783,23 @@ class TestSimulateCommand:
 
 
 class TestGainSurfaceCommand:
+    def test_overflowing_ratio_prints_no_warning(self, tmp_path):
+        # At -36.5 dB some p_base / p_opt exceed the float range.  Those
+        # ratios are inf, written as empty fields and skipped by
+        # max_ratio, with nothing on stderr.  Silencing the warning moves
+        # no byte of stdout or the CSV, which the digests pin.
+        out = tmp_path / "gain.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "clustergauss.cli", "gain-surface",
+             "--db=-36.5", "--out", str(out)],
+            env=_child_env(), capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout)["max_ratio"] == 1.585924055647218e+308
+        assert _sha256(proc.stdout) == (
+            "9d461e1f01a2fbcb8d985b33c1b2fbb98cdba93b365de70a4b53d6d6060dd093")
+        assert _sha256(out.read_bytes()) == (
+            "25634e2b2ba59028c80a3fa85a64cb23ae697cc5d981d6f3afc7f6e7a0b3a8fa")
+
     def test_writes_csv_and_summary(self, capsys, tmp_path):
         out = tmp_path / "gain.csv"
         code, stdout, _ = _run(

@@ -7,8 +7,9 @@ predictions at frozen seeds as well as its determinism contract.
 
 import json
 import math
-import os
+import sys
 import threading
+import time
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -88,26 +89,36 @@ class TestDeterminism:
         b = run(_gauss_config(OP_TARGET, strong_weights, 1.1, 5_000, seed=8))
         assert not np.array_equal(a.cov_out, b.cov_out)
 
-    def test_simulate_draws_on_the_calling_thread(self, monkeypatch,
-                                                  capsys):
-        # Three CPUs and three blocks: a thread count that defaulted to
-        # the CPUs would draw blocks on helper threads.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                            raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        drawing_threads = []
+    @pytest.mark.parametrize("n_blocks", [1, 3, 5])
+    def test_simulate_draws_odd_blocks_on_one_helper(self, monkeypatch,
+                                                     capsys, n_blocks):
+        # Even blocks are drawn on the caller, odd ones on one other
+        # thread; a one-block run submits nothing, so it starts no thread.
+        drawn, submitted = [], []
         draw = simulate._draw_block
 
-        def tracked_draw(*args):
-            drawing_threads.append(threading.get_ident())
-            return draw(*args)
+        def tracked_draw(config, block, buffer):
+            drawn.append((block, threading.get_ident()))
+            return draw(config, block, buffer)
+
+        class TrackedExecutor(simulate.ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(args[1])
+                return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "_draw_block", tracked_draw)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", TrackedExecutor)
         rc = main(["simulate", "--a", "1", "--b", "0", "--c", "0", "--d", "1",
-                   "--shots", str(3 * SHOT_BLOCK), "--seed", "1"])
+                   "--shots", str(n_blocks * SHOT_BLOCK), "--seed", "1"])
         capsys.readouterr()
         assert rc == 0
-        assert drawing_threads == [threading.get_ident()] * 3
+        caller = threading.get_ident()
+        assert sorted(b for b, _ in drawn) == list(range(n_blocks))
+        assert {b for b, t in drawn if t == caller} == set(
+            range(0, n_blocks, 2))
+        helpers = {t for b, t in drawn if t != caller}
+        assert len(helpers) == (n_blocks > 1)
+        assert submitted == list(range(1, n_blocks, 2))
 
 
 def _replay(cfg, row):
@@ -403,6 +414,62 @@ class TestStreamingReduction:
             (SHOT_BLOCK, len(RECORD_COLUMNS))] * 2 + [
             (20_000 - 2 * SHOT_BLOCK, len(RECORD_COLUMNS))]
         assert plain.to_dict() == recorded.to_dict()
+
+    @staticmethod
+    def _serial_fold(cfg):
+        """(summary, record blocks) of every block drawn into one buffer."""
+        solved = solve_phases(cfg.target, cfg.w, cfg.theta4p)
+        u = solved.realized.as_matrix()
+        buffer = np.empty((10, SHOT_BLOCK))
+        total, blocks = simulate._NO_SHOTS, []
+        with np.errstate(all="ignore"):
+            for k in range(-(-cfg.n_shots // SHOT_BLOCK)):
+                q = simulate._draw_block(cfg, k, buffer)
+                shots = simulate._propagate(q, cfg, solved.phases)
+                blocks.append(simulate._record_block(q, shots))
+                total = simulate._merge(
+                    total, simulate._block_moments(q, shots, u))
+            return simulate._summarize(cfg, total, u, solved), blocks
+
+    @pytest.mark.parametrize("slow_parity", [None, 1, 0],
+                             ids=["as-timed", "caller-waits", "helper-first"])
+    @pytest.mark.parametrize("n_shots", [
+        SHOT_BLOCK, 2 * SHOT_BLOCK, 2 * SHOT_BLOCK + 5, 3 * SHOT_BLOCK + 5])
+    @pytest.mark.parametrize("variant", [VARIANT_GAUSSIAN, VARIANT_CUBIC])
+    def test_run_equals_the_serial_fold(self, monkeypatch, strong_weights,
+                                        variant, n_shots, slow_parity):
+        # The helper draws the odd blocks.  Delaying the draws of one
+        # parity makes the caller wait for the helper, or the helper finish
+        # first, whatever the host's own timing would give; a short switch
+        # interval interleaves the two threads' Python code finely.
+        if variant == VARIANT_GAUSSIAN:
+            cfg = _gauss_config(OP_TARGET, strong_weights, 1.1, n_shots,
+                                seed=5)
+        else:
+            cfg = _cubic_config(n_shots, seed=5,
+                                cubic=CubicConfig(gamma=0.1, alpha=5.0))
+        summary, blocks = self._serial_fold(cfg)
+        draw = simulate._draw_block
+
+        def delayed_draw(config, block, buffer):
+            if block % 2 == slow_parity:
+                time.sleep(0.002)
+            return draw(config, block, buffer)
+
+        monkeypatch.setattr(simulate, "_draw_block", delayed_draw)
+        recorded = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run(cfg, record_sink=recorded.append)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.to_dict() == summary.to_dict()
+        assert len(recorded) == len(blocks)
+        for got, want in zip(recorded, blocks):
+            assert len(got) == len(want) == len(RECORD_COLUMNS)
+            for a, b in zip(got, want):
+                assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
 
     def test_summary_matches_direct_moments_of_records(self):
         # Several blocks, some discarded shots: recompute every moment the
