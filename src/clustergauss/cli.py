@@ -21,7 +21,9 @@ Exit codes: 0 success; 2 invalid input or configuration, usage errors
 such as an unknown flag included (a JSON object with ``error`` and
 ``message`` fields is printed to stderr); 3 for ``simulate`` when a
 consistency z-score exceeds the gate, or when a z-score is not finite or
-a variance estimate is not positive.  Python warnings, such as
+a variance estimate is not positive; 1 (``child-process-failed``) when
+the child process of a surface command fails without an error that the
+other codes name.  Python warnings, such as
 ``SmallDisplacementWarning``, still print to stderr as text, on exit 0
 too.  Every config value is checked against its option's kind, a key
 the chosen mode or variant does not use included.  Numeric values must
@@ -33,8 +35,17 @@ the block is simulated, so the file is complete before the gate verdict
 (exit 3 included); a run that ends in exit 2 after sampling, with fewer
 than two kept shots, leaves the records it wrote.  Every path a command
 will write (``--out``, its manifest, ``--records``) is checked before any
-work: one in a missing directory, one that is a directory, or two that
-are one file exit 2 and leave every file as it was.
+work: one in a missing directory, one that is a directory, one the
+process may not write or create, or two that are one file exit 2 and
+leave every file as it was.
+
+``error-surface`` and ``gain-surface`` use a second process where a
+second CPU is usable: a forked child evaluates the first half of the
+grid's b rows while this process does the other half
+(``_in_two_processes``).  The output bytes are those of one process,
+and nothing selects the route but the host: the command forks only
+where ``os.fork`` exists, at least two CPUs are usable, the grid has
+two b rows or more, and no other thread runs.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` where the
 environment does not set it or sets it empty (which OpenBLAS reads as
@@ -137,6 +148,31 @@ def _emit_error(slug: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": slug, "message": message}) + "\n")
 
 
+class _ChildFailed(Exception):
+    """The forked child's band failed; args are its ``_failure`` triple."""
+
+
+def _failure(exc: Exception):
+    """(exit code, slug, message) that ``main`` reports for ``exc``.
+
+    None for an exception that ``main`` lets through.
+    """
+    if isinstance(exc, _ChildFailed):
+        return exc.args
+    if isinstance(exc, DomainError):
+        return 2, _slug(exc), str(exc)
+    if isinstance(exc, (ValueError, OSError)):
+        return 2, "invalid-config", str(exc)
+    if isinstance(exc, ArithmeticError):
+        # Float arithmetic overflowed or divided by zero on extreme inputs
+        # (say --db 1e308 or a weight of 5e-324).
+        return 2, "invalid-config", f"input out of range: {exc}"
+    if isinstance(exc, MemoryError):
+        # An array for the input could not be allocated (say --nb 1e12).
+        return 2, "invalid-config", f"input too large: {exc}"
+    return None
+
+
 def _jsonify(obj):
     """Recursively coerce to plain JSON types; non-finite floats -> null."""
     if isinstance(obj, dict):
@@ -167,31 +203,39 @@ def _deliver(text: str, out) -> None:
         Path(out).write_text(text)
 
 
-@contextlib.contextmanager
-def _csv_writer(header, out):
-    """Open ``out`` (stdout if None), write ``header``, yield a column writer.
+def _open_out(out):
+    """``out`` opened for writing text, or stdout if None."""
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w")
 
-    The writer takes a tuple of equal-length float64 columns in header
-    order, and may be called again for more rows.  Each value is written
-    as the repr of its Python float, a non-finite one as an empty field;
-    nothing needs quoting.  The columns are stacked into rows, formatted
-    (``csvtext.csv_rows``) and written about CSV_CHUNK_VALUES values at a
-    time, so the text is never held whole.
+
+def _csv_chunks(columns):
+    """The CSV rows of ``columns``, about CSV_CHUNK_VALUES values a piece.
+
+    ``columns`` is a tuple of equal-length float64 columns.  Each value is
+    written as the repr of its Python float, a non-finite one as an empty
+    field; nothing needs quoting.  The columns are stacked into rows and
+    formatted (``csvtext.csv_rows``) a chunk at a time.
     """
     # Imported here, so that only the commands that write CSV load it.
     from .csvtext import csv_rows
 
-    chunk = max(1, CSV_CHUNK_VALUES // len(header))
+    chunk = max(1, CSV_CHUNK_VALUES // len(columns))
+    for start in range(0, len(columns[0]), chunk):
+        yield csv_rows(np.column_stack(
+            [col[start:start + chunk] for col in columns]))
 
-    def write_columns(columns) -> None:
-        for start in range(0, len(columns[0]), chunk):
-            fh.write(csv_rows(np.column_stack(
-                [col[start:start + chunk] for col in columns])))
 
-    with (contextlib.nullcontext(sys.stdout) if out is None
-          else open(out, "w")) as fh:
+@contextlib.contextmanager
+def _csv_writer(header, out):
+    """Open ``out`` (stdout if None), write ``header``, yield a column writer.
+
+    The writer takes a tuple of columns in header order (``_csv_chunks``)
+    and may be called again for more rows.  It writes each chunk as it is
+    formatted, so the text is never held whole.
+    """
+    with _open_out(out) as fh:
         fh.write(",".join(header) + "\n")
-        yield write_columns
+        yield lambda columns: fh.writelines(_csv_chunks(columns))
 
 
 def _manifest_path(out) -> Path:
@@ -214,8 +258,9 @@ def _check_outputs(values: dict) -> None:
     """Refuse, before any work, an output path the command could not write.
 
     ``--out``, its manifest and ``--records`` must each lie in an existing
-    directory, not be one or a loop of symbolic links, and not be the file
-    of another, however spelled.
+    directory, not be one or a loop of symbolic links, be writable (an
+    existing file) or creatable (in a directory the process may write
+    and search), and not be the file of another, however spelled.
     """
     out, records = values["out"], values.get("records")
     paths = [] if out is None else [(f"--out {out!r}", Path(out)), (
@@ -238,6 +283,9 @@ def _check_outputs(values: dict) -> None:
             raise DomainError(f"{name} is a directory")
         if not path.parent.is_dir():
             raise DomainError(f"{name}: no directory {str(path.parent)!r}")
+        if not (os.access(path, os.W_OK) if path.exists()
+                else os.access(path.parent, os.W_OK | os.X_OK)):
+            raise DomainError(f"{name}: permission denied")
         real = os.path.realpath(path)
         if real in written:
             raise DomainError(f"{name} is the file of {written[real]}")
@@ -342,8 +390,9 @@ def _cubic_config(values: dict, needed: bool):
                        i_m=values.get("im"))
 
 
-def _surface_spec(values: dict, prefix: str, mode: str):
-    """The ErrorSurfaceSpec of the (b, d) grid for weights ``prefix``1-4."""
+def _surface_spec(values: dict, prefix: str, mode: str, rows):
+    """The ErrorSurfaceSpec of b ``rows`` of the (b, d) grid for weights
+    ``prefix``1-4."""
     from .errormodel import ErrorSurfaceSpec
 
     return ErrorSurfaceSpec(
@@ -351,7 +400,161 @@ def _surface_spec(values: dict, prefix: str, mode: str):
         d_range=(values["d_min"], values["d_max"]),
         nb=values["nb"], nd=values["nd"],
         w=_weight_config(values, prefix), mode=mode,
-        cubic=_cubic_config(values, mode == MODE_CUBIC_OPTIMIZED))
+        cubic=_cubic_config(values, mode == MODE_CUBIC_OPTIMIZED), rows=rows)
+
+
+# ---------------------------------------------------------------------------
+# surfaces in two processes
+#
+# A surface command splits the grid's b rows into two bands.  Where a
+# second CPU is usable, a forked child evaluates and formats the first band
+# while this process does the second; the child shares no interpreter lock
+# with it and inherits its loaded modules.  Otherwise the two bands run
+# here, one after the other.  Either way the output is written in band
+# order, so its bytes are those of the whole grid.
+
+
+def _bands(nb: int) -> list:
+    """The b rows [0, nb//2) and [nb//2, nb) as (lo, hi) pairs.
+
+    A grid of fewer than two rows is one band.
+    """
+    half = nb // 2
+    return [(0, half), (half, nb)] if half > 0 else [(0, nb)]
+
+
+def _forks(n_bands: int) -> bool:
+    """Whether the first of ``n_bands`` bands goes to a forked child.
+
+    Two bands, fork and a second usable CPU are needed, and no other
+    thread: a child forked beside a running thread may inherit a lock
+    that thread holds, and never see it released.
+    """
+    import threading
+
+    return (n_bands == 2 and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+def _leave_parent_cpu() -> None:
+    """Move the forked child off the CPU it shares with its parent.
+
+    On a 2-vCPU Xeon VM (Linux 6.18) the scheduler mostly left a forked
+    child on its parent's CPU for the whole band: in a 401^2 optimized
+    map each band took 0.33 s of wall time for 0.17 s of CPU time, while
+    the other CPU idled.  An affinity mask without the current CPU moves
+    the child at once; the full mask, restored next, leaves it free to
+    move again.  A no-op where the C library has no sched_getcpu, or the
+    kernel refuses the mask.
+    """
+    import ctypes
+
+    try:
+        sched_getcpu = ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError, TypeError):
+        return
+    sched_getcpu.argtypes = ()
+    sched_getcpu.restype = ctypes.c_int
+    here = sched_getcpu()
+    usable = os.sched_getaffinity(0)
+    with contextlib.suppress(OSError):  # say, a mask the cpuset refuses
+        os.sched_setaffinity(0, usable - {here})
+        os.sched_setaffinity(0, usable)
+
+
+def _child(work, band, read_fd: int, write_fd: int) -> None:
+    """In the forked child: send the pickle of (True, ``work(band)``), or
+    of (False, its ``_failure`` triple), to ``write_fd``; then exit.
+
+    The child leaves through ``os._exit``, so it flushes no buffer and
+    runs no exit handler of the parent's.  It writes nothing else.
+    """
+    import pickle
+
+    code = 1
+    try:
+        os.close(read_fd)
+        _leave_parent_cpu()
+        try:
+            payload = (True, work(band))
+        except Exception as exc:
+            payload = (False, _failure(exc) or (
+                1, "child-process-failed", f"{type(exc).__name__}: {exc}"))
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _in_two_processes(work, bands) -> list:
+    """``[work(band) for band in bands]`` for two bands, the first in a
+    forked child.
+
+    Failures are raised in band order, as the loop would raise them.  A
+    child's failure raises ``_ChildFailed`` with the triple ``main``
+    reports: the one it reports here for the same exception, or exit 1
+    with ``child-process-failed`` for any other exception and for a child
+    that ends without a result.  An interrupt here kills the child.
+    """
+    import pickle
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _child(work, bands[0], read_fd, write_fd)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            try:
+                mine = work(bands[1])
+            except Exception as exc:  # raised after the child's failure
+                mine = exc
+            try:
+                ok, theirs = pickle.load(pipe)
+            except Exception:  # no result, or a cut-off one
+                ok, theirs = False, None
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not ok:
+        raise _ChildFailed(*theirs or (
+            1, "child-process-failed",
+            "the child process evaluating the first b rows ended with exit "
+            f"status {os.waitstatus_to_exitcode(status)} and no result"))
+    if isinstance(mine, Exception):
+        raise mine
+    return [theirs, mine]
+
+
+def _surface_csv(header, out, evaluate, bands) -> list:
+    """Write the CSV of ``bands`` of b rows to ``out`` in band order.
+
+    ``evaluate(band)`` returns the (columns, summary) of one band.  Every
+    band is evaluated before ``out`` is opened.  In one process the rows
+    are formatted as they are written.  In two (``_forks``) each process
+    formats its own band, and this one holds the text of both until it
+    writes them.  Returns the summaries, in band order.
+    """
+    def formatted(band):
+        columns, summary = evaluate(band)
+        return list(_csv_chunks(columns)), summary
+
+    if _forks(len(bands)):
+        parts = _in_two_processes(formatted, bands)
+    else:
+        parts = [(_csv_chunks(columns), summary)
+                 for columns, summary in map(evaluate, bands)]
+    with _open_out(out) as fh:
+        fh.write(",".join(header) + "\n")
+        for chunks, _ in parts:
+            fh.writelines(chunks)
+    return [summary for _, summary in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +643,12 @@ _SURFACE_OPTIONS = {
 
 
 def cmd_error_surface(values: dict) -> int:
-    from .errormodel import error_surface
+    from .errormodel import ErrorSurface, error_surface
 
-    surface = error_surface(_surface_spec(values, "g", values["mode"]))
-    with _csv_writer(surface.COLUMNS, values["out"]) as write_columns:
-        write_columns(surface.to_rows())
+    bands = [_surface_spec(values, "g", values["mode"], rows)
+             for rows in _bands(values["nb"])]
+    _surface_csv(ErrorSurface.COLUMNS, values["out"],
+                 lambda spec: (error_surface(spec).to_rows(), None), bands)
     return 0
 
 
@@ -465,23 +669,43 @@ _GAIN_OPTIONS = {
 }
 
 
+def _gain_summary(parts: list) -> dict:
+    """The summary of a gain map from those of its bands, in b order.
+
+    The largest finite ``max_ratio`` wins, the earlier band on a tie, as
+    the first largest cell does on the whole grid; NaN, a band with no
+    valid cell, never wins unless every band has it.  The invalid counts
+    add up.
+    """
+    best = max(parts, key=lambda p: -math.inf if math.isnan(p["max_ratio"])
+               else p["max_ratio"])
+    return {**best, **{key: sum(p[key] for p in parts) for key in
+                       ("n_invalid_baseline", "n_invalid_optimized")}}
+
+
 def cmd_gain_surface(values: dict) -> int:
-    from .gkp import gain_surface
+    from .gkp import GainSurface, gain_surface
 
     _require(values, "out")
-    gs = gain_surface(_surface_spec(values, "base_g", values["base_mode"]),
-                      _surface_spec(values, "opt_g", values["opt_mode"]),
-                      SqueezingSpec.from_db(values["db"]))
-    with _csv_writer(gs.COLUMNS, values["out"]) as write_columns:
-        write_columns(gs.to_rows())
-    bmax, dmax = gs.argmax_cell
-    sys.stdout.write(_dumps({
-        "max_ratio": gs.max_ratio,
-        "argmax_b": bmax,
-        "argmax_d": dmax,
-        "n_invalid_baseline": gs.baseline.n_invalid,
-        "n_invalid_optimized": gs.optimized.n_invalid,
-    }))
+    bands = [(_surface_spec(values, "base_g", values["base_mode"], rows),
+              _surface_spec(values, "opt_g", values["opt_mode"], rows))
+             for rows in _bands(values["nb"])]
+    squeezing = SqueezingSpec.from_db(values["db"])
+
+    def evaluate(specs):
+        gs = gain_surface(*specs, squeezing)
+        bmax, dmax = gs.argmax_cell
+        return gs.to_rows(), {
+            "max_ratio": gs.max_ratio,
+            "argmax_b": bmax,
+            "argmax_d": dmax,
+            "n_invalid_baseline": gs.baseline.n_invalid,
+            "n_invalid_optimized": gs.optimized.n_invalid,
+        }
+
+    summaries = _surface_csv(GainSurface.COLUMNS, values["out"], evaluate,
+                             bands)
+    sys.stdout.write(_dumps(_gain_summary(summaries)))
     return 0
 
 
@@ -711,21 +935,13 @@ def main(argv=None) -> int:
         if values["out"] is not None:
             _write_manifest(values["out"], args.command, recorded)
         return code
-    except DomainError as exc:
-        _emit_error(_slug(exc), str(exc))
-        return 2
-    except (ValueError, OSError) as exc:
-        _emit_error("invalid-config", str(exc))
-        return 2
-    except ArithmeticError as exc:
-        # Float arithmetic overflowed or divided by zero on extreme inputs
-        # (say --db 1e308 or a weight of 5e-324).
-        _emit_error("invalid-config", f"input out of range: {exc}")
-        return 2
-    except MemoryError as exc:
-        # An array for the input could not be allocated (say --nb 1e12).
-        _emit_error("invalid-config", f"input too large: {exc}")
-        return 2
+    except Exception as exc:
+        failure = _failure(exc)
+        if failure is None:
+            raise
+        code, slug, message = failure
+        _emit_error(slug, message)
+        return code
 
 
 if __name__ == "__main__":

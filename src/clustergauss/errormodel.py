@@ -474,6 +474,10 @@ class ErrorSurfaceSpec:
         w: cluster weights.
         mode: one of MODES.
         cubic: operating point; present exactly when mode is cubic.
+        rows: (lo, hi) with 0 <= lo < hi <= nb: the spec covers only the
+            band of b rows lo, ..., hi - 1 of the nb-row grid.  None
+            covers all of them.  A band's cells and values are those of
+            the same rows of the whole grid.
     """
 
     b_range: tuple
@@ -483,6 +487,7 @@ class ErrorSurfaceSpec:
     w: WeightConfig
     mode: str
     cubic: Optional[CubicConfig] = None
+    rows: Optional[tuple] = None
 
     def __post_init__(self):
         _mode_terms(self.mode, self.cubic)
@@ -494,10 +499,23 @@ class ErrorSurfaceSpec:
         for name, n in (("nb", self.nb), ("nd", self.nd)):
             if int(n) != n or n < 1:
                 raise DomainError(f"{name} must be an integer >= 1")
+        if self.rows is not None and not (
+                len(self.rows) == 2
+                and all(int(i) == i for i in self.rows)
+                and 0 <= self.rows[0] < self.rows[1] <= self.nb):
+            raise DomainError(f"rows must be integers (lo, hi) with "
+                              f"0 <= lo < hi <= nb, got {self.rows!r}")
+
+    @property
+    def row_span(self) -> tuple:
+        """(lo, hi): the b rows lo, ..., hi - 1 that the spec covers."""
+        return (0, self.nb) if self.rows is None else tuple(self.rows)
 
     @property
     def b_values(self) -> np.ndarray:
-        return np.linspace(self.b_range[0], self.b_range[1], self.nb)
+        """b of each covered row."""
+        lo, hi = self.row_span
+        return np.linspace(self.b_range[0], self.b_range[1], self.nb)[lo:hi]
 
     @property
     def d_values(self) -> np.ndarray:
@@ -505,21 +523,28 @@ class ErrorSurfaceSpec:
 
     @property
     def grid(self) -> tuple:
-        """(b_range, d_range, nb, nd): what two specs share to share a grid."""
-        return (tuple(self.b_range), tuple(self.d_range), self.nb, self.nd)
+        """(b_range, d_range, nb, nd, row_span): what two specs share to
+        share their cells."""
+        return (tuple(self.b_range), tuple(self.d_range), self.nb, self.nd,
+                self.row_span)
 
     def cells(self) -> tuple:
-        """(b, d) of every cell, flattened b-major: cell (i, j) is i*nd + j."""
-        return (np.repeat(self.b_values, self.nd),
-                np.tile(self.d_values, self.nb))
+        """(b, d) of every covered cell, flattened b-major.
+
+        Cell (i, j) of the grid is entry (i - lo)*nd + j, where lo is the
+        first covered row.
+        """
+        b = self.b_values
+        return np.repeat(b, self.nd), np.tile(self.d_values, b.size)
 
 
 @dataclass(frozen=True)
 class ErrorSurface:
     """Error surface on a (b, d) grid.
 
-    Arrays are indexed [i_b, i_d] over the grid of ``spec``.  Cells with
-    no pole-free evaluation hold NaN and serialize as missing values.
+    Arrays are indexed [i_b, i_d] over the rows of ``spec`` that it
+    covers (``row_span``).  Cells with no pole-free evaluation hold NaN and
+    serialize as missing values.
     """
 
     # The CSV header: the names of ``to_rows``' columns, in order.
@@ -550,7 +575,7 @@ class ErrorSurface:
 
 
 def error_surface(spec: ErrorSurfaceSpec) -> ErrorSurface:
-    """Evaluate the selected error mode on the (b, d) grid.
+    """Evaluate the selected error mode on the (b, d) grid's covered rows.
 
     Every cell goes through the evaluator that ``optimize_theta4`` uses,
     so a cell equals ``optimize_theta4`` on its target.  Rows with |d|
@@ -567,7 +592,7 @@ def error_surface(spec: ErrorSurfaceSpec) -> ErrorSurface:
     u, ex, ey, err = _best_phase(*spec.cells(), spec.w, mid, search)
     invalid = ~np.isfinite(err)
     ex, ey, theta = (
-        np.where(invalid, np.nan, part).reshape(spec.nb, spec.nd)
+        np.where(invalid, np.nan, part).reshape(-1, spec.nd)
         for part in (ex, ey, arccot(u))
     )
     return ErrorSurface(spec=spec, ex=ex, ey=ey, theta4p=theta)

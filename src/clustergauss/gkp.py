@@ -65,9 +65,9 @@ def p_err_values(x_er, y_er, var_s):
 class GainSurface:
     """Cellwise ratio of baseline over optimized failure probabilities.
 
-    Arrays are indexed [i_b, i_d] over the baseline's grid, which the
-    optimized surface shares; cells missing in either input surface are
-    NaN.
+    Arrays are indexed [i_b, i_d] over the baseline's covered rows, which
+    the optimized surface shares; cells missing in either input surface
+    are NaN.
     """
 
     # The CSV header: the names of ``to_rows``' columns, in order.
@@ -135,9 +135,9 @@ def gain_surface(
 ) -> GainSurface:
     """Ratio of correction-failure probabilities, baseline over optimized.
 
-    Both specs must describe the same (b, d) grid.  Error multipliers
-    come from the closed-form surfaces; the squeezed variance is
-    converted to the correction model's units before entering the
+    Both specs must describe the same (b, d) grid and rows.  Error
+    multipliers come from the closed-form surfaces; the squeezed variance
+    is converted to the correction model's units before entering the
     probability formula.
 
     Args:

@@ -10,9 +10,11 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -481,6 +483,21 @@ class TestOutputPaths:
                       [*args, "--out", str(tmp_path / "kept.out"),
                        "--records", str(tmp_path / records)], "--records")
 
+    @pytest.mark.parametrize("denied", ["directory", "file"])
+    @pytest.mark.parametrize("command, module, name, args", COMMANDS,
+                             ids=[c[0] for c in COMMANDS])
+    def test_no_write_permission(self, capsys, monkeypatch, tmp_path,
+                                 command, module, name, args, denied):
+        # The permission is faked: a process run as root passes every
+        # access check.
+        out = tmp_path / ("new.out" if denied == "directory" else "kept.out")
+        refused = tmp_path if denied == "directory" else out
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            Path(path) != refused and access(path, mode)))
+        self._refused(capsys, monkeypatch, tmp_path, command, module, name,
+                      [*args, "--out", str(out)], "--out")
+
     LOOPED = [(*c, "--out") for c in COMMANDS] + [(*COMMANDS[0], "--records")]
 
     @pytest.mark.parametrize("command, module, name, args, flag", LOOPED,
@@ -813,6 +830,251 @@ class TestGainSurfaceCommand:
         assert lines[0] == "b,d,p_err_base,p_err_opt,ratio"
         assert len(lines) == 1 + 25
         assert (tmp_path / "gain.csv.manifest.json").exists()
+
+
+class TestSurfaceBands:
+    """The surface commands evaluate two bands of b rows, the first in a
+    forked child where a second CPU is usable; both routes write the same
+    bytes."""
+
+    CUBIC = ("--gamma", "0.1", "--alpha", "11.180339887498949")
+
+    @staticmethod
+    def _count_forks(monkeypatch) -> list:
+        """The pids of the children ``os.fork`` makes from now on."""
+        pids = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    def _route(self, capsys, monkeypatch, tmp_path, argv, forked: bool):
+        """(exit code, stdout, stderr, files written) of ``argv`` run with
+        two usable CPUs or one.  An argument ``@name`` names a file in a
+        directory of the route's own; manifests, which hold a time, are
+        left out."""
+        workdir = tmp_path / ("forked" if forked else "one-process")
+        workdir.mkdir()
+        argv = [workdir / a[1:] if a.startswith("@") else a for a in argv]
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity",
+                          lambda pid: {0, 1} if forked else {0})
+            pids = self._count_forks(patch)
+            code, out, err = _run(capsys, *map(str, argv))
+        nb = int(argv[argv.index("--nb") + 1])
+        assert len(pids) == (forked and nb >= 2)
+        for pid in pids:  # reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        return code, out, err, {p.name: p.read_bytes()
+                                for p in workdir.iterdir()
+                                if not p.name.endswith(".manifest.json")}
+
+    def _agree(self, capsys, monkeypatch, tmp_path, *argv):
+        runs = [self._route(capsys, monkeypatch, tmp_path, argv, forked)
+                for forked in (True, False)]
+        assert runs[0] == runs[1]
+        return runs[0]
+
+    @pytest.mark.parametrize("nb", [1, 2, 3, 101])
+    @pytest.mark.parametrize("nd", [6, 7])
+    @pytest.mark.parametrize("mode, extra", [
+        ("gaussian_fixed_phase", ()), ("gaussian_optimized_phase", ()),
+        ("cubic_optimized_phase", CUBIC)], ids=["fixed", "optimized", "cubic"])
+    def test_error_surface_to_stdout(self, capsys, monkeypatch, tmp_path,
+                                     mode, extra, nb, nd):
+        code, out, err, _ = self._agree(
+            capsys, monkeypatch, tmp_path, "error-surface", "--mode", mode,
+            *extra, "--g1", "5", "--g2", "5", "--g3", "4", "--g4", "4",
+            "--nb", str(nb), "--nd", str(nd))
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + nb * nd
+
+    @pytest.mark.parametrize("mode, extra", [
+        ("gaussian_fixed_phase", ()), ("gaussian_optimized_phase", ()),
+        ("cubic_optimized_phase", CUBIC)], ids=["fixed", "optimized", "cubic"])
+    def test_error_surface_to_file(self, capsys, monkeypatch, tmp_path, mode,
+                                   extra):
+        code, out, err, files = self._agree(
+            capsys, monkeypatch, tmp_path, "error-surface", "--mode", mode,
+            *extra, "--nb", "101", "--nd", "100", "--out", "@surf.csv")
+        assert (code, out, err) == (0, "", "")
+        assert len(files["surf.csv"].splitlines()) == 1 + 101 * 100
+
+    @pytest.mark.parametrize("argv", [
+        ("--nb", "1", "--nd", "7"),
+        ("--nb", "2", "--nd", "6"),
+        ("--nb", "3", "--nd", "7"),
+        ("--nb", "101", "--nd", "101"),
+        ("--nb", "1", "--nd", "3", "--b-min", "0", "--b-max", "0"),
+        # The first band, the row b = 0, is a pole of the fixed phase:
+        # its cells are all missing and the second band has the maximum.
+        ("--nb", "3", "--nd", "4", "--b-min", "0", "--b-max", "1"),
+        ("--nb", "101", "--nd", "101", "--db=-40"),
+        # Every p_err_opt is 0, so neither band has a valid ratio.
+        ("--nb", "5", "--nd", "5", "--db=-45"),
+        ("--nb", "5", "--nd", "6", "--opt-mode", "cubic_optimized_phase",
+         *CUBIC),
+    ], ids=["nb1", "nb2", "nb3", "nb101", "nb1-pole", "first-band-missing",
+            "40dB", "45dB-null", "cubic"])
+    def test_gain_surface(self, capsys, monkeypatch, tmp_path, argv):
+        code, out, err, files = self._agree(
+            capsys, monkeypatch, tmp_path, "gain-surface", *argv,
+            "--out", "@gain.csv")
+        assert (code, err) == (0, "")
+        assert set(json.loads(out)) == {
+            "max_ratio", "argmax_b", "argmax_d", "n_invalid_baseline",
+            "n_invalid_optimized"}
+        assert list(files) == ["gain.csv"]
+
+    def test_first_band_without_a_valid_cell(self, capsys, tmp_path):
+        code, out, err = _run(capsys, "gain-surface", "--nb", "3", "--nd",
+                              "4", "--b-min", "0", "--b-max", "1", "--out",
+                              str(tmp_path / "gain.csv"))
+        assert code == 0, err
+        summary = json.loads(out)
+        assert (summary["argmax_b"], summary["n_invalid_baseline"]) == (0.5, 4)
+
+    def test_no_band_with_a_valid_cell(self, capsys, tmp_path):
+        code, out, err = _run(capsys, "gain-surface", "--db=-45", "--out",
+                              str(tmp_path / "gain.csv"))
+        assert code == 0, err
+        summary = json.loads(out)
+        assert summary["max_ratio"] is summary["argmax_b"] is None
+
+    @staticmethod
+    def _part(ratio, b, invalid=(0, 0)):
+        return {"max_ratio": ratio, "argmax_b": b, "argmax_d": -b,
+                "n_invalid_baseline": invalid[0],
+                "n_invalid_optimized": invalid[1]}
+
+    def test_summary_tie_goes_to_the_first_band(self):
+        first, second = self._part(7.5, -1.0), self._part(7.5, 1.0)
+        assert cli._gain_summary([first, second]) == first
+        assert cli._gain_summary([second, first]) == second
+        assert cli._gain_summary([first, self._part(7.6, 2.0)])[
+            "argmax_b"] == 2.0
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_summary_skips_a_band_without_a_valid_cell(self, order):
+        parts = [self._part(math.nan, math.nan, (30, 2)),
+                 self._part(0.5, 3.0, (1, 4))]
+        if order:
+            parts.reverse()
+        assert cli._gain_summary(parts) == self._part(0.5, 3.0, (31, 6))
+
+    def test_summary_of_bands_without_a_valid_cell_is_null(self):
+        merged = cli._gain_summary([self._part(math.nan, math.nan, (1, 2)),
+                                    self._part(math.nan, math.nan, (3, 4))])
+        assert json.loads(cli._dumps(merged)) == {
+            "max_ratio": None, "argmax_b": None, "argmax_d": None,
+            "n_invalid_baseline": 4, "n_invalid_optimized": 6}
+
+    @pytest.mark.parametrize("why", ["one-cpu", "thread", "no-fork"])
+    def test_runs_in_one_process_when_it_may_not_fork(self, capsys,
+                                                      monkeypatch, why):
+        argv = ("error-surface", "--nb", "5", "--nd", "5")
+        expected = _run(capsys, *argv)
+        stop = threading.Event()
+        helper = threading.Thread(target=stop.wait)
+        with monkeypatch.context() as patch:
+            pids = self._count_forks(patch)
+            if why == "one-cpu":
+                patch.setattr(os, "sched_getaffinity", lambda pid: {3})
+            elif why == "thread":
+                helper.start()
+            else:
+                patch.delattr(os, "fork")
+            try:
+                assert _run(capsys, *argv) == expected
+            finally:
+                stop.set()
+        assert pids == []
+
+
+class TestFailingBand:
+    """A failing band makes the command exit with one JSON line.
+
+    ``errormodel.error_surface`` is replaced by one that fails on the band
+    that starts at row 0, which the forked child evaluates, or on both.
+    """
+
+    ARGV = ("error-surface", "--nb", "4", "--nd", "3")
+
+    @staticmethod
+    def _fail(monkeypatch, fail, bands=(0,)):
+        real = errormodel.error_surface
+
+        def failing(spec):
+            if spec.row_span[0] in bands:
+                fail(spec.row_span[0])
+            return real(spec)
+
+        monkeypatch.setattr(errormodel, "error_surface", failing)
+
+    def _forked(self, capsys, monkeypatch, *argv):
+        pids = TestSurfaceBands._count_forks(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        result = _run(capsys, *argv)
+        assert len(pids) == 1
+        return result
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    def test_child_raises(self, capsys, monkeypatch, tmp_path, out):
+        def fail(row):
+            raise RuntimeError(f"band at row {row}")
+
+        self._fail(monkeypatch, fail)
+        target = tmp_path / "surf.csv"
+        code, stdout, err = self._forked(
+            capsys, monkeypatch, *self.ARGV,
+            *(["--out", str(target)] if out else []))
+        assert (code, stdout) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": "child-process-failed",
+                                    "message": "RuntimeError: band at row 0"}
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("how, status", [
+        (lambda row: os._exit(3), "3"),
+        (lambda row: os.kill(os.getpid(), signal.SIGKILL), "-9")],
+        ids=["exit-3", "killed"])
+    def test_child_ends_without_a_result(self, capsys, monkeypatch, how,
+                                         status):
+        parent = os.getpid()
+        self._fail(monkeypatch,
+                   lambda row: os.getpid() != parent and how(row))
+        code, stdout, err = self._forked(capsys, monkeypatch, *self.ARGV)
+        assert (code, stdout) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "child-process-failed",
+            "message": "the child process evaluating the first b rows ended "
+                       f"with exit status {status} and no result"}
+
+    @pytest.mark.parametrize("bands", [(0,), (2,), (0, 2)],
+                             ids=["child", "parent", "both"])
+    def test_reported_failure_is_that_of_one_process(self, capsys,
+                                                     monkeypatch, bands):
+        # Band order: where both fail, the first band's error is reported.
+        def fail(row):
+            raise MemoryError(f"Unable to allocate band {row}")
+
+        self._fail(monkeypatch, fail, bands)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            expected = _run(capsys, *self.ARGV)
+        assert expected == (2, "", json.dumps({
+            "error": "invalid-config",
+            "message": f"input too large: Unable to allocate band "
+                       f"{bands[0]}"}) + "\n")
+        assert self._forked(capsys, monkeypatch, *self.ARGV) == expected
 
 
 def _sha256(data) -> str:

@@ -1,5 +1,6 @@
 """Tests for the closed-form error model and the free-phase optimizer."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -401,6 +402,32 @@ class TestErrorSurface:
                     continue
                 assert surf.theta4p[i, j] == res.theta4p
                 assert surf.err_inf[i, j] == res.err_inf
+
+    @pytest.mark.parametrize("rows", [(0, 1), (0, 5), (5, 11), (3, 4),
+                                      (0, 11)])
+    @pytest.mark.parametrize("mode, cubic", [
+        (MODE_GAUSSIAN_FIXED, None), (MODE_GAUSSIAN_OPTIMIZED, None),
+        (MODE_CUBIC_OPTIMIZED, OP_POINT)], ids=["fixed", "optimized", "cubic"])
+    def test_band_is_its_rows_of_the_grid(self, strong_weights, mode, cubic,
+                                          rows):
+        # Bit for bit: the CLI writes a map band by band.
+        whole = error_surface(_spec(mode, strong_weights, cubic=cubic))
+        band = error_surface(dataclasses.replace(whole.spec, rows=rows))
+        lo, hi = rows
+        assert band.spec.row_span == rows
+        assert band.err_inf.shape == (hi - lo, 11)
+        assert band.spec.b_values.tobytes() == \
+            whole.spec.b_values[lo:hi].tobytes()
+        for got, want in zip(band.to_rows(), whole.to_rows()):
+            assert got.tobytes() == want[lo * 11:hi * 11].tobytes()
+        assert whole.spec.row_span == (0, 11)
+
+    @pytest.mark.parametrize("rows", [(0, 0), (3, 2), (-1, 2), (0, 12),
+                                      (0.5, 2), (0, 1, 2)])
+    def test_band_validation(self, strong_weights, rows):
+        with pytest.raises(DomainError, match="rows must be"):
+            dataclasses.replace(_spec(MODE_GAUSSIAN_FIXED, strong_weights),
+                                rows=rows)
 
     def test_spec_validation(self, strong_weights):
         with pytest.raises(DomainError):
