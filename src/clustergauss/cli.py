@@ -21,9 +21,7 @@ Exit codes: 0 success; 2 invalid input or configuration, usage errors
 such as an unknown flag included (a JSON object with ``error`` and
 ``message`` fields is printed to stderr); 3 for ``simulate`` when a
 consistency z-score exceeds the gate, or when a z-score is not finite or
-a variance estimate is not positive; 1 (``child-process-failed``) when
-the child process of a surface command fails without an error that the
-other codes name.  Python warnings, such as
+a variance estimate is not positive.  Python warnings, such as
 ``SmallDisplacementWarning``, still print to stderr as text, on exit 0
 too.  Every config value is checked against its option's kind, a key
 the chosen mode or variant does not use included.  Numeric values must
@@ -39,13 +37,14 @@ work: one in a missing directory, one that is a directory, one the
 process may not write or create, or two that are one file exit 2 and
 leave every file as it was.
 
-``error-surface`` and ``gain-surface`` use a second process where a
-second CPU is usable: a forked child evaluates the first half of the
-grid's b rows while this process does the other half
-(``_in_two_processes``).  The output bytes are those of one process,
-and nothing selects the route but the host: the command forks only
-where ``os.fork`` exists, at least two CPUs are usable, the grid has
-two b rows or more, and no other thread runs.
+``error-surface`` and ``gain-surface`` use a helper thread where a
+second CPU is usable: it evaluates and formats the first half of the
+grid's b rows while the calling thread does the other half
+(``_surface_csv``).  The output bytes are those of one thread, and
+nothing selects the route but the host: the helper runs only where at
+least two CPUs are usable and the grid has two b rows or more.  An
+interrupt ends the command once the helper's band is done.  The command
+starts no process.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` where the
 environment does not set it or sets it empty (which OpenBLAS reads as
@@ -98,6 +97,7 @@ from .core import (
     SqueezingSpec,
     SymplecticTarget,
     WeightConfig,
+    helper_thread,
 )
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -105,14 +105,15 @@ MANIFEST_SCHEMA_VERSION = 1
 # name, to unset it, so it stays while the harness does.
 WORKERS_ENV = "CLUSTERGAUSS_WORKERS"
 
-# Values formatted and written per write call; bounds the text held at
-# once, whatever the column count.  The formatter's work arrays take about
-# 400 bytes a value.  Under the allocator thresholds below, a fresh 401^2
-# error-surface process wrote its CSV in 0.21 s at 2**14 values against
-# 0.24 s at 2**13 (medians of 16 alternating pairs, 2-vCPU Xeon).  Under
-# glibc's defaults, a chunk's cost was mostly faulting in the pages of the
-# work arrays the last chunk freed, not cache misses.
-CSV_CHUNK_VALUES = 2**14
+# Values formatted per chunk; bounds the text formatted at once, whatever
+# the column count.  The formatter's work arrays take about 400 bytes a
+# value.  With the surfaces' helper thread, a fresh 401^2 gain-surface
+# process took 0.318 s at 2**14, 0.299 s at 2**15 and 0.297 s at 2**16,
+# and the optimized error-surface 0.322, 0.314 and 0.316 s (medians of 16
+# alternating runs, 2-vCPU Xeon).  Under glibc's default malloc
+# thresholds a chunk's cost was mostly faulting in the pages of the work
+# arrays the last chunk freed.
+CSV_CHUNK_VALUES = 2**15
 
 # glibc malloc thresholds that ``main`` sets for its process (mallopt).
 # glibc's defaults mmap a block above 128 KiB and trim free memory above
@@ -148,17 +149,11 @@ def _emit_error(slug: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": slug, "message": message}) + "\n")
 
 
-class _ChildFailed(Exception):
-    """The forked child's band failed; args are its ``_failure`` triple."""
-
-
 def _failure(exc: Exception):
     """(exit code, slug, message) that ``main`` reports for ``exc``.
 
     None for an exception that ``main`` lets through.
     """
-    if isinstance(exc, _ChildFailed):
-        return exc.args
     if isinstance(exc, DomainError):
         return 2, _slug(exc), str(exc)
     if isinstance(exc, (ValueError, OSError)):
@@ -203,11 +198,6 @@ def _deliver(text: str, out) -> None:
         Path(out).write_text(text)
 
 
-def _open_out(out):
-    """``out`` opened for writing text, or stdout if None."""
-    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w")
-
-
 def _csv_chunks(columns):
     """The CSV rows of ``columns``, about CSV_CHUNK_VALUES values a piece.
 
@@ -227,15 +217,16 @@ def _csv_chunks(columns):
 
 @contextlib.contextmanager
 def _csv_writer(header, out):
-    """Open ``out`` (stdout if None), write ``header``, yield a column writer.
+    """Open ``out`` (stdout if None), write ``header``, yield a row writer.
 
-    The writer takes a tuple of columns in header order (``_csv_chunks``)
-    and may be called again for more rows.  It writes each chunk as it is
-    formatted, so the text is never held whole.
+    Every CSV output is opened here.  The writer takes rows as text
+    chunks, say ``_csv_chunks(columns)`` of columns in header order, and
+    may be called again; lazily formatted rows are never held whole.
     """
-    with _open_out(out) as fh:
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else open(out, "w")) as fh:
         fh.write(",".join(header) + "\n")
-        yield lambda columns: fh.writelines(_csv_chunks(columns))
+        yield fh.writelines
 
 
 def _manifest_path(out) -> Path:
@@ -404,14 +395,13 @@ def _surface_spec(values: dict, prefix: str, mode: str, rows):
 
 
 # ---------------------------------------------------------------------------
-# surfaces in two processes
+# surfaces on two threads
 #
-# A surface command splits the grid's b rows into two bands.  Where a
-# second CPU is usable, a forked child evaluates and formats the first band
-# while this process does the second; the child shares no interpreter lock
-# with it and inherits its loaded modules.  Otherwise the two bands run
-# here, one after the other.  Either way the output is written in band
-# order, so its bytes are those of the whole grid.
+# A surface command splits the grid's b rows into two bands, which a
+# helper thread (``core.helper_thread``) and the calling thread evaluate
+# side by side where a second CPU is usable: most of their time is spent
+# in numpy calls that release the interpreter lock.  The output is written
+# in band order, so its bytes are those of the whole grid.
 
 
 def _bands(nb: int) -> list:
@@ -423,137 +413,35 @@ def _bands(nb: int) -> list:
     return [(0, half), (half, nb)] if half > 0 else [(0, nb)]
 
 
-def _forks(n_bands: int) -> bool:
-    """Whether the first of ``n_bands`` bands goes to a forked child.
-
-    Two bands, fork and a second usable CPU are needed, and no other
-    thread: a child forked beside a running thread may inherit a lock
-    that thread holds, and never see it released.
-    """
-    import threading
-
-    return (n_bands == 2 and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1)
-
-
-def _leave_parent_cpu() -> None:
-    """Move the forked child off the CPU it shares with its parent.
-
-    On a 2-vCPU Xeon VM (Linux 6.18) the scheduler mostly left a forked
-    child on its parent's CPU for the whole band: in a 401^2 optimized
-    map each band took 0.33 s of wall time for 0.17 s of CPU time, while
-    the other CPU idled.  An affinity mask without the current CPU moves
-    the child at once; the full mask, restored next, leaves it free to
-    move again.  A no-op where the C library has no sched_getcpu, or the
-    kernel refuses the mask.
-    """
-    import ctypes
-
-    try:
-        sched_getcpu = ctypes.CDLL(None).sched_getcpu
-    except (AttributeError, OSError, TypeError):
-        return
-    sched_getcpu.argtypes = ()
-    sched_getcpu.restype = ctypes.c_int
-    here = sched_getcpu()
-    usable = os.sched_getaffinity(0)
-    with contextlib.suppress(OSError):  # say, a mask the cpuset refuses
-        os.sched_setaffinity(0, usable - {here})
-        os.sched_setaffinity(0, usable)
-
-
-def _child(work, band, read_fd: int, write_fd: int) -> None:
-    """In the forked child: send the pickle of (True, ``work(band)``), or
-    of (False, its ``_failure`` triple), to ``write_fd``; then exit.
-
-    The child leaves through ``os._exit``, so it flushes no buffer and
-    runs no exit handler of the parent's.  It writes nothing else.
-    """
-    import pickle
-
-    code = 1
-    try:
-        os.close(read_fd)
-        _leave_parent_cpu()
-        try:
-            payload = (True, work(band))
-        except Exception as exc:
-            payload = (False, _failure(exc) or (
-                1, "child-process-failed", f"{type(exc).__name__}: {exc}"))
-        with open(write_fd, "wb") as pipe:
-            pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _in_two_processes(work, bands) -> list:
-    """``[work(band) for band in bands]`` for two bands, the first in a
-    forked child.
-
-    Failures are raised in band order, as the loop would raise them.  A
-    child's failure raises ``_ChildFailed`` with the triple ``main``
-    reports: the one it reports here for the same exception, or exit 1
-    with ``child-process-failed`` for any other exception and for a child
-    that ends without a result.  An interrupt here kills the child.
-    """
-    import pickle
-    import signal
-
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        _child(work, bands[0], read_fd, write_fd)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            try:
-                mine = work(bands[1])
-            except Exception as exc:  # raised after the child's failure
-                mine = exc
-            try:
-                ok, theirs = pickle.load(pipe)
-            except Exception:  # no result, or a cut-off one
-                ok, theirs = False, None
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if not ok:
-        raise _ChildFailed(*theirs or (
-            1, "child-process-failed",
-            "the child process evaluating the first b rows ended with exit "
-            f"status {os.waitstatus_to_exitcode(status)} and no result"))
-    if isinstance(mine, Exception):
-        raise mine
-    return [theirs, mine]
-
-
 def _surface_csv(header, out, evaluate, bands) -> list:
     """Write the CSV of ``bands`` of b rows to ``out`` in band order.
 
     ``evaluate(band)`` returns the (columns, summary) of one band.  Every
-    band is evaluated before ``out`` is opened.  In one process the rows
-    are formatted as they are written.  In two (``_forks``) each process
-    formats its own band, and this one holds the text of both until it
-    writes them.  Returns the summaries, in band order.
+    band is evaluated before ``out`` is opened.  On one thread the rows
+    are formatted as they are written.  With a helper (two bands, two
+    usable CPUs) each thread formats its own band, and the text of both
+    is held until it is written.  A failure is raised in band order, as
+    the one-thread loop raises it.  Returns the summaries, in band order.
     """
     def formatted(band):
         columns, summary = evaluate(band)
         return list(_csv_chunks(columns)), summary
 
-    if _forks(len(bands)):
-        parts = _in_two_processes(formatted, bands)
+    if (len(bands) == 2 and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        with helper_thread() as helper:
+            first = helper.submit(formatted, bands[0])
+            try:
+                second = formatted(bands[1])
+            finally:
+                first = first.result()
+        parts = [first, second]
     else:
         parts = [(_csv_chunks(columns), summary)
                  for columns, summary in map(evaluate, bands)]
-    with _open_out(out) as fh:
-        fh.write(",".join(header) + "\n")
+    with _csv_writer(header, out) as write:
         for chunks, _ in parts:
-            fh.writelines(chunks)
+            write(chunks)
     return [summary for _, summary in parts]
 
 
@@ -779,8 +667,9 @@ def cmd_simulate(values: dict) -> int:
                                  ("mean_x", "mean_y", "var_x", "var_y"))),
     )
     with (contextlib.nullcontext() if records is None
-          else _csv_writer(RECORD_COLUMNS, records)) as write_records:
-        summary = run(config, record_sink=write_records)
+          else _csv_writer(RECORD_COLUMNS, records)) as write:
+        summary = run(config, record_sink=None if write is None else (
+            lambda columns: write(_csv_chunks(columns))))
     _deliver(_dumps(summary.to_dict()), values["out"])
     failure = _gate_failure(summary, z_gate)
     if failure is not None:

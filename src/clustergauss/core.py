@@ -24,7 +24,9 @@ not limited by angle quantisation.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,3 +391,46 @@ class CubicConfig:
     @property
     def twelve_gamma_im(self) -> float:
         return 12.0 * self.gamma * self.i_m
+
+
+def _current_cpu():
+    """The calling thread's CPU; None without libc's ``sched_getcpu``."""
+    import ctypes
+
+    try:
+        sched_getcpu = ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError, TypeError):
+        return None
+    sched_getcpu.argtypes = ()
+    sched_getcpu.restype = ctypes.c_int
+    return sched_getcpu()
+
+
+def _leave_current_cpu() -> None:
+    """Move the calling thread off its CPU, then give it every usable CPU.
+
+    On a 2-vCPU Xeon VM (Linux 6.18) the scheduler mostly kept a new
+    thread, or a forked process, on the CPU of the one that started it
+    while the other CPU idled.  A mask without the current CPU moves the
+    thread at once; the full mask, set next, leaves it free to move again.
+    A no-op with one usable CPU, without ``sched_getcpu``, or where the
+    kernel refuses the mask.  It never raises: an executor whose
+    initializer raises is broken.
+    """
+    here = _current_cpu()
+    with contextlib.suppress(AttributeError, OSError):
+        usable = os.sched_getaffinity(0)
+        if here is not None and usable - {here}:
+            os.sched_setaffinity(0, usable - {here})
+            os.sched_setaffinity(0, usable)
+
+
+def helper_thread():
+    """A one-thread executor whose thread leaves the CPU it starts on.
+
+    The thread starts at the first ``submit``.  The surface commands and
+    ``simulate.run`` both take their helper from here.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, initializer=_leave_current_cpu)

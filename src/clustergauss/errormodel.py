@@ -50,13 +50,16 @@ from .core import (
 
 # Newton steps that polish each closed-form root on its own polynomial.
 _NEWTON_STEPS = 2
-# Candidate values (cells x candidates) per evaluator block.  A fresh CLI
-# process, under the allocator thresholds ``cli.main`` sets, evaluated the
-# 401^2 optimized map in 0.27 s at 2**15, 0.31 s at 2**14 and 0.26 s at
-# 2**16 (medians of 12, 2-vCPU Xeon; 2**16 did not hold its lead in a
-# shuffled rerun).  Under glibc's defaults, a block's cost was mostly
-# faulting in the temporaries the last block freed, not cache misses.
-_BLOCK_VALUES = 1 << 15
+# Candidate values (cells x candidates) per evaluator block.  Each block
+# is a few dozen numpy calls, between which the surfaces' two threads take
+# turns with the interpreter lock.  A fresh 401^2 optimized error-surface
+# process with the helper thread took 0.343 s at 2**15, 0.312 s at 2**16,
+# 0.313 s at 2**17 and 0.304 s at 2**18 (medians of 16 alternating runs,
+# 2-vCPU Xeon); the fixed-mode gain map did not move (0.250-0.257 s).
+# Under glibc's default malloc thresholds a block's cost was mostly
+# faulting in the temporaries the last block freed, which ``cli.main``'s
+# thresholds avoid.
+_BLOCK_VALUES = 1 << 17
 
 
 class OptimizeResult(NamedTuple):

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -51,6 +50,7 @@ from .core import (
     SymplecticTarget,
     WeightConfig,
     angle_cot,
+    helper_thread,
     stage_matrix,
 )
 from .phases import solve_phases
@@ -526,13 +526,13 @@ def run(config: SimConfig,
 
     Shots are generated in fixed blocks with counter-based seeding, so a
     block's samples do not depend on the thread that draws it: the calling
-    thread draws the even-numbered blocks and one helper thread the
-    odd-numbered ones, each into its own half of a (2, 10, SHOT_BLOCK)
-    buffer.  Everything else runs on the calling thread: each block is
-    propagated, reduced to centred moments (count, means, co-moment sums
-    and the error's third and fourth moment sums) and merged into the
-    running total in block order, so memory does not grow with
-    ``n_shots``.  A one-block run starts no helper thread.
+    thread draws the even-numbered blocks and one helper thread
+    (``core.helper_thread``) the odd-numbered ones, each into its own half
+    of a (2, 10, SHOT_BLOCK) buffer.  Everything else runs on the calling
+    thread: each block is propagated, reduced to centred moments (count,
+    means, co-moment sums and the error's third and fourth moment sums)
+    and merged into the running total in block order, so memory does not
+    grow with ``n_shots``.  A one-block run starts no helper thread.
 
     Args:
         config: run description.
@@ -562,8 +562,7 @@ def run(config: SimConfig,
     # not warn about them on the way.  The helper thread does not share
     # this error state, but a draw's scalings of finite values cannot
     # overflow.
-    with np.errstate(all="ignore"), \
-            ThreadPoolExecutor(max_workers=1) as helper:
+    with np.errstate(all="ignore"), helper_thread() as helper:
         for k in range(0, n_blocks, 2):
             odd = (helper.submit(_draw_block, config, k + 1, buffers[1])
                    if k + 1 < n_blocks else None)

@@ -10,7 +10,6 @@ import io
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -84,8 +83,8 @@ def _csv_module_text(header, columns) -> str:
 def _written_csv(header, columns) -> str:
     out = io.StringIO()
     with (contextlib.redirect_stdout(out),
-          cli._csv_writer(header, None) as write_columns):
-        write_columns(columns)
+          cli._csv_writer(header, None) as write):
+        write(cli._csv_chunks(columns))
     return out.getvalue()
 
 
@@ -833,52 +832,53 @@ class TestGainSurfaceCommand:
 
 
 class TestSurfaceBands:
-    """The surface commands evaluate two bands of b rows, the first in a
-    forked child where a second CPU is usable; both routes write the same
+    """The surface commands evaluate two bands of b rows, the first on a
+    helper thread where a second CPU is usable; both routes write the same
     bytes."""
 
     CUBIC = ("--gamma", "0.1", "--alpha", "11.180339887498949")
 
     @staticmethod
-    def _count_forks(monkeypatch) -> list:
-        """The pids of the children ``os.fork`` makes from now on."""
-        pids = []
-        fork = os.fork
+    def _band_threads(monkeypatch) -> dict:
+        """The thread that formats each band's rows, by the band's first b,
+        from now on."""
+        threads = {}
+        chunks = cli._csv_chunks
 
-        def counted():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
+        def tracked(columns):
+            threads[float(columns[0][0])] = threading.get_ident()
+            return chunks(columns)
 
-        monkeypatch.setattr(os, "fork", counted)
-        return pids
+        monkeypatch.setattr(cli, "_csv_chunks", tracked)
+        return threads
 
-    def _route(self, capsys, monkeypatch, tmp_path, argv, forked: bool):
+    def _route(self, capsys, monkeypatch, tmp_path, argv, two_cpus: bool):
         """(exit code, stdout, stderr, files written) of ``argv`` run with
         two usable CPUs or one.  An argument ``@name`` names a file in a
         directory of the route's own; manifests, which hold a time, are
         left out."""
-        workdir = tmp_path / ("forked" if forked else "one-process")
+        workdir = tmp_path / ("two-cpus" if two_cpus else "one-cpu")
         workdir.mkdir()
         argv = [workdir / a[1:] if a.startswith("@") else a for a in argv]
+        running = threading.active_count()
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity",
-                          lambda pid: {0, 1} if forked else {0})
-            pids = self._count_forks(patch)
+                          lambda pid: {0, 1} if two_cpus else {0})
+            threads = self._band_threads(patch)
             code, out, err = _run(capsys, *map(str, argv))
+        assert threading.active_count() == running  # the helper has ended
         nb = int(argv[argv.index("--nb") + 1])
-        assert len(pids) == (forked and nb >= 2)
-        for pid in pids:  # reaped
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
+        first, *rest = [threads[b] for b in sorted(threads)]
+        caller = threading.get_ident()
+        assert (first != caller) == (two_cpus and nb >= 2)
+        assert rest == [caller] * (nb >= 2)
         return code, out, err, {p.name: p.read_bytes()
                                 for p in workdir.iterdir()
                                 if not p.name.endswith(".manifest.json")}
 
     def _agree(self, capsys, monkeypatch, tmp_path, *argv):
-        runs = [self._route(capsys, monkeypatch, tmp_path, argv, forked)
-                for forked in (True, False)]
+        runs = [self._route(capsys, monkeypatch, tmp_path, argv, two_cpus)
+                for two_cpus in (True, False)]
         assert runs[0] == runs[1]
         return runs[0]
 
@@ -979,102 +979,100 @@ class TestSurfaceBands:
     @pytest.mark.parametrize("why", ["one-cpu", "thread", "no-fork"])
     def test_runs_in_one_process_when_it_may_not_fork(self, capsys,
                                                       monkeypatch, why):
+        # The command starts no process.  Of the conditions that once kept
+        # it from forking, only one usable CPU keeps the first band on the
+        # calling thread; another running thread, or a platform without
+        # fork, changes nothing.  The output is the same either way.
         argv = ("error-surface", "--nb", "5", "--nd", "5")
         expected = _run(capsys, *argv)
         stop = threading.Event()
-        helper = threading.Thread(target=stop.wait)
+        other = threading.Thread(target=stop.wait)
         with monkeypatch.context() as patch:
-            pids = self._count_forks(patch)
-            if why == "one-cpu":
-                patch.setattr(os, "sched_getaffinity", lambda pid: {3})
-            elif why == "thread":
-                helper.start()
-            else:
+            threads = self._band_threads(patch)
+            patch.setattr(os, "sched_getaffinity",
+                          lambda pid: {3} if why == "one-cpu" else {0, 1})
+            if why == "thread":
+                other.start()
+            elif why == "no-fork":
                 patch.delattr(os, "fork")
             try:
                 assert _run(capsys, *argv) == expected
             finally:
                 stop.set()
-        assert pids == []
+        first, second = (threads[b] for b in sorted(threads))
+        caller = threading.get_ident()
+        assert second == caller
+        assert (first == caller) == (why == "one-cpu")
 
 
 class TestFailingBand:
-    """A failing band makes the command exit with one JSON line.
+    """A failing band fails the command as it would on one thread.
 
     ``errormodel.error_surface`` is replaced by one that fails on the band
-    that starts at row 0, which the forked child evaluates, or on both.
+    that starts at row 0, which the helper thread evaluates, on the band
+    the calling thread evaluates, or on both.
     """
 
     ARGV = ("error-surface", "--nb", "4", "--nd", "3")
 
     @staticmethod
     def _fail(monkeypatch, fail, bands=(0,)):
+        """Fail the bands that start at ``bands``; returns the thread that
+        evaluates each band, by its first row."""
         real = errormodel.error_surface
+        threads = {}
 
         def failing(spec):
+            threads[spec.row_span[0]] = threading.get_ident()
             if spec.row_span[0] in bands:
                 fail(spec.row_span[0])
             return real(spec)
 
         monkeypatch.setattr(errormodel, "error_surface", failing)
+        return threads
 
-    def _forked(self, capsys, monkeypatch, *argv):
-        pids = TestSurfaceBands._count_forks(monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        result = _run(capsys, *argv)
-        assert len(pids) == 1
-        return result
+    @staticmethod
+    def _on_cpus(monkeypatch, cpus, call):
+        """``call()`` with ``cpus`` usable."""
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            return call()
 
     @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
-    def test_child_raises(self, capsys, monkeypatch, tmp_path, out):
+    def test_helper_band_raises(self, capsys, monkeypatch, tmp_path, out):
+        # An exception main does not report propagates from the helper's
+        # band as from the calling thread's, and nothing is written.
         def fail(row):
             raise RuntimeError(f"band at row {row}")
 
-        self._fail(monkeypatch, fail)
-        target = tmp_path / "surf.csv"
-        code, stdout, err = self._forked(
-            capsys, monkeypatch, *self.ARGV,
-            *(["--out", str(target)] if out else []))
-        assert (code, stdout) == (1, "")
-        (line,) = err.splitlines()
-        assert json.loads(line) == {"error": "child-process-failed",
-                                    "message": "RuntimeError: band at row 0"}
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("how, status", [
-        (lambda row: os._exit(3), "3"),
-        (lambda row: os.kill(os.getpid(), signal.SIGKILL), "-9")],
-        ids=["exit-3", "killed"])
-    def test_child_ends_without_a_result(self, capsys, monkeypatch, how,
-                                         status):
-        parent = os.getpid()
-        self._fail(monkeypatch,
-                   lambda row: os.getpid() != parent and how(row))
-        code, stdout, err = self._forked(capsys, monkeypatch, *self.ARGV)
-        assert (code, stdout) == (1, "")
-        (line,) = err.splitlines()
-        assert json.loads(line) == {
-            "error": "child-process-failed",
-            "message": "the child process evaluating the first b rows ended "
-                       f"with exit status {status} and no result"}
+        threads = self._fail(monkeypatch, fail)
+        argv = [*self.ARGV, *(["--out", str(tmp_path / "surf.csv")]
+                              if out else [])]
+        for cpus in ({0, 1}, {0}):
+            with pytest.raises(RuntimeError, match="^band at row 0$"):
+                self._on_cpus(monkeypatch, cpus, lambda: main(argv))
+            assert capsys.readouterr() == ("", "")
+            assert list(tmp_path.iterdir()) == []
+            assert (threads[0] != threading.get_ident()) == (len(cpus) == 2)
 
     @pytest.mark.parametrize("bands", [(0,), (2,), (0, 2)],
-                             ids=["child", "parent", "both"])
+                             ids=["helper", "caller", "both"])
     def test_reported_failure_is_that_of_one_process(self, capsys,
                                                      monkeypatch, bands):
         # Band order: where both fail, the first band's error is reported.
         def fail(row):
             raise MemoryError(f"Unable to allocate band {row}")
 
-        self._fail(monkeypatch, fail, bands)
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
-            expected = _run(capsys, *self.ARGV)
+        threads = self._fail(monkeypatch, fail, bands)
+        expected = self._on_cpus(monkeypatch, {0},
+                                 lambda: _run(capsys, *self.ARGV))
         assert expected == (2, "", json.dumps({
             "error": "invalid-config",
             "message": f"input too large: Unable to allocate band "
                        f"{bands[0]}"}) + "\n")
-        assert self._forked(capsys, monkeypatch, *self.ARGV) == expected
+        assert self._on_cpus(monkeypatch, {0, 1},
+                             lambda: _run(capsys, *self.ARGV)) == expected
+        assert threads[0] != threading.get_ident() == threads[2]
 
 
 def _sha256(data) -> str:

@@ -1,5 +1,8 @@
 import ast
+import ctypes
 import math
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -251,3 +254,65 @@ class TestCubicConfig:
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(DomainError):
             CubicConfig(gamma=0.0, alpha=1.0)
+
+
+class TestHelperThread:
+    """``core.helper_thread``'s thread moves off the CPU it starts on."""
+
+    @staticmethod
+    def _start(monkeypatch, usable, here, refuse=False):
+        """The affinity calls a helper thread makes on its start, with
+        ``usable`` CPUs and the current one ``here``; checks that the
+        helper still runs work."""
+        calls = []
+
+        def set_affinity(pid, mask):
+            if refuse:
+                raise OSError("mask refused")
+            calls.append((pid, set(mask)))
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(usable))
+        monkeypatch.setattr(os, "sched_setaffinity", set_affinity)
+        monkeypatch.setattr(core, "_current_cpu", lambda: here)
+        with core.helper_thread() as helper:
+            ident = helper.submit(threading.get_ident).result()
+        assert ident != threading.get_ident()
+        return calls
+
+    def test_leaves_its_cpu_then_gets_the_full_mask(self, monkeypatch):
+        assert self._start(monkeypatch, {0, 1, 2}, 1) == [
+            (0, {0, 2}), (0, {0, 1, 2})]
+
+    @pytest.mark.parametrize("usable, here, refuse", [
+        ({1}, 1, False), ({0, 1}, 0, True), ({0, 1}, None, False)],
+        ids=["one-cpu", "refused", "no-sched-getcpu"])
+    def test_otherwise_a_no_op_that_raises_nothing(self, monkeypatch, usable,
+                                                   here, refuse):
+        # An initializer that raised would break the executor.
+        assert self._start(monkeypatch, usable, here, refuse) == []
+
+    @pytest.mark.parametrize("lib", [object(), None],
+                             ids=["no-symbol", "no-library"])
+    def test_current_cpu_without_sched_getcpu(self, monkeypatch, lib):
+        def cdll(name):
+            if lib is None:
+                raise OSError("no C library")
+            return lib
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert core._current_cpu() is None
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_ends_on_the_full_mask(self):
+        usable = os.sched_getaffinity(0)
+        assert core._current_cpu() in usable | {None}
+        with core.helper_thread() as helper:
+            assert helper.submit(os.sched_getaffinity, 0).result() == usable
+
+    def test_only_core_builds_the_executor(self):
+        users = {name for name, names in _names_by_module(skip="core.py")
+                 if "helper_thread" in names}
+        assert users == {"cli.py", "simulate.py"}
+        assert not [name for name, names in _names_by_module(skip="core.py")
+                    if "ThreadPoolExecutor" in names]

@@ -45,7 +45,7 @@ from clustergauss import (
 )
 from clustergauss import errormodel, simulate
 from clustergauss.cli import main
-from clustergauss.core import is_degenerate
+from clustergauss.core import helper_thread, is_degenerate
 
 SQZ = SqueezingSpec.from_db(-15.0)
 OP_TARGET = SymplecticTarget(1.2, 0.5, 0.3, (1.0 + 0.15) / 1.2)
@@ -101,13 +101,20 @@ class TestDeterminism:
             drawn.append((block, threading.get_ident()))
             return draw(config, block, buffer)
 
-        class TrackedExecutor(simulate.ThreadPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
+        def tracked_helper():
+            # The executor of the one factory, with its submits counted.
+            helper = helper_thread()
+            submit = helper.submit
+
+            def counted(fn, *args, **kwargs):
                 submitted.append(args[1])
-                return super().submit(fn, *args, **kwargs)
+                return submit(fn, *args, **kwargs)
+
+            helper.submit = counted
+            return helper
 
         monkeypatch.setattr(simulate, "_draw_block", tracked_draw)
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", TrackedExecutor)
+        monkeypatch.setattr(simulate, "helper_thread", tracked_helper)
         rc = main(["simulate", "--a", "1", "--b", "0", "--c", "0", "--d", "1",
                    "--shots", str(n_blocks * SHOT_BLOCK), "--seed", "1"])
         capsys.readouterr()
