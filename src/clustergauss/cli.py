@@ -37,14 +37,13 @@ work: one in a missing directory, one that is a directory, one the
 process may not write or create, or two that are one file exit 2 and
 leave every file as it was.
 
-``error-surface`` and ``gain-surface`` use a helper thread where a
-second CPU is usable: it evaluates and formats the first half of the
-grid's b rows while the calling thread does the other half
-(``_surface_csv``).  The output bytes are those of one thread, and
-nothing selects the route but the host: the helper runs only where at
-least two CPUs are usable and the grid has two b rows or more.  An
-interrupt ends the command once the helper's band is done.  The command
-starts no process.
+``error-surface``, ``gain-surface`` and ``simulate`` share their work
+with one helper thread (``core.in_turns``): the surface evaluator's
+blocks of cells, the CSV chunks and ``simulate``'s shot draws are taken
+in turns, the odd ones on the helper, and are used in order.  So the
+output bytes are those of one thread, on one CPU or several.  An
+interrupt ends the command after the helper's current block or chunk.
+No command starts a process.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` where the
 environment does not set it or sets it empty (which OpenBLAS reads as
@@ -97,7 +96,7 @@ from .core import (
     SqueezingSpec,
     SymplecticTarget,
     WeightConfig,
-    helper_thread,
+    in_turns,
 )
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -107,12 +106,12 @@ WORKERS_ENV = "CLUSTERGAUSS_WORKERS"
 
 # Values formatted per chunk; bounds the text formatted at once, whatever
 # the column count.  The formatter's work arrays take about 400 bytes a
-# value.  With the surfaces' helper thread, a fresh 401^2 gain-surface
-# process took 0.318 s at 2**14, 0.299 s at 2**15 and 0.297 s at 2**16,
-# and the optimized error-surface 0.322, 0.314 and 0.316 s (medians of 16
-# alternating runs, 2-vCPU Xeon).  Under glibc's default malloc
-# thresholds a chunk's cost was mostly faulting in the pages of the work
-# arrays the last chunk freed.
+# value.  With the chunks formatted in turns on two threads, a fresh 401^2
+# gain-surface process took 0.369 s at 2**14, 0.341 s at 2**15 and 0.380 s
+# at 2**16, and the optimized error-surface 0.458, 0.426 and 0.449 s
+# (medians of 20 alternating runs, 2-vCPU Xeon).  Under glibc's default
+# malloc thresholds a chunk's cost was mostly faulting in the pages of the
+# work arrays the last chunk freed.
 CSV_CHUNK_VALUES = 2**15
 
 # glibc malloc thresholds that ``main`` sets for its process (mallopt).
@@ -147,25 +146,6 @@ def _slug(exc: Exception) -> str:
 
 def _emit_error(slug: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": slug, "message": message}) + "\n")
-
-
-def _failure(exc: Exception):
-    """(exit code, slug, message) that ``main`` reports for ``exc``.
-
-    None for an exception that ``main`` lets through.
-    """
-    if isinstance(exc, DomainError):
-        return 2, _slug(exc), str(exc)
-    if isinstance(exc, (ValueError, OSError)):
-        return 2, "invalid-config", str(exc)
-    if isinstance(exc, ArithmeticError):
-        # Float arithmetic overflowed or divided by zero on extreme inputs
-        # (say --db 1e308 or a weight of 5e-324).
-        return 2, "invalid-config", f"input out of range: {exc}"
-    if isinstance(exc, MemoryError):
-        # An array for the input could not be allocated (say --nb 1e12).
-        return 2, "invalid-config", f"input too large: {exc}"
-    return None
 
 
 def _jsonify(obj):
@@ -204,15 +184,19 @@ def _csv_chunks(columns):
     ``columns`` is a tuple of equal-length float64 columns.  Each value is
     written as the repr of its Python float, a non-finite one as an empty
     field; nothing needs quoting.  The columns are stacked into rows and
-    formatted (``csvtext.csv_rows``) a chunk at a time.
+    formatted (``csvtext.csv_rows``) a chunk at a time, in turns by the
+    caller and one helper thread (``core.in_turns``), as they are used.
     """
     # Imported here, so that only the commands that write CSV load it.
     from .csvtext import csv_rows
 
     chunk = max(1, CSV_CHUNK_VALUES // len(columns))
-    for start in range(0, len(columns[0]), chunk):
-        yield csv_rows(np.column_stack(
-            [col[start:start + chunk] for col in columns]))
+
+    def text(k):
+        return csv_rows(np.column_stack(
+            [col[k * chunk:(k + 1) * chunk] for col in columns]))
+
+    return in_turns(text, -(-len(columns[0]) // chunk))
 
 
 @contextlib.contextmanager
@@ -381,9 +365,8 @@ def _cubic_config(values: dict, needed: bool):
                        i_m=values.get("im"))
 
 
-def _surface_spec(values: dict, prefix: str, mode: str, rows):
-    """The ErrorSurfaceSpec of b ``rows`` of the (b, d) grid for weights
-    ``prefix``1-4."""
+def _surface_spec(values: dict, prefix: str, mode: str):
+    """The ErrorSurfaceSpec of the (b, d) grid for weights ``prefix``1-4."""
     from .errormodel import ErrorSurfaceSpec
 
     return ErrorSurfaceSpec(
@@ -391,58 +374,7 @@ def _surface_spec(values: dict, prefix: str, mode: str, rows):
         d_range=(values["d_min"], values["d_max"]),
         nb=values["nb"], nd=values["nd"],
         w=_weight_config(values, prefix), mode=mode,
-        cubic=_cubic_config(values, mode == MODE_CUBIC_OPTIMIZED), rows=rows)
-
-
-# ---------------------------------------------------------------------------
-# surfaces on two threads
-#
-# A surface command splits the grid's b rows into two bands, which a
-# helper thread (``core.helper_thread``) and the calling thread evaluate
-# side by side where a second CPU is usable: most of their time is spent
-# in numpy calls that release the interpreter lock.  The output is written
-# in band order, so its bytes are those of the whole grid.
-
-
-def _bands(nb: int) -> list:
-    """The b rows [0, nb//2) and [nb//2, nb) as (lo, hi) pairs.
-
-    A grid of fewer than two rows is one band.
-    """
-    half = nb // 2
-    return [(0, half), (half, nb)] if half > 0 else [(0, nb)]
-
-
-def _surface_csv(header, out, evaluate, bands) -> list:
-    """Write the CSV of ``bands`` of b rows to ``out`` in band order.
-
-    ``evaluate(band)`` returns the (columns, summary) of one band.  Every
-    band is evaluated before ``out`` is opened.  On one thread the rows
-    are formatted as they are written.  With a helper (two bands, two
-    usable CPUs) each thread formats its own band, and the text of both
-    is held until it is written.  A failure is raised in band order, as
-    the one-thread loop raises it.  Returns the summaries, in band order.
-    """
-    def formatted(band):
-        columns, summary = evaluate(band)
-        return list(_csv_chunks(columns)), summary
-
-    if (len(bands) == 2 and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2):
-        with helper_thread() as helper:
-            first = helper.submit(formatted, bands[0])
-            try:
-                second = formatted(bands[1])
-            finally:
-                first = first.result()
-        parts = [first, second]
-    else:
-        parts = [(_csv_chunks(columns), summary)
-                 for columns, summary in map(evaluate, bands)]
-    with _csv_writer(header, out) as write:
-        for chunks, _ in parts:
-            write(chunks)
-    return [summary for _, summary in parts]
+        cubic=_cubic_config(values, mode == MODE_CUBIC_OPTIMIZED))
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +463,11 @@ _SURFACE_OPTIONS = {
 
 
 def cmd_error_surface(values: dict) -> int:
-    from .errormodel import ErrorSurface, error_surface
+    from .errormodel import error_surface
 
-    bands = [_surface_spec(values, "g", values["mode"], rows)
-             for rows in _bands(values["nb"])]
-    _surface_csv(ErrorSurface.COLUMNS, values["out"],
-                 lambda spec: (error_surface(spec).to_rows(), None), bands)
+    surface = error_surface(_surface_spec(values, "g", values["mode"]))
+    with _csv_writer(surface.COLUMNS, values["out"]) as write:
+        write(_csv_chunks(surface.to_rows()))
     return 0
 
 
@@ -557,43 +488,23 @@ _GAIN_OPTIONS = {
 }
 
 
-def _gain_summary(parts: list) -> dict:
-    """The summary of a gain map from those of its bands, in b order.
-
-    The largest finite ``max_ratio`` wins, the earlier band on a tie, as
-    the first largest cell does on the whole grid; NaN, a band with no
-    valid cell, never wins unless every band has it.  The invalid counts
-    add up.
-    """
-    best = max(parts, key=lambda p: -math.inf if math.isnan(p["max_ratio"])
-               else p["max_ratio"])
-    return {**best, **{key: sum(p[key] for p in parts) for key in
-                       ("n_invalid_baseline", "n_invalid_optimized")}}
-
-
 def cmd_gain_surface(values: dict) -> int:
-    from .gkp import GainSurface, gain_surface
+    from .gkp import gain_surface
 
     _require(values, "out")
-    bands = [(_surface_spec(values, "base_g", values["base_mode"], rows),
-              _surface_spec(values, "opt_g", values["opt_mode"], rows))
-             for rows in _bands(values["nb"])]
-    squeezing = SqueezingSpec.from_db(values["db"])
-
-    def evaluate(specs):
-        gs = gain_surface(*specs, squeezing)
-        bmax, dmax = gs.argmax_cell
-        return gs.to_rows(), {
-            "max_ratio": gs.max_ratio,
-            "argmax_b": bmax,
-            "argmax_d": dmax,
-            "n_invalid_baseline": gs.baseline.n_invalid,
-            "n_invalid_optimized": gs.optimized.n_invalid,
-        }
-
-    summaries = _surface_csv(GainSurface.COLUMNS, values["out"], evaluate,
-                             bands)
-    sys.stdout.write(_dumps(_gain_summary(summaries)))
+    gs = gain_surface(_surface_spec(values, "base_g", values["base_mode"]),
+                      _surface_spec(values, "opt_g", values["opt_mode"]),
+                      SqueezingSpec.from_db(values["db"]))
+    with _csv_writer(gs.COLUMNS, values["out"]) as write:
+        write(_csv_chunks(gs.to_rows()))
+    bmax, dmax = gs.argmax_cell
+    sys.stdout.write(_dumps({
+        "max_ratio": gs.max_ratio,
+        "argmax_b": bmax,
+        "argmax_d": dmax,
+        "n_invalid_baseline": gs.baseline.n_invalid,
+        "n_invalid_optimized": gs.optimized.n_invalid,
+    }))
     return 0
 
 
@@ -824,13 +735,21 @@ def main(argv=None) -> int:
         if values["out"] is not None:
             _write_manifest(values["out"], args.command, recorded)
         return code
-    except Exception as exc:
-        failure = _failure(exc)
-        if failure is None:
-            raise
-        code, slug, message = failure
-        _emit_error(slug, message)
-        return code
+    except DomainError as exc:
+        _emit_error(_slug(exc), str(exc))
+        return 2
+    except (ValueError, OSError) as exc:
+        _emit_error("invalid-config", str(exc))
+        return 2
+    except ArithmeticError as exc:
+        # Float arithmetic overflowed or divided by zero on extreme inputs
+        # (say --db 1e308 or a weight of 5e-324).
+        _emit_error("invalid-config", f"input out of range: {exc}")
+        return 2
+    except MemoryError as exc:
+        # An array for the input could not be allocated (say --nb 1e12).
+        _emit_error("invalid-config", f"input too large: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -425,12 +425,25 @@ def _leave_current_cpu() -> None:
             os.sched_setaffinity(0, usable)
 
 
-def helper_thread():
-    """A one-thread executor whose thread leaves the CPU it starts on.
+def in_turns(fn, n: int):
+    """Yield fn(0), ..., fn(n - 1) in order, the odd k on one helper thread.
 
-    The thread starts at the first ``submit``.  The surface commands and
-    ``simulate.run`` both take their helper from here.
+    The caller computes the even k.  While it computes and handles item k,
+    the helper computes k + 1, and it starts k + 3 only once the caller
+    asks for the item after k + 1.  A failure is raised in index order,
+    after the helper's current item is done.  Fewer than two items build
+    no executor; otherwise the helper thread leaves the CPU it starts on
+    (``_leave_current_cpu``) and ends before the generator does.
     """
+    if n < 2:
+        yield from map(fn, range(n))
+        return
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=1, initializer=_leave_current_cpu)
+    with ThreadPoolExecutor(max_workers=1,
+                            initializer=_leave_current_cpu) as helper:
+        for k in range(0, n, 2):
+            odd = helper.submit(fn, k + 1) if k + 1 < n else None
+            yield fn(k)
+            if odd is not None:
+                yield odd.result()

@@ -42,6 +42,7 @@ from .core import (
     WeightConfig,
     angle_cot,
     arccot,
+    in_turns,
     pole_window_edges,
     solve_cot3,
     stage_matrix,
@@ -51,14 +52,14 @@ from .core import (
 # Newton steps that polish each closed-form root on its own polynomial.
 _NEWTON_STEPS = 2
 # Candidate values (cells x candidates) per evaluator block.  Each block
-# is a few dozen numpy calls, between which the surfaces' two threads take
-# turns with the interpreter lock.  A fresh 401^2 optimized error-surface
-# process with the helper thread took 0.343 s at 2**15, 0.312 s at 2**16,
-# 0.313 s at 2**17 and 0.304 s at 2**18 (medians of 16 alternating runs,
-# 2-vCPU Xeon); the fixed-mode gain map did not move (0.250-0.257 s).
-# Under glibc's default malloc thresholds a block's cost was mostly
-# faulting in the temporaries the last block freed, which ``cli.main``'s
-# thresholds avoid.
+# is a few dozen numpy calls, between which the caller and the helper
+# thread (``core.in_turns``) take turns with the interpreter lock.  A fresh
+# 401^2 optimized error-surface process took 0.461 s at 2**15, 0.418 s at
+# 2**16 and 0.400 s at 2**17, and the fixed-phase gain map 0.322, 0.331
+# and 0.338 s (medians of 20 alternating runs, 2-vCPU Xeon).  Under
+# glibc's default malloc thresholds a block's cost was mostly faulting in
+# the temporaries the last block freed, which ``cli.main``'s thresholds
+# avoid.
 _BLOCK_VALUES = 1 << 17
 
 
@@ -316,7 +317,9 @@ def _best_phase(b, d, w: WeightConfig, mid_weight, search: bool):
 
     Cells are evaluated in blocks of about ``_BLOCK_VALUES`` candidate
     values, so the one-candidate fixed phase takes 15 times fewer blocks
-    than the search.
+    than the search.  The blocks are taken in turns by the caller and one
+    helper thread (``core.in_turns``); a block's values do not depend on
+    the thread.
 
     Args:
         b, d: cell arrays of one shape; they are flattened.
@@ -335,10 +338,14 @@ def _best_phase(b, d, w: WeightConfig, mid_weight, search: bool):
     # (``_critical_points``) and two pole-window edges.
     step = _BLOCK_VALUES // (15 if search else 1)
     best = np.empty((4, b.size))
-    for lo in range(0, b.size, step):
-        cells = slice(lo, lo + step)
+
+    def fill(k):
+        cells = slice(k * step, (k + 1) * step)
         best[:, cells] = _best_in_block(b[cells], d[cells], w, mid_weight,
                                         search)
+
+    for _ in in_turns(fill, -(-b.size // step)):
+        pass
     return best
 
 
@@ -477,10 +484,6 @@ class ErrorSurfaceSpec:
         w: cluster weights.
         mode: one of MODES.
         cubic: operating point; present exactly when mode is cubic.
-        rows: (lo, hi) with 0 <= lo < hi <= nb: the spec covers only the
-            band of b rows lo, ..., hi - 1 of the nb-row grid.  None
-            covers all of them.  A band's cells and values are those of
-            the same rows of the whole grid.
     """
 
     b_range: tuple
@@ -490,7 +493,6 @@ class ErrorSurfaceSpec:
     w: WeightConfig
     mode: str
     cubic: Optional[CubicConfig] = None
-    rows: Optional[tuple] = None
 
     def __post_init__(self):
         _mode_terms(self.mode, self.cubic)
@@ -502,23 +504,10 @@ class ErrorSurfaceSpec:
         for name, n in (("nb", self.nb), ("nd", self.nd)):
             if int(n) != n or n < 1:
                 raise DomainError(f"{name} must be an integer >= 1")
-        if self.rows is not None and not (
-                len(self.rows) == 2
-                and all(int(i) == i for i in self.rows)
-                and 0 <= self.rows[0] < self.rows[1] <= self.nb):
-            raise DomainError(f"rows must be integers (lo, hi) with "
-                              f"0 <= lo < hi <= nb, got {self.rows!r}")
-
-    @property
-    def row_span(self) -> tuple:
-        """(lo, hi): the b rows lo, ..., hi - 1 that the spec covers."""
-        return (0, self.nb) if self.rows is None else tuple(self.rows)
 
     @property
     def b_values(self) -> np.ndarray:
-        """b of each covered row."""
-        lo, hi = self.row_span
-        return np.linspace(self.b_range[0], self.b_range[1], self.nb)[lo:hi]
+        return np.linspace(self.b_range[0], self.b_range[1], self.nb)
 
     @property
     def d_values(self) -> np.ndarray:
@@ -526,28 +515,21 @@ class ErrorSurfaceSpec:
 
     @property
     def grid(self) -> tuple:
-        """(b_range, d_range, nb, nd, row_span): what two specs share to
-        share their cells."""
-        return (tuple(self.b_range), tuple(self.d_range), self.nb, self.nd,
-                self.row_span)
+        """(b_range, d_range, nb, nd): what two specs share to share a grid."""
+        return (tuple(self.b_range), tuple(self.d_range), self.nb, self.nd)
 
     def cells(self) -> tuple:
-        """(b, d) of every covered cell, flattened b-major.
-
-        Cell (i, j) of the grid is entry (i - lo)*nd + j, where lo is the
-        first covered row.
-        """
-        b = self.b_values
-        return np.repeat(b, self.nd), np.tile(self.d_values, b.size)
+        """(b, d) of every cell, flattened b-major: cell (i, j) is i*nd + j."""
+        return (np.repeat(self.b_values, self.nd),
+                np.tile(self.d_values, self.nb))
 
 
 @dataclass(frozen=True)
 class ErrorSurface:
     """Error surface on a (b, d) grid.
 
-    Arrays are indexed [i_b, i_d] over the rows of ``spec`` that it
-    covers (``row_span``).  Cells with no pole-free evaluation hold NaN and
-    serialize as missing values.
+    Arrays are indexed [i_b, i_d] over the grid of ``spec``.  Cells with
+    no pole-free evaluation hold NaN and serialize as missing values.
     """
 
     # The CSV header: the names of ``to_rows``' columns, in order.
@@ -578,7 +560,7 @@ class ErrorSurface:
 
 
 def error_surface(spec: ErrorSurfaceSpec) -> ErrorSurface:
-    """Evaluate the selected error mode on the (b, d) grid's covered rows.
+    """Evaluate the selected error mode on the (b, d) grid.
 
     Every cell goes through the evaluator that ``optimize_theta4`` uses,
     so a cell equals ``optimize_theta4`` on its target.  Rows with |d|
@@ -595,7 +577,7 @@ def error_surface(spec: ErrorSurfaceSpec) -> ErrorSurface:
     u, ex, ey, err = _best_phase(*spec.cells(), spec.w, mid, search)
     invalid = ~np.isfinite(err)
     ex, ey, theta = (
-        np.where(invalid, np.nan, part).reshape(-1, spec.nd)
+        np.where(invalid, np.nan, part).reshape(spec.nb, spec.nd)
         for part in (ex, ey, arccot(u))
     )
     return ErrorSurface(spec=spec, ex=ex, ey=ey, theta4p=theta)

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import ctypes
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -36,9 +37,11 @@ from clustergauss import (
     SymplecticTarget,
     WeightConfig,
     cli,
+    core,
     csvtext,
     error_vector_cubic,
     errormodel,
+    gkp,
     optimize_theta4,
     phases,
     simulate,
@@ -832,53 +835,50 @@ class TestGainSurfaceCommand:
 
 
 class TestSurfaceBands:
-    """The surface commands evaluate two bands of b rows, the first on a
-    helper thread where a second CPU is usable; both routes write the same
-    bytes."""
+    """The surface commands write the rows of the whole grid.  The
+    evaluator's blocks of cells and the CSV chunks, bands of the grid, are
+    taken in turns by the caller and one helper thread (``core.in_turns``);
+    the bytes do not depend on which thread takes which band."""
 
     CUBIC = ("--gamma", "0.1", "--alpha", "11.180339887498949")
 
     @staticmethod
-    def _band_threads(monkeypatch) -> dict:
-        """The thread that formats each band's rows, by the band's first b,
-        from now on."""
-        threads = {}
-        chunks = cli._csv_chunks
+    def _library(command, argv):
+        """The library's whole-grid surface for ``command`` run on ``argv``
+        (the commands' own value resolution gives the specs)."""
+        _, _, options = cli._SUBCOMMANDS[command]
+        args = cli._build_parser().parse_args([command, *argv])
+        values, _ = cli._resolve(args, {}, options)
+        if command == "error-surface":
+            return error_surface(cli._surface_spec(values, "g",
+                                                   values["mode"]))
+        return gkp.gain_surface(
+            cli._surface_spec(values, "base_g", values["base_mode"]),
+            cli._surface_spec(values, "opt_g", values["opt_mode"]),
+            core.SqueezingSpec.from_db(values["db"]))
 
-        def tracked(columns):
-            threads[float(columns[0][0])] = threading.get_ident()
-            return chunks(columns)
-
-        monkeypatch.setattr(cli, "_csv_chunks", tracked)
-        return threads
-
-    def _route(self, capsys, monkeypatch, tmp_path, argv, two_cpus: bool):
-        """(exit code, stdout, stderr, files written) of ``argv`` run with
-        two usable CPUs or one.  An argument ``@name`` names a file in a
-        directory of the route's own; manifests, which hold a time, are
-        left out."""
-        workdir = tmp_path / ("two-cpus" if two_cpus else "one-cpu")
+    def _bands(self, capsys, monkeypatch, tmp_path, argv, small: bool):
+        """(exit code, stdout, stderr, files written) of ``argv``, run with
+        the default block and chunk sizes or with bands of a few cells and
+        rows each.  An argument ``@name`` names a file in a directory of
+        the run's own; manifests, which hold a time, are left out."""
+        workdir = tmp_path / ("small" if small else "default")
         workdir.mkdir()
         argv = [workdir / a[1:] if a.startswith("@") else a for a in argv]
         running = threading.active_count()
         with monkeypatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity",
-                          lambda pid: {0, 1} if two_cpus else {0})
-            threads = self._band_threads(patch)
+            if small:
+                patch.setattr(errormodel, "_BLOCK_VALUES", 15 * 16)
+                patch.setattr(cli, "CSV_CHUNK_VALUES", 6 * 16)
             code, out, err = _run(capsys, *map(str, argv))
         assert threading.active_count() == running  # the helper has ended
-        nb = int(argv[argv.index("--nb") + 1])
-        first, *rest = [threads[b] for b in sorted(threads)]
-        caller = threading.get_ident()
-        assert (first != caller) == (two_cpus and nb >= 2)
-        assert rest == [caller] * (nb >= 2)
         return code, out, err, {p.name: p.read_bytes()
                                 for p in workdir.iterdir()
                                 if not p.name.endswith(".manifest.json")}
 
     def _agree(self, capsys, monkeypatch, tmp_path, *argv):
-        runs = [self._route(capsys, monkeypatch, tmp_path, argv, two_cpus)
-                for two_cpus in (True, False)]
+        runs = [self._bands(capsys, monkeypatch, tmp_path, argv, small)
+                for small in (False, True)]
         assert runs[0] == runs[1]
         return runs[0]
 
@@ -889,11 +889,14 @@ class TestSurfaceBands:
         ("cubic_optimized_phase", CUBIC)], ids=["fixed", "optimized", "cubic"])
     def test_error_surface_to_stdout(self, capsys, monkeypatch, tmp_path,
                                      mode, extra, nb, nd):
-        code, out, err, _ = self._agree(
-            capsys, monkeypatch, tmp_path, "error-surface", "--mode", mode,
-            *extra, "--g1", "5", "--g2", "5", "--g3", "4", "--g4", "4",
-            "--nb", str(nb), "--nd", str(nd))
+        argv = ("--mode", mode, *extra, "--g1", "5", "--g2", "5", "--g3", "4",
+                "--g4", "4", "--nb", str(nb), "--nd", str(nd))
+        code, out, err, _ = self._agree(capsys, monkeypatch, tmp_path,
+                                        "error-surface", *argv)
         assert (code, err) == (0, "")
+        surface = self._library("error-surface", argv)
+        assert out == _csv_module_text(ErrorSurface.COLUMNS,
+                                       surface.to_rows())
         assert len(out.splitlines()) == 1 + nb * nd
 
     @pytest.mark.parametrize("mode, extra", [
@@ -901,11 +904,14 @@ class TestSurfaceBands:
         ("cubic_optimized_phase", CUBIC)], ids=["fixed", "optimized", "cubic"])
     def test_error_surface_to_file(self, capsys, monkeypatch, tmp_path, mode,
                                    extra):
+        argv = ("--mode", mode, *extra, "--nb", "101", "--nd", "100")
         code, out, err, files = self._agree(
-            capsys, monkeypatch, tmp_path, "error-surface", "--mode", mode,
-            *extra, "--nb", "101", "--nd", "100", "--out", "@surf.csv")
+            capsys, monkeypatch, tmp_path, "error-surface", *argv,
+            "--out", "@surf.csv")
         assert (code, out, err) == (0, "", "")
-        assert len(files["surf.csv"].splitlines()) == 1 + 101 * 100
+        surface = self._library("error-surface", argv)
+        assert files["surf.csv"].decode() == _csv_module_text(
+            ErrorSurface.COLUMNS, surface.to_rows())
 
     @pytest.mark.parametrize("argv", [
         ("--nb", "1", "--nd", "7"),
@@ -913,25 +919,33 @@ class TestSurfaceBands:
         ("--nb", "3", "--nd", "7"),
         ("--nb", "101", "--nd", "101"),
         ("--nb", "1", "--nd", "3", "--b-min", "0", "--b-max", "0"),
-        # The first band, the row b = 0, is a pole of the fixed phase:
-        # its cells are all missing and the second band has the maximum.
+        # The first row, b = 0, is a pole of the fixed phase: its cells
+        # are all missing and a later row has the maximum.
         ("--nb", "3", "--nd", "4", "--b-min", "0", "--b-max", "1"),
         ("--nb", "101", "--nd", "101", "--db=-40"),
-        # Every p_err_opt is 0, so neither band has a valid ratio.
+        # Every p_err_opt is 0, so no cell has a valid ratio.
         ("--nb", "5", "--nd", "5", "--db=-45"),
         ("--nb", "5", "--nd", "6", "--opt-mode", "cubic_optimized_phase",
          *CUBIC),
     ], ids=["nb1", "nb2", "nb3", "nb101", "nb1-pole", "first-band-missing",
             "40dB", "45dB-null", "cubic"])
     def test_gain_surface(self, capsys, monkeypatch, tmp_path, argv):
+        # The summary is the whole-grid GainSurface's, NaN as null.
         code, out, err, files = self._agree(
             capsys, monkeypatch, tmp_path, "gain-surface", *argv,
             "--out", "@gain.csv")
         assert (code, err) == (0, "")
-        assert set(json.loads(out)) == {
-            "max_ratio", "argmax_b", "argmax_d", "n_invalid_baseline",
-            "n_invalid_optimized"}
+        gs = self._library("gain-surface", argv)
+        bmax, dmax = gs.argmax_cell
+        assert json.loads(out) == {
+            key: None if math.isnan(value) else value for key, value in (
+                ("max_ratio", gs.max_ratio), ("argmax_b", bmax),
+                ("argmax_d", dmax),
+                ("n_invalid_baseline", gs.baseline.n_invalid),
+                ("n_invalid_optimized", gs.optimized.n_invalid))}
         assert list(files) == ["gain.csv"]
+        assert files["gain.csv"].decode() == _csv_module_text(
+            gkp.GainSurface.COLUMNS, gs.to_rows())
 
     def test_first_band_without_a_valid_cell(self, capsys, tmp_path):
         code, out, err = _run(capsys, "gain-surface", "--nb", "3", "--nd",
@@ -948,131 +962,204 @@ class TestSurfaceBands:
         summary = json.loads(out)
         assert summary["max_ratio"] is summary["argmax_b"] is None
 
-    @staticmethod
-    def _part(ratio, b, invalid=(0, 0)):
-        return {"max_ratio": ratio, "argmax_b": b, "argmax_d": -b,
-                "n_invalid_baseline": invalid[0],
-                "n_invalid_optimized": invalid[1]}
-
-    def test_summary_tie_goes_to_the_first_band(self):
-        first, second = self._part(7.5, -1.0), self._part(7.5, 1.0)
-        assert cli._gain_summary([first, second]) == first
-        assert cli._gain_summary([second, first]) == second
-        assert cli._gain_summary([first, self._part(7.6, 2.0)])[
-            "argmax_b"] == 2.0
-
-    @pytest.mark.parametrize("order", [0, 1])
-    def test_summary_skips_a_band_without_a_valid_cell(self, order):
-        parts = [self._part(math.nan, math.nan, (30, 2)),
-                 self._part(0.5, 3.0, (1, 4))]
-        if order:
-            parts.reverse()
-        assert cli._gain_summary(parts) == self._part(0.5, 3.0, (31, 6))
-
-    def test_summary_of_bands_without_a_valid_cell_is_null(self):
-        merged = cli._gain_summary([self._part(math.nan, math.nan, (1, 2)),
-                                    self._part(math.nan, math.nan, (3, 4))])
-        assert json.loads(cli._dumps(merged)) == {
-            "max_ratio": None, "argmax_b": None, "argmax_d": None,
-            "n_invalid_baseline": 4, "n_invalid_optimized": 6}
-
     @pytest.mark.parametrize("why", ["one-cpu", "thread", "no-fork"])
     def test_runs_in_one_process_when_it_may_not_fork(self, capsys,
                                                       monkeypatch, why):
-        # The command starts no process.  Of the conditions that once kept
-        # it from forking, only one usable CPU keeps the first band on the
-        # calling thread; another running thread, or a platform without
-        # fork, changes nothing.  The output is the same either way.
-        argv = ("error-surface", "--nb", "5", "--nd", "5")
+        # The command starts no process, and nothing about the host changes
+        # its output: one usable CPU (the helper's move off the caller's
+        # CPU is then a no-op), another running thread, or a platform
+        # without fork.
+        argv = ("error-surface", "--mode", "gaussian_optimized_phase",
+                "--nb", "5", "--nd", "5")
         expected = _run(capsys, *argv)
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         with monkeypatch.context() as patch:
-            threads = self._band_threads(patch)
-            patch.setattr(os, "sched_getaffinity",
-                          lambda pid: {3} if why == "one-cpu" else {0, 1})
-            if why == "thread":
+            patch.setattr(errormodel, "_BLOCK_VALUES", 15 * 5)
+            patch.setattr(subprocess, "Popen", None)
+            if why == "one-cpu":
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+                patch.setattr(core, "_current_cpu", lambda: 0)
+            elif why == "thread":
                 other.start()
-            elif why == "no-fork":
+            else:
                 patch.delattr(os, "fork")
             try:
                 assert _run(capsys, *argv) == expected
             finally:
                 stop.set()
-        first, second = (threads[b] for b in sorted(threads))
-        caller = threading.get_ident()
-        assert second == caller
-        assert (first == caller) == (why == "one-cpu")
 
 
 class TestFailingBand:
-    """A failing band fails the command as it would on one thread.
+    """A failing block of cells fails the command as it would on one
+    thread: the first failing block's error, whichever thread took it.
 
-    ``errormodel.error_surface`` is replaced by one that fails on the band
-    that starts at row 0, which the helper thread evaluates, on the band
-    the calling thread evaluates, or on both.
+    ``errormodel._best_in_block`` is replaced by one that fails on chosen
+    blocks of one b row each; the helper thread takes the odd ones.
     """
 
     ARGV = ("error-surface", "--nb", "4", "--nd", "3")
 
     @staticmethod
-    def _fail(monkeypatch, fail, bands=(0,)):
-        """Fail the bands that start at ``bands``; returns the thread that
-        evaluates each band, by its first row."""
-        real = errormodel.error_surface
+    def _fail(monkeypatch, fail, blocks=(1,)):
+        """Fail the ``blocks``; returns the thread that evaluates each
+        block, by its index."""
+        real = errormodel._best_in_block
+        first_b = list(np.linspace(-5.0, 5.0, 4))
         threads = {}
 
-        def failing(spec):
-            threads[spec.row_span[0]] = threading.get_ident()
-            if spec.row_span[0] in bands:
-                fail(spec.row_span[0])
-            return real(spec)
+        def failing(b, d, *args):
+            k = first_b.index(b[0])
+            threads[k] = threading.get_ident()
+            if k in blocks:
+                fail(k)
+            return real(b, d, *args)
 
-        monkeypatch.setattr(errormodel, "error_surface", failing)
+        monkeypatch.setattr(errormodel, "_best_in_block", failing)
+        monkeypatch.setattr(errormodel, "_BLOCK_VALUES", 3)
         return threads
-
-    @staticmethod
-    def _on_cpus(monkeypatch, cpus, call):
-        """``call()`` with ``cpus`` usable."""
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-            return call()
 
     @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
     def test_helper_band_raises(self, capsys, monkeypatch, tmp_path, out):
         # An exception main does not report propagates from the helper's
-        # band as from the calling thread's, and nothing is written.
-        def fail(row):
-            raise RuntimeError(f"band at row {row}")
+        # block as from the calling thread's, and nothing is written.
+        def fail(k):
+            raise RuntimeError(f"block {k}")
 
         threads = self._fail(monkeypatch, fail)
         argv = [*self.ARGV, *(["--out", str(tmp_path / "surf.csv")]
                               if out else [])]
-        for cpus in ({0, 1}, {0}):
-            with pytest.raises(RuntimeError, match="^band at row 0$"):
-                self._on_cpus(monkeypatch, cpus, lambda: main(argv))
-            assert capsys.readouterr() == ("", "")
-            assert list(tmp_path.iterdir()) == []
-            assert (threads[0] != threading.get_ident()) == (len(cpus) == 2)
+        running = threading.active_count()
+        with pytest.raises(RuntimeError, match="^block 1$"):
+            main(argv)
+        assert threading.active_count() == running
+        assert capsys.readouterr() == ("", "")
+        assert list(tmp_path.iterdir()) == []
+        assert threads[1] != threading.get_ident() == threads[0]
 
-    @pytest.mark.parametrize("bands", [(0,), (2,), (0, 2)],
+    @pytest.mark.parametrize("blocks", [(1,), (2,), (0, 1)],
                              ids=["helper", "caller", "both"])
     def test_reported_failure_is_that_of_one_process(self, capsys,
-                                                     monkeypatch, bands):
-        # Band order: where both fail, the first band's error is reported.
-        def fail(row):
-            raise MemoryError(f"Unable to allocate band {row}")
+                                                     monkeypatch, blocks):
+        # Block order: where the caller's block 0 and the helper's block 1
+        # both fail, block 0's error is reported.
+        def fail(k):
+            raise MemoryError(f"Unable to allocate block {k}")
 
-        threads = self._fail(monkeypatch, fail, bands)
-        expected = self._on_cpus(monkeypatch, {0},
-                                 lambda: _run(capsys, *self.ARGV))
-        assert expected == (2, "", json.dumps({
+        threads = self._fail(monkeypatch, fail, blocks)
+        assert _run(capsys, *self.ARGV) == (2, "", json.dumps({
             "error": "invalid-config",
-            "message": f"input too large: Unable to allocate band "
-                       f"{bands[0]}"}) + "\n")
-        assert self._on_cpus(monkeypatch, {0, 1},
-                             lambda: _run(capsys, *self.ARGV)) == expected
-        assert threads[0] != threading.get_ident() == threads[2]
+            "message": f"input too large: Unable to allocate block "
+                       f"{blocks[0]}"}) + "\n")
+        assert threads[0] == threading.get_ident() != threads[1]
+
+
+class TestCallerThread:
+    """Every function the bench's tracer wraps runs on the calling thread,
+    so its spans nest on one stack; only blocks of cells, CSV chunks and
+    shot draws go to the helper thread."""
+
+    TRACED = (
+        (core, "validate_target"),
+        (errormodel, "error_surface"),
+        (errormodel.ErrorSurface, "to_rows"),
+        (gkp, "gain_surface"),
+        (gkp, "p_err_values"),
+        (gkp.GainSurface, "to_rows"),
+        (phases, "solve_phases"),
+        (simulate, "run"),
+    )
+
+    def test_traced_functions_run_on_the_calling_thread(self, capsys,
+                                                        monkeypatch,
+                                                        tmp_path):
+        calls = []
+        package = [m for n, m in sorted(sys.modules.items())
+                   if n.startswith("clustergauss")]
+        for owner, attr in self.TRACED:
+            original = getattr(owner, attr)
+
+            def recorded(*args, _fn=original, _name=attr, **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _fn(*args, **kwargs)
+
+            for obj in {*package, owner}:
+                for key, value in list(vars(obj).items()):
+                    if value is original:
+                        monkeypatch.setattr(obj, key, recorded)
+        # Small blocks and chunks, so that the helper takes some of each.
+        monkeypatch.setattr(errormodel, "_BLOCK_VALUES", 15 * 7)
+        monkeypatch.setattr(cli, "CSV_CHUNK_VALUES", 600)
+        for argv in (
+                ("error-surface", "--mode", "gaussian_optimized_phase",
+                 "--nb", "25", "--nd", "25"),
+                ("gain-surface", "--nb", "25", "--nd", "25",
+                 "--out", str(tmp_path / "gain.csv")),
+                ("simulate", "--a", "1", "--b", "0", "--c", "0", "--d", "1",
+                 "--shots", str(2 * SHOT_BLOCK + 5), "--records",
+                 str(tmp_path / "sim.csv"))):
+            assert _run(capsys, *argv)[0] == 0
+        assert {name for name, _ in calls} == {
+            attr for _, attr in self.TRACED}
+        assert {thread for _, thread in calls} == {threading.get_ident()}
+
+
+class TestWriteFailure:
+    """A CSV output whose write fails after the first chunk: exit 2 with
+    one JSON line, and the helper thread has ended."""
+
+    class _Failing:
+        """A text file whose writes fail after the header and one chunk."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(text)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    @pytest.mark.parametrize("argv", [
+        ("error-surface", "--mode", "gaussian_optimized_phase"),
+        ("gain-surface", "--out", "@gain.csv"),
+        ("simulate", "--a", "1", "--b", "0", "--c", "0", "--d", "1",
+         "--shots", str(2 * SHOT_BLOCK + 5), "--records", "@sim.csv")],
+        ids=["error-surface", "gain-surface", "simulate"])
+    def test_write_fails_mid_stream(self, capsys, monkeypatch, tmp_path,
+                                    argv):
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a
+                for a in argv]
+        written = []
+
+        def failing_open(path, mode="r"):
+            written.append(Path(path).name)
+            return self._Failing(open(path, mode))
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        monkeypatch.setattr(cli, "CSV_CHUNK_VALUES", 600)
+        running = threading.active_count()
+        stdout = self._Failing(io.StringIO())
+        with contextlib.redirect_stdout(stdout):
+            code, _, err = _run(capsys, *argv)
+        assert threading.active_count() == running
+        assert code == 2
+        assert err.splitlines() == [json.dumps({
+            "error": "invalid-config",
+            "message": "[Errno 28] No space left on device"})]
+        target = stdout.fh.getvalue() if argv[0] == "error-surface" else (
+            tmp_path / written[0]).read_text()
+        assert len(target.splitlines()) > 1
 
 
 def _sha256(data) -> str:

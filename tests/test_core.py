@@ -2,7 +2,9 @@ import ast
 import ctypes
 import math
 import os
+import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -257,7 +259,7 @@ class TestCubicConfig:
 
 
 class TestHelperThread:
-    """``core.helper_thread``'s thread moves off the CPU it starts on."""
+    """``core.in_turns``' helper thread moves off the CPU it starts on."""
 
     @staticmethod
     def _start(monkeypatch, usable, here, refuse=False):
@@ -274,9 +276,8 @@ class TestHelperThread:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(usable))
         monkeypatch.setattr(os, "sched_setaffinity", set_affinity)
         monkeypatch.setattr(core, "_current_cpu", lambda: here)
-        with core.helper_thread() as helper:
-            ident = helper.submit(threading.get_ident).result()
-        assert ident != threading.get_ident()
+        caller, helper = core.in_turns(lambda k: threading.get_ident(), 2)
+        assert caller == threading.get_ident() != helper
         return calls
 
     def test_leaves_its_cpu_then_gets_the_full_mask(self, monkeypatch):
@@ -307,12 +308,117 @@ class TestHelperThread:
     def test_ends_on_the_full_mask(self):
         usable = os.sched_getaffinity(0)
         assert core._current_cpu() in usable | {None}
-        with core.helper_thread() as helper:
-            assert helper.submit(os.sched_getaffinity, 0).result() == usable
+        _, mask = core.in_turns(lambda k: os.sched_getaffinity(0), 2)
+        assert mask == usable
 
     def test_only_core_builds_the_executor(self):
-        users = {name for name, names in _names_by_module(skip="core.py")
-                 if "helper_thread" in names}
-        assert users == {"cli.py", "simulate.py"}
-        assert not [name for name, names in _names_by_module(skip="core.py")
-                    if "ThreadPoolExecutor" in names]
+        # ``in_turns`` is the one code that hands work to a thread.
+        names = dict(_names_by_module(skip="core.py"))
+        assert {m for m, used in names.items() if "in_turns" in used} == {
+            "cli.py", "errormodel.py", "simulate.py"}
+        threads = {"ThreadPoolExecutor", "Thread", "threading", "submit",
+                   "multiprocessing", "fork"}
+        assert not {m for m, used in names.items() if used & threads}
+        tree = ast.parse(Path(core.__file__).read_text())
+        assert [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+                and {"ThreadPoolExecutor", "submit"} & {
+                    getattr(n, "id", getattr(n, "attr", None))
+                    for n in ast.walk(f)}] == ["in_turns"]
+
+
+class TestInTurns:
+    """``core.in_turns`` yields fn(0), ..., fn(n - 1) in order, the odd k
+    computed on one helper thread."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
+    def test_results_arrive_in_order(self, n):
+        assert list(core.in_turns(lambda k: k * k, n)) == [
+            k * k for k in range(n)]
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_odd_k_on_the_helper_even_k_on_the_caller(self, n):
+        running = threading.active_count()
+        threads = list(core.in_turns(lambda k: threading.get_ident(), n))
+        caller = threading.get_ident()
+        assert threads[::2] == [caller] * len(threads[::2])
+        assert len(set(threads[1::2])) == 1
+        assert threads[1] != caller
+        assert threading.active_count() == running
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_items_build_no_executor(self, monkeypatch, n):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an executor was built")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        threads = list(core.in_turns(lambda k: threading.get_ident(), n))
+        assert threads == [threading.get_ident()] * n
+
+    def test_helper_computes_ahead_by_one_item(self):
+        # While the caller handles k, the helper computes k + 1; it starts
+        # k + 3 only once k + 1 has been handled, which lets simulate.run
+        # reuse one buffer per thread.  A short switch interval
+        # interleaves the two threads finely.
+        events = []
+
+        def fn(k):
+            events.append(("start", k))
+            return np.full(1000, k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k, item in enumerate(core.in_turns(fn, 200)):
+                assert (item == k).all()
+                events.append(("used", k))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [k for what, k in events if what == "used"] == list(range(200))
+        for k in range(2, 200):
+            assert events.index(("start", k)) > events.index(("used", k - 2))
+
+    @pytest.mark.parametrize("failing", [{0}, {1}, {0, 1}, {3, 4}, {2, 3}],
+                             ids=["caller", "helper", "both", "helper-first",
+                                  "caller-first"])
+    @pytest.mark.parametrize("slow", [0, 1], ids=["caller-slow",
+                                                  "helper-slow"])
+    def test_failure_is_raised_in_index_order(self, failing, slow):
+        running = threading.active_count()
+
+        def fn(k):
+            if k % 2 == slow:
+                time.sleep(0.01)
+            if k in failing:
+                raise RuntimeError(f"item {k}")
+            return k
+
+        got = []
+        with pytest.raises(RuntimeError, match=f"^item {min(failing)}$"):
+            for k in core.in_turns(fn, 6):
+                got.append(k)
+        assert got == list(range(min(failing)))
+        assert threading.active_count() == running
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_a_consumer_that_raises_leaves_no_thread(self, at):
+        running = threading.active_count()
+        with pytest.raises(KeyError):
+            for k in core.in_turns(lambda k: time.sleep(0.01) or k, 6):
+                if k == at:
+                    raise KeyError(k)
+        assert threading.active_count() == running
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_a_consumer_that_stops_early_leaves_no_thread(self, at):
+        running = threading.active_count()
+        for k in core.in_turns(lambda k: time.sleep(0.01) or k, 6):
+            if k == at:
+                break
+        assert threading.active_count() == running
+        items = core.in_turns(lambda k: k, 6)
+        assert next(items) == 0
+        assert threading.active_count() == running + 1
+        items.close()
+        assert threading.active_count() == running

@@ -1,6 +1,5 @@
 """Tests for the closed-form error model and the free-phase optimizer."""
 
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -27,6 +26,7 @@ from clustergauss import (
     sample_targets,
     solve_phases,
 )
+from clustergauss import errormodel
 from clustergauss.core import DEGENERATE_D_TOL, POLE_TOL
 
 OP_POINT = CubicConfig(gamma=0.1, alpha=np.sqrt(125.0), i_m=37.5)
@@ -408,26 +408,19 @@ class TestErrorSurface:
     @pytest.mark.parametrize("mode, cubic", [
         (MODE_GAUSSIAN_FIXED, None), (MODE_GAUSSIAN_OPTIMIZED, None),
         (MODE_CUBIC_OPTIMIZED, OP_POINT)], ids=["fixed", "optimized", "cubic"])
-    def test_band_is_its_rows_of_the_grid(self, strong_weights, mode, cubic,
-                                          rows):
-        # Bit for bit: the CLI writes a map band by band.
-        whole = error_surface(_spec(mode, strong_weights, cubic=cubic))
-        band = error_surface(dataclasses.replace(whole.spec, rows=rows))
+    def test_band_is_its_rows_of_the_grid(self, monkeypatch, strong_weights,
+                                          mode, cubic, rows):
+        # Bit for bit: a cell's values do not depend on the block of cells
+        # it is evaluated in, nor on the thread that takes the block.
+        spec = _spec(mode, strong_weights, cubic=cubic)
+        terms = (strong_weights, *errormodel._mode_terms(mode, cubic))
+        whole = errormodel._best_phase(*spec.cells(), *terms)
         lo, hi = rows
-        assert band.spec.row_span == rows
-        assert band.err_inf.shape == (hi - lo, 11)
-        assert band.spec.b_values.tobytes() == \
-            whole.spec.b_values[lo:hi].tobytes()
-        for got, want in zip(band.to_rows(), whole.to_rows()):
-            assert got.tobytes() == want[lo * 11:hi * 11].tobytes()
-        assert whole.spec.row_span == (0, 11)
-
-    @pytest.mark.parametrize("rows", [(0, 0), (3, 2), (-1, 2), (0, 12),
-                                      (0.5, 2), (0, 1, 2)])
-    def test_band_validation(self, strong_weights, rows):
-        with pytest.raises(DomainError, match="rows must be"):
-            dataclasses.replace(_spec(MODE_GAUSSIAN_FIXED, strong_weights),
-                                rows=rows)
+        band = [cells[lo * 11:hi * 11] for cells in spec.cells()]
+        # Blocks of 7 searched cells or 105 fixed-phase ones, in turns.
+        monkeypatch.setattr(errormodel, "_BLOCK_VALUES", 15 * 7)
+        got = errormodel._best_phase(*band, *terms)
+        assert got.tobytes() == whole[:, lo * 11:hi * 11].tobytes()
 
     def test_spec_validation(self, strong_weights):
         with pytest.raises(DomainError):

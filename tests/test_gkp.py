@@ -302,8 +302,8 @@ class TestGainSurface:
 
     @pytest.mark.parametrize("change", [
         {"b_range": (-4.0, 5.0)}, {"d_range": (-5.0, 4.0)}, {"nb": 11},
-        {"nd": 11}, {"rows": (0, 10)}],
-        ids=["b_range", "d_range", "nb", "nd", "rows"])
+        {"nd": 11}],
+        ids=["b_range", "d_range", "nb", "nd"])
     def test_grid_mismatch_rejected(self, unit_weights, strong_weights,
                                     change):
         base = _spec(unit_weights, MODE_GAUSSIAN_FIXED)
@@ -322,18 +322,6 @@ class TestGainSurface:
         cell_b, cell_d = base.cells()
         assert b.tobytes() == cell_b.tobytes()
         assert d.tobytes() == cell_d.tobytes()
-
-    @pytest.mark.parametrize("rows", [(0, 10), (10, 21), (20, 21)])
-    def test_band_is_its_rows_of_the_grid(self, unit_weights, strong_weights,
-                                          rows):
-        specs = (_spec(unit_weights, MODE_GAUSSIAN_FIXED),
-                 _spec(strong_weights, MODE_GAUSSIAN_OPTIMIZED))
-        whole = gain_surface(*specs, SQZ)
-        band = gain_surface(
-            *(dataclasses.replace(s, rows=rows) for s in specs), SQZ)
-        lo, hi = rows
-        for got, want in zip(band.to_rows(), whole.to_rows()):
-            assert got.tobytes() == want[lo * 21:hi * 21].tobytes()
 
     def test_rows(self, unit_weights, strong_weights):
         gs = gain_surface(

@@ -45,7 +45,7 @@ from clustergauss import (
 )
 from clustergauss import errormodel, simulate
 from clustergauss.cli import main
-from clustergauss.core import helper_thread, is_degenerate
+from clustergauss.core import is_degenerate
 
 SQZ = SqueezingSpec.from_db(-15.0)
 OP_TARGET = SymplecticTarget(1.2, 0.5, 0.3, (1.0 + 0.15) / 1.2)
@@ -93,39 +93,27 @@ class TestDeterminism:
     def test_simulate_draws_odd_blocks_on_one_helper(self, monkeypatch,
                                                      capsys, n_blocks):
         # Even blocks are drawn on the caller, odd ones on one other
-        # thread; a one-block run submits nothing, so it starts no thread.
-        drawn, submitted = [], []
+        # thread, each once; a one-block run starts no thread.
+        drawn = []
         draw = simulate._draw_block
 
         def tracked_draw(config, block, buffer):
             drawn.append((block, threading.get_ident()))
             return draw(config, block, buffer)
 
-        def tracked_helper():
-            # The executor of the one factory, with its submits counted.
-            helper = helper_thread()
-            submit = helper.submit
-
-            def counted(fn, *args, **kwargs):
-                submitted.append(args[1])
-                return submit(fn, *args, **kwargs)
-
-            helper.submit = counted
-            return helper
-
         monkeypatch.setattr(simulate, "_draw_block", tracked_draw)
-        monkeypatch.setattr(simulate, "helper_thread", tracked_helper)
+        running = threading.active_count()
         rc = main(["simulate", "--a", "1", "--b", "0", "--c", "0", "--d", "1",
                    "--shots", str(n_blocks * SHOT_BLOCK), "--seed", "1"])
         capsys.readouterr()
         assert rc == 0
+        assert threading.active_count() == running
         caller = threading.get_ident()
         assert sorted(b for b, _ in drawn) == list(range(n_blocks))
         assert {b for b, t in drawn if t == caller} == set(
             range(0, n_blocks, 2))
         helpers = {t for b, t in drawn if t != caller}
         assert len(helpers) == (n_blocks > 1)
-        assert submitted == list(range(1, n_blocks, 2))
 
 
 def _replay(cfg, row):
