@@ -51,15 +51,18 @@ from .core import (
 
 # Newton steps that polish each closed-form root on its own polynomial.
 _NEWTON_STEPS = 2
-# Candidate values (cells x candidates) per evaluator block.  Each block
-# is a few dozen numpy calls, between which the caller and the helper
-# thread (``core.in_turns``) take turns with the interpreter lock.  A fresh
+# Most candidate values (cells x candidates) per evaluator block.
+# ``_best_phase`` splits the cells into the fewest blocks within it, all
+# of one size but the last: a 401^2 grid makes 19 blocks of 8 464 cells
+# with the search, 2 of 80 401 without.  Each block is a few dozen numpy
+# calls, between which the caller and the helper thread
+# (``core.in_turns``) take turns with the interpreter lock.  A fresh
 # 401^2 optimized error-surface process took 0.461 s at 2**15, 0.418 s at
 # 2**16 and 0.400 s at 2**17, and the fixed-phase gain map 0.322, 0.331
-# and 0.338 s (medians of 20 alternating runs, 2-vCPU Xeon).  Under
-# glibc's default malloc thresholds a block's cost was mostly faulting in
-# the temporaries the last block freed, which ``cli.main``'s thresholds
-# avoid.
+# and 0.338 s (medians of 20 alternating runs, 2-vCPU Xeon; blocks of the
+# whole bound then, the last one shorter).  Under glibc's default malloc
+# thresholds a block's cost was mostly faulting in the temporaries the
+# last block freed, which ``cli.main``'s thresholds avoid.
 _BLOCK_VALUES = 1 << 17
 
 
@@ -77,8 +80,17 @@ def _components_from_cots(cot3, u4, w: WeightConfig, mid_weight):
     Gaussian scheme, 1/(12*gamma*I_m) for the cubic variant.
     """
     f00, f01, f10, f11 = stage_matrix(cot3, u4, w.g3_over_g2)
-    ex = (1.0 / w.g1**2) * f00**2 + mid_weight * f01**2 + 1.0 / w.g3**2
-    ey = (1.0 / w.g1**2) * f10**2 + mid_weight * f11**2 + 1.0
+    # Each sum is accumulated in place, in the order
+    # (1/g1^2) f00^2 + m f01^2 + 1/g3^2 (ey: f10, f11, 1).  f11 is the
+    # scalar -rho, so ey takes cot3's shape as written out it would.
+    ex = f00**2
+    ex *= 1.0 / w.g1**2
+    ex += mid_weight * f01**2
+    ex += 1.0 / w.g3**2
+    ey = f10**2
+    ey *= 1.0 / w.g1**2
+    ey += mid_weight * f11**2
+    ey += 1.0
     return ex, ey
 
 
@@ -188,15 +200,23 @@ def _horner(coeffs):
 
     With ``slope=False`` it returns (f, None) and skips the slope's work,
     for Newton's last step.  The first slope is ``x * 0.0 + coeffs[0]``,
-    so it has x's shape and is NaN where x is not finite.
+    so it has x's shape and is NaN where x is not finite.  Each step
+    ``f = f * x + c`` (``df = df * x + f``) is taken in place on the
+    arrays made here, in the same order.
     """
     def value_and_slope(x, slope=True):
-        f = coeffs[0] * x + coeffs[1]
-        df = x * 0.0 + coeffs[0] if slope else None
+        f = coeffs[0] * x
+        f += coeffs[1]
+        df = None
+        if slope:
+            df = x * 0.0
+            df += coeffs[0]
         for c in coeffs[2:]:
             if slope:
-                df = df * x + f
-            f = f * x + c
+                df *= x
+                df += f
+            f *= x
+            f += c
         return f, df
     return value_and_slope
 
@@ -315,7 +335,7 @@ def _best_phase(b, d, w: WeightConfig, mid_weight, search: bool):
     and a pole scores +inf.  u = 0 is the first candidate and wins ties,
     so a searched error never exceeds the fixed-phase one.
 
-    Cells are evaluated in blocks of about ``_BLOCK_VALUES`` candidate
+    Cells are evaluated in blocks of at most ``_BLOCK_VALUES`` candidate
     values, so the one-candidate fixed phase takes 15 times fewer blocks
     than the search.  The blocks are taken in turns by the caller and one
     helper thread (``core.in_turns``); a block's values do not depend on
@@ -335,8 +355,10 @@ def _best_phase(b, d, w: WeightConfig, mid_weight, search: bool):
     b = np.asarray(b, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
     # The search has 15 candidates: u = 0, six roots of each quartic
-    # (``_critical_points``) and two pole-window edges.
-    step = _BLOCK_VALUES // (15 if search else 1)
+    # (``_critical_points``) and two pole-window edges.  Blocks of one
+    # size give the caller and the helper equal shares.
+    n_blocks = -(-b.size // (_BLOCK_VALUES // (15 if search else 1)))
+    step = -(-b.size // max(n_blocks, 1))
     best = np.empty((4, b.size))
 
     def fill(k):
@@ -344,7 +366,7 @@ def _best_phase(b, d, w: WeightConfig, mid_weight, search: bool):
         best[:, cells] = _best_in_block(b[cells], d[cells], w, mid_weight,
                                         search)
 
-    for _ in in_turns(fill, -(-b.size // step)):
+    for _ in in_turns(fill, n_blocks):
         pass
     return best
 
@@ -394,15 +416,40 @@ def _critical_points(b, d, w: WeightConfig, m):
           c0 * p**2 + p**2 * a - ey_num)
 
     def gap(u, slope=True):
-        """ex - ey and its slope (None without ``slope``), unexpanded."""
-        s = p + d * u
-        n = ratio * u + p
-        num = a * n * n - ey_num
-        value = num / s**2 + m * u * u / r2**2 + c0
+        """ex - ey and its slope (None without ``slope``), unexpanded.
+
+        In place, in the order of
+
+            value = num / s^2 + m u u / r2^2 + c0
+            slope = (2 a ratio n - 2 d num / s) / s^2 + 2 m u / r2^2
+
+        with s = d u + p, n = ratio u + p and num = a n n - ey_num.
+        """
+        s = d * u
+        s += p
+        n = ratio * u
+        n += p
+        num = a * n
+        num *= n
+        num -= ey_num
+        s2 = s**2
+        value = num / s2
+        term = m * u
+        term *= u
+        term /= r2**2
+        value += term
+        value += c0
         if not slope:
             return value, None
-        return (value, (2.0 * a * ratio * n - 2.0 * d * num / s) / s**2
-                + 2.0 * m * u / r2**2)
+        dvalue = 2.0 * a * ratio * n
+        term = 2.0 * d * num
+        term /= s
+        dvalue -= term
+        dvalue /= s2
+        term = 2.0 * m * u
+        term /= r2**2
+        dvalue += term
+        return value, dvalue
 
     # Both quartics at once: coefficient k of Q1 and Q2 is coeffs[k].
     coeffs = np.empty((5, 2, b.size))

@@ -39,10 +39,20 @@ CORRECTION_VARIANCE_UNITS = 2.0
 def _erfc(x: np.ndarray) -> np.ndarray:
     """libm's complementary error function (``math.erfc``), elementwise.
 
-    NaN passes through; +inf and -inf give 0 and 2.
+    NaN passes through; +inf and -inf give 0 and 2.  ``math.erfc`` is
+    called once per run of equal values in the flattened array: a
+    fixed-phase surface has one ex in every cell.  NaN never equals
+    itself, so each NaN is a run of its own; 0.0 and -0.0 share a run,
+    and both give 1.
     """
-    return np.fromiter(map(math.erfc, x.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
+    flat = x.ravel()
+    starts = np.ones(flat.size, dtype=bool)
+    starts[1:] = flat[1:] != flat[:-1]
+    starts = np.flatnonzero(starts)
+    values = np.fromiter(map(math.erfc, flat[starts].tolist()), float,
+                         starts.size)
+    return np.repeat(values, np.diff(starts, append=flat.size)).reshape(
+        x.shape)
 
 
 def p_err_values(x_er, y_er, var_s):

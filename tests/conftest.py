@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,24 @@ import acceptance_log
 
 from clustergauss import SqueezingSpec, SymplecticTarget, WeightConfig
 from clustergauss import simulate
+
+
+@pytest.fixture(autouse=True)
+def two_usable_cpus(monkeypatch):
+    """Where the process may use one CPU only, report two to the code.
+
+    ``core.in_turns`` starts its helper thread only with two usable CPUs,
+    and many tests check which thread took which item.  The helper's moves
+    between CPUs are then no-ops.  A test of the one-CPU route patches
+    ``os.sched_getaffinity`` itself.
+    """
+    try:
+        if len(os.sched_getaffinity(0)) > 1:
+            return
+    except AttributeError:
+        return
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
 
 
 @pytest.fixture

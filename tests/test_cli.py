@@ -6,6 +6,7 @@ import csv
 import ctypes
 import dataclasses
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -966,9 +967,8 @@ class TestSurfaceBands:
     def test_runs_in_one_process_when_it_may_not_fork(self, capsys,
                                                       monkeypatch, why):
         # The command starts no process, and nothing about the host changes
-        # its output: one usable CPU (the helper's move off the caller's
-        # CPU is then a no-op), another running thread, or a platform
-        # without fork.
+        # its output: one usable CPU (no helper thread then), another
+        # running thread, or a platform without fork.
         argv = ("error-surface", "--mode", "gaussian_optimized_phase",
                 "--nb", "5", "--nd", "5")
         expected = _run(capsys, *argv)
@@ -988,6 +988,53 @@ class TestSurfaceBands:
                 assert _run(capsys, *argv) == expected
             finally:
                 stop.set()
+
+
+class TestOneUsableCpu:
+    """With one usable CPU the caller takes every block, chunk and draw,
+    and the bytes are those of the two-thread route."""
+
+    @pytest.mark.parametrize("argv", [
+        ("error-surface", "--mode", "gaussian_optimized_phase", "--nb", "3",
+         "--nd", "5", "--out", "@surf.csv"),
+        ("simulate", "--a", "1", "--b", "0.5", "--c", "0", "--d", "1",
+         "--shots", str(2 * SHOT_BLOCK + 5), "--seed", "1",
+         "--records", "@sim.rec.csv"),
+    ], ids=["error-surface", "simulate"])
+    def test_writes_the_bytes_of_two(self, capsys, monkeypatch, tmp_path,
+                                     argv):
+        # Three blocks of cells (five each) or of shots, the last partial.
+        runs = {}
+        threads = set()
+
+        def tracked(fn):
+            def call(*args):
+                threads.add(threading.get_ident())
+                return fn(*args)
+            return call
+
+        for cpus in ({0}, {0, 1}):
+            workdir = tmp_path / str(len(cpus))
+            workdir.mkdir()
+            threads.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity",
+                              lambda pid, cpus=cpus: cpus)
+                patch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
+                patch.setattr(errormodel, "_BLOCK_VALUES", 15 * 5)
+                for owner, name in ((errormodel, "_best_in_block"),
+                                    (simulate, "_draw_block")):
+                    patch.setattr(owner, name, tracked(getattr(owner, name)))
+                result = _run(capsys, *(str(workdir / a[1:])
+                                        if a.startswith("@") else a
+                                        for a in argv))
+            runs[len(cpus)] = (result, set(threads), {
+                p.name: p.read_bytes() for p in workdir.iterdir()
+                if not p.name.endswith(".manifest.json")})
+        assert runs[1][1] == {threading.get_ident()}
+        assert len(runs[2][1]) == 2
+        assert runs[1][0] == runs[2][0] and runs[1][2] == runs[2][2]
+        assert runs[1][0][0] == 0 and len(runs[1][2]) == 1
 
 
 class TestFailingBand:
@@ -1246,6 +1293,63 @@ class TestGoldenOutputs:
         assert got == code, err
         assert _sha256(out) == summary_digest
         assert _sha256(records.read_bytes()) == records_digest
+
+
+class TestProcessEntry:
+    """``cli.entry``, the entry of a CLI process, freezes the heap once
+    ``main`` has returned; ``main`` called in-process does not."""
+
+    CASES = [
+        (("error-surface", "--nb", "2", "--nd", "2"), 0),
+        (("error-surface", "--nb", "0"), 2),
+        (("simulate", *TARGET_ARGS, "--shots", "2000", "--z-gate", "1e-9"),
+         3),
+    ]
+    IDS = ["ok", "invalid", "z-gate"]
+
+    @pytest.mark.parametrize("argv, code", CASES, ids=IDS)
+    def test_main_keeps_normal_collection(self, capsys, argv, code):
+        frozen = gc.get_freeze_count()
+        assert _run(capsys, *argv)[0] == code
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("argv, code", CASES, ids=IDS)
+    def test_entry_freezes_after_main_returns(self, capsys, monkeypatch,
+                                              argv, code):
+        events = []
+
+        def recorded_main():
+            events.append("main")
+            result = main()
+            events.append("returned")
+            return result
+
+        monkeypatch.setattr(cli, "main", recorded_main)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(sys, "argv", ["clustergauss", *argv])
+        assert cli.entry() == code
+        capsys.readouterr()
+        assert events == ["main", "returned", "freeze"]
+
+    @pytest.mark.parametrize("argv, code", CASES, ids=IDS)
+    def test_module_run_exits_frozen(self, argv, code):
+        # ``python -m clustergauss.cli`` goes through ``entry``.
+        out = _in_child(
+            "import gc, runpy, sys\n"
+            f"sys.argv = ['clustergauss', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('clustergauss.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code, gc.get_freeze_count() > 0)\n")
+        assert out.splitlines()[-1] == f"{code} True"
+
+    def test_console_script_is_entry(self):
+        pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+        if not pyproject.is_file():
+            pytest.skip("not a source checkout")
+        assert 'clustergauss = "clustergauss.cli:entry"' in \
+            pyproject.read_text().splitlines()
 
 
 class TestWeightBoundCommand:

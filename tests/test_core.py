@@ -265,7 +265,9 @@ class TestHelperThread:
     def _start(monkeypatch, usable, here, refuse=False):
         """The affinity calls a helper thread makes on its start, with
         ``usable`` CPUs and the current one ``here``; checks that the
-        helper still runs work."""
+        helper still runs work.  With one usable CPU ``in_turns`` starts
+        no helper, so the calls are those of ``_leave_current_cpu`` run
+        on the caller."""
         calls = []
 
         def set_affinity(pid, mask):
@@ -276,6 +278,9 @@ class TestHelperThread:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(usable))
         monkeypatch.setattr(os, "sched_setaffinity", set_affinity)
         monkeypatch.setattr(core, "_current_cpu", lambda: here)
+        if len(usable) == 1:
+            core._leave_current_cpu()
+            return calls
         caller, helper = core.in_turns(lambda k: threading.get_ident(), 2)
         assert caller == threading.get_ident() != helper
         return calls
@@ -355,6 +360,23 @@ class TestInTurns:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
         threads = list(core.in_turns(lambda k: threading.get_ident(), n))
         assert threads == [threading.get_ident()] * n
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_one_usable_cpu_builds_no_executor(self, monkeypatch, n):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an executor was built")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        threads = list(core.in_turns(lambda k: threading.get_ident(), n))
+        assert threads == [threading.get_ident()] * n
+
+    def test_unknown_affinity_keeps_the_helper(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        threads = list(core.in_turns(lambda k: threading.get_ident(), 2))
+        assert threads[0] == threading.get_ident() != threads[1]
 
     def test_helper_computes_ahead_by_one_item(self):
         # While the caller handles k, the helper computes k + 1; it starts

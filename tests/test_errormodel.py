@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clustergauss import (
     MODE_CUBIC_OPTIMIZED,
@@ -27,7 +28,7 @@ from clustergauss import (
     solve_phases,
 )
 from clustergauss import errormodel
-from clustergauss.core import DEGENERATE_D_TOL, POLE_TOL
+from clustergauss.core import DEGENERATE_D_TOL, POLE_TOL, stage_matrix
 
 OP_POINT = CubicConfig(gamma=0.1, alpha=np.sqrt(125.0), i_m=37.5)
 
@@ -417,10 +418,34 @@ class TestErrorSurface:
         whole = errormodel._best_phase(*spec.cells(), *terms)
         lo, hi = rows
         band = [cells[lo * 11:hi * 11] for cells in spec.cells()]
-        # Blocks of 7 searched cells or 105 fixed-phase ones, in turns.
+        # Blocks of at most 7 searched cells or 105 fixed-phase ones, in
+        # turns.
         monkeypatch.setattr(errormodel, "_BLOCK_VALUES", 15 * 7)
         got = errormodel._best_phase(*band, *terms)
         assert got.tobytes() == whole[:, lo * 11:hi * 11].tobytes()
+
+    @pytest.mark.parametrize("search", [False, True],
+                             ids=["fixed", "optimized"])
+    @pytest.mark.parametrize("n, sizes", [
+        (25, [9, 9, 7]), (20, [10, 10]), (23, [8, 8, 7]), (1, [1]), (0, [])])
+    def test_blocks_are_the_fewest_of_one_size(self, monkeypatch,
+                                                strong_weights, search, n,
+                                                sizes):
+        # At most 10 cells a block: the fewest blocks, equal but the last,
+        # so that the caller and the helper get equal shares.
+        monkeypatch.setattr(errormodel, "_BLOCK_VALUES",
+                            10 * (15 if search else 1))
+        seen = []
+        evaluate = errormodel._best_in_block
+
+        def recorded(b, *args):
+            seen.append(b.size)
+            return evaluate(b, *args)
+
+        monkeypatch.setattr(errormodel, "_best_in_block", recorded)
+        errormodel._best_phase(np.linspace(-1.0, 1.0, n), np.ones(n),
+                               strong_weights, 1.0, search)
+        assert sorted(seen, reverse=True) == sizes
 
     def test_spec_validation(self, strong_weights):
         with pytest.raises(DomainError):
@@ -572,3 +597,128 @@ class TestEvaluatorDigests:
     def test_other_weights_surface(self, weights, mode, cubic):
         digest = _surface_digest(weights, mode, cubic, 101)
         assert digest == SURFACE_101_DIGESTS[weights, mode]
+
+
+# Any float64, with the values that take arithmetic off its usual path.
+SPECIAL = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-308])
+ANY_FLOAT = SPECIAL | st.floats(width=64)
+
+
+def _same_bits(got, want) -> bool:
+    """Equal float64 bits at every position; a NaN matches any NaN.
+
+    NaN payloads are not compared: where two operands are NaN, which
+    payload survives depends on the operand order.
+    """
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+def _horner_as_written(coeffs, x, slope):
+    """``_horner`` with each step written out as a new array."""
+    f = coeffs[0] * x + coeffs[1]
+    df = x * 0.0 + coeffs[0] if slope else None
+    for c in coeffs[2:]:
+        if slope:
+            df = df * x + f
+        f = f * x + c
+    return f, df
+
+
+def _gap_as_written(b, d, w, m, u, slope):
+    """``_critical_points``' gap closure with each step a new array."""
+    g1, _, g3, _ = w.as_tuple()
+    r2 = w.g3_over_g2
+    ratio = w.cross_ratio
+    p = r2**2 * b
+    a = 1.0 / (g1**2 * r2**2)
+    c0 = 1.0 / g3**2 - m * r2**2 - 1.0
+    ey_num = r2**2 * (d - ratio)**2 / g1**2
+    s = p + d * u
+    n = ratio * u + p
+    num = a * n * n - ey_num
+    value = num / s**2 + m * u * u / r2**2 + c0
+    if not slope:
+        return value, None
+    return (value, (2.0 * a * ratio * n - 2.0 * d * num / s) / s**2
+            + 2.0 * m * u / r2**2)
+
+
+def _gap_closure(b, d, w, m):
+    """The gap function ``_critical_points`` polishes the crossings with:
+    the last one it hands to ``_newton``."""
+    handed = []
+    newton = errormodel._newton
+
+    def recorded(fn, x, steps=errormodel._NEWTON_STEPS):
+        handed.append(fn)
+        return newton(fn, x, steps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(errormodel, "_newton", recorded)
+        errormodel._critical_points(b, d, w, m)
+    return handed[-1]
+
+
+class TestInPlaceArithmetic:
+    """The evaluator's sums are accumulated in place on arrays it made;
+    each is bit for bit the expression written out with new arrays, NaN,
+    infinities and -0.0 included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), slope=st.booleans())
+    def test_horner_on_both_quartics(self, data, n, slope):
+        coeffs = data.draw(arrays(float, (5, 2, n), elements=ANY_FLOAT))
+        x = data.draw(arrays(float, (6, 2, n), elements=ANY_FLOAT))
+        with np.errstate(all="ignore"):
+            got = errormodel._horner(coeffs)(x, slope)
+            want = _horner_as_written(coeffs, x, slope)
+        assert _same_bits(got[0], want[0])
+        assert (got[1] is want[1] is None) or _same_bits(got[1], want[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), slope=st.booleans())
+    def test_horner_with_a_scalar_leading_coefficient(self, data, n, slope):
+        # The resolvent cubic's leading coefficient is the float 1.0.
+        coeffs = (1.0, *(data.draw(arrays(float, n, elements=ANY_FLOAT))
+                         for _ in range(3)))
+        x = data.draw(arrays(float, n, elements=ANY_FLOAT))
+        with np.errstate(all="ignore"):
+            got = errormodel._horner(coeffs)(x, slope)
+            want = _horner_as_written(coeffs, x, slope)
+        assert _same_bits(got[0], want[0])
+        assert (got[1] is want[1] is None) or _same_bits(got[1], want[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), slope=st.booleans(),
+           weights=st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT),
+           m=st.sampled_from([1.0, 1.0 / 45.0]))
+    def test_gap(self, data, n, slope, weights, m):
+        cell = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])
+        b = data.draw(arrays(float, n, elements=cell))
+        d = data.draw(arrays(float, n, elements=cell))
+        u = data.draw(arrays(float, (6, n), elements=ANY_FLOAT))
+        w = WeightConfig(*weights)
+        with np.errstate(all="ignore"):
+            gap = _gap_closure(b, d, w, m)
+            got = gap(u, slope)
+            want = _gap_as_written(b, d, w, m, u, slope)
+        assert _same_bits(got[0], want[0])
+        assert (got[1] is want[1] is None) or _same_bits(got[1], want[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), rows=st.sampled_from([1, 15]),
+           weights=st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT),
+           m=st.sampled_from([1.0, 1.0 / 45.0]))
+    def test_components_from_cots(self, data, n, rows, weights, m):
+        cot3 = data.draw(arrays(float, (rows, n), elements=ANY_FLOAT))
+        u4 = data.draw(arrays(float, (rows, n), elements=ANY_FLOAT))
+        w = WeightConfig(*weights)
+        with np.errstate(all="ignore"):
+            f00, f01, f10, f11 = stage_matrix(cot3, u4, w.g3_over_g2)
+            got = errormodel._components_from_cots(cot3, u4, w, m)
+            want = ((1.0 / w.g1**2) * f00**2 + m * f01**2 + 1.0 / w.g3**2,
+                    (1.0 / w.g1**2) * f10**2 + m * f11**2 + 1.0)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])

@@ -191,6 +191,42 @@ class TestErfc:
         assert np.isnan(out[0, 1]) and np.isnan(out).sum() == 1
         assert _erfc(np.float64(0.5)).shape == ()
 
+    # Values that make runs: equal neighbours, NaN, both zeros, infinities.
+    RUN_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, 3.0, 27.2]
+
+    @given(values=st.lists(st.sampled_from(RUN_VALUES) | st.floats(),
+                           max_size=40),
+           rows=st.sampled_from([None, 1, 2, 3]))
+    def test_is_scalar_erfc_called_once_per_run(self, values, rows):
+        shape = (len(values),)
+        if rows and len(values) % rows == 0:
+            shape = (rows, len(values) // rows)
+        want = np.array([math.erfc(v) for v in values],
+                        dtype=float).reshape(shape)
+        # A run starts wherever a value differs from the one before it;
+        # NaN differs from everything, 0.0 equals -0.0.
+        runs = sum(1 for k, v in enumerate(values)
+                   if k == 0 or not v == values[k - 1])
+        calls = []
+        erfc = math.erfc
+
+        def counted(x):
+            calls.append(x)
+            return erfc(x)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(math, "erfc", counted)
+            got = _erfc(np.array(values, dtype=float).reshape(shape))
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+        assert len(calls) == runs
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_empty_array_calls_nothing(self, monkeypatch, shape):
+        monkeypatch.setattr(math, "erfc", None)
+        got = _erfc(np.empty(shape))
+        assert got.shape == shape and got.dtype == np.float64
+
     @given(
         xy=st.lists(st.tuples(st.floats(min_value=0.0, max_value=1e12),
                               st.floats(min_value=0.0, max_value=1e12)),
