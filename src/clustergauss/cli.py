@@ -39,12 +39,13 @@ leave every file as it was.
 
 ``error-surface``, ``gain-surface`` and ``simulate`` share their work
 with one helper thread (``core.in_turns``): the surface evaluator's
-blocks of cells, the CSV chunks and ``simulate``'s shot draws are taken
-in turns, the odd ones on the helper, and are used in order.  Where the
-process may use one CPU only, the caller takes them all and no helper
-starts.  So the output bytes are those of one thread, on one CPU or
-several.  An interrupt ends the command after the helper's current block
-or chunk.  No command starts a process.
+blocks of cells, the CSV writer's chunks of rows and ``simulate``'s shot
+blocks, each drawn into an array of its own, are taken in turns, the odd
+ones on the helper, and are used in order.  Where the process may use
+one CPU only, the caller takes them all and no helper starts.  So the
+output bytes are those of one thread, on one CPU or several.  An
+interrupt ends the command after the helper's current block or chunk.
+No command starts a process.
 
 A CLI process (``clustergauss`` or ``python -m clustergauss.cli``) enters
 through ``entry``, which freezes the heap once ``main`` has returned so
@@ -185,39 +186,36 @@ def _deliver(text: str, out) -> None:
         Path(out).write_text(text)
 
 
-def _csv_chunks(columns):
-    """The CSV rows of ``columns``, about CSV_CHUNK_VALUES values a piece.
+@contextlib.contextmanager
+def _csv_writer(header, out):
+    """Open ``out`` (stdout if None), write ``header``, yield ``write``.
 
-    ``columns`` is a tuple of equal-length float64 columns.  Each value is
-    written as the repr of its Python float, a non-finite one as an empty
-    field; nothing needs quoting.  The columns are stacked into rows and
-    formatted (``csvtext.csv_rows``) a chunk at a time, in turns by the
-    caller and one helper thread (``core.in_turns``), as they are used.
+    Every CSV output is opened here.  ``write(columns)`` writes the rows of
+    a tuple of equal-length float64 columns in header order, and may be
+    called again.  Each value is written as the repr of its Python float,
+    a non-finite one as an empty field; nothing needs quoting.  The columns
+    are stacked into rows and formatted (``csvtext.csv_rows``) about
+    CSV_CHUNK_VALUES values at a time, in turns by the caller and one
+    helper thread (``core.in_turns``), and each chunk is written as it is
+    used, so the text is never held whole.
     """
     # Imported here, so that only the commands that write CSV load it.
     from .csvtext import csv_rows
 
-    chunk = max(1, CSV_CHUNK_VALUES // len(columns))
-
-    def text(k):
-        return csv_rows(np.column_stack(
-            [col[k * chunk:(k + 1) * chunk] for col in columns]))
-
-    return in_turns(text, -(-len(columns[0]) // chunk))
-
-
-@contextlib.contextmanager
-def _csv_writer(header, out):
-    """Open ``out`` (stdout if None), write ``header``, yield a row writer.
-
-    Every CSV output is opened here.  The writer takes rows as text
-    chunks, say ``_csv_chunks(columns)`` of columns in header order, and
-    may be called again; lazily formatted rows are never held whole.
-    """
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w")) as fh:
         fh.write(",".join(header) + "\n")
-        yield fh.writelines
+
+        def write(columns):
+            chunk = max(1, CSV_CHUNK_VALUES // len(columns))
+
+            def text(k):
+                return csv_rows(np.column_stack(
+                    [col[k * chunk:(k + 1) * chunk] for col in columns]))
+
+            fh.writelines(in_turns(text, -(-len(columns[0]) // chunk)))
+
+        yield write
 
 
 def _manifest_path(out) -> Path:
@@ -474,7 +472,7 @@ def cmd_error_surface(values: dict) -> int:
 
     surface = error_surface(_surface_spec(values, "g", values["mode"]))
     with _csv_writer(surface.COLUMNS, values["out"]) as write:
-        write(_csv_chunks(surface.to_rows()))
+        write(surface.to_rows())
     return 0
 
 
@@ -503,7 +501,7 @@ def cmd_gain_surface(values: dict) -> int:
                       _surface_spec(values, "opt_g", values["opt_mode"]),
                       SqueezingSpec.from_db(values["db"]))
     with _csv_writer(gs.COLUMNS, values["out"]) as write:
-        write(_csv_chunks(gs.to_rows()))
+        write(gs.to_rows())
     bmax, dmax = gs.argmax_cell
     sys.stdout.write(_dumps({
         "max_ratio": gs.max_ratio,
@@ -586,8 +584,7 @@ def cmd_simulate(values: dict) -> int:
     )
     with (contextlib.nullcontext() if records is None
           else _csv_writer(RECORD_COLUMNS, records)) as write:
-        summary = run(config, record_sink=None if write is None else (
-            lambda columns: write(_csv_chunks(columns))))
+        summary = run(config, record_sink=write)
     _deliver(_dumps(summary.to_dict()), values["out"])
     failure = _gate_failure(summary, z_gate)
     if failure is not None:

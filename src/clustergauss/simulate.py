@@ -24,10 +24,11 @@ the target one, and the feedforward additionally removes sqrt(I_m/(3*gamma)).
 Shots with I_m <= 0 are discarded and counted, never clamped.
 
 Shots are drawn in blocks, each from its own counter-based Philox
-generator, so a block's samples do not depend on the thread that draws
-it.  ``run`` draws the odd-numbered blocks on one helper thread while the
-calling thread draws the even-numbered ones and does everything else,
-block by block in block order (``core.in_turns``).
+generator into an array of its own, so a block's samples do not depend
+on the thread that draws it nor on when.  ``run`` draws the odd-numbered
+blocks on one helper thread while the calling thread draws the
+even-numbered ones and does everything else, block by block in block
+order (``core.in_turns``).
 """
 
 from __future__ import annotations
@@ -219,19 +220,18 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(bitgen.advance(block * _BLOCK_STRIDE))
 
 
-def _draw_block(config: SimConfig, block: int,
-                buffer: np.ndarray) -> np.ndarray:
-    """Sample the 10 initial quadratures of block ``block`` into ``buffer``.
+def _draw_block(config: SimConfig, block: int) -> np.ndarray:
+    """Sample the 10 initial quadratures of block ``block``.
 
-    ``buffer`` is a (10, SHOT_BLOCK) array; the returned view of it holds
-    the block's shots (10 x n, n < SHOT_BLOCK only for the last block).
-    Row order: x_in, y_in, then (x_s, y_s) for nodes 1..4.  The node x
-    rows carry the anti-squeezed variance e^{2r}/4, the node y rows the
-    squeezed variance e^{-2r}/4.  Nothing is allocated per block beyond
-    the generator.
+    Returns a fresh (10, n) array, n < SHOT_BLOCK only for the last block,
+    whose shots are the first n columns of a full (10, SHOT_BLOCK) draw: a
+    (10, n) draw would give them other samples.  Row order: x_in, y_in,
+    then (x_s, y_s) for nodes 1..4.  The node x rows carry the
+    anti-squeezed variance e^{2r}/4, the node y rows the squeezed variance
+    e^{-2r}/4.
     """
-    _block_rng(config.seed, block).standard_normal(out=buffer)
-    q = buffer[:, :min(SHOT_BLOCK, config.n_shots - block * SHOT_BLOCK)]
+    n = min(SHOT_BLOCK, config.n_shots - block * SHOT_BLOCK)
+    q = _block_rng(config.seed, block).standard_normal((10, SHOT_BLOCK))[:, :n]
     inp = config.input_state
     q[0] *= math.sqrt(inp.var_x)
     q[0] += inp.mean_x
@@ -327,8 +327,7 @@ def _record_block(q: np.ndarray, shots: _Shots) -> tuple:
     """Per-shot record columns of one block, in RECORD_COLUMNS order.
 
     A tuple of float64 arrays over the block's shots: the ten rows of
-    ``q`` (copied, since the next block is drawn into the same buffer),
-    the ``_Shots`` fields and the discarded flag, 0.0 or 1.0.  A
+    ``q``, the ``_Shots`` fields and the discarded flag, 0.0 or 1.0.  A
     discarded shot has NaN in the seven stage-2 columns, the quantities
     that depend on the per-shot mode-2 basis, which I_m <= 0 leaves
     undefined.
@@ -343,7 +342,7 @@ def _record_block(q: np.ndarray, shots: _Shots) -> tuple:
         i_2, i_3, ff_x, ff_y, x_out, y_out, cot3 = (
             np.where(kept, v, np.nan)
             for v in (i_2, i_3, ff_x, ff_y, x_out, y_out, cot3))
-    return (*q.copy(), i_in, i_1, i_2, i_3, i_m, ff_x, ff_y, x_out, y_out,
+    return (*q, i_in, i_1, i_2, i_3, i_m, ff_x, ff_y, x_out, y_out,
             cot3, discarded)
 
 
@@ -524,51 +523,42 @@ def run(config: SimConfig,
         ) -> SimSummary:
     """Run the Monte Carlo protocol described by ``config``.
 
-    Shots are generated in fixed blocks with counter-based seeding, so a
-    block's samples do not depend on the thread that draws it: the calling
-    thread draws the even-numbered blocks and one helper thread the
-    odd-numbered ones (``core.in_turns``), each into its own half of a
-    (2, 10, SHOT_BLOCK) buffer.  Everything else runs on the calling
-    thread: each block is propagated, reduced to centred moments (count,
-    means, co-moment sums and the error's third and fourth moment sums)
-    and merged into the running total in block order, so memory does not
-    grow with ``n_shots``.  A one-block run starts no helper thread.
+    Shots are generated in fixed blocks with counter-based seeding, each
+    block into an array of its own, so its samples do not depend on the
+    thread that draws it: the calling thread draws the even-numbered
+    blocks and one helper thread the odd-numbered ones (``core.in_turns``).
+    Everything else runs on the calling thread: each block is propagated,
+    reduced to centred moments (count, means, co-moment sums and the
+    error's third and fourth moment sums) and merged into the running
+    total in block order, so memory does not grow with ``n_shots``.  A
+    one-block run starts no helper thread.
 
     Args:
         config: run description.
         record_sink: if given, called with each block's per-shot records,
             a tuple of len(RECORD_COLUMNS) float64 columns over the
-            block's shots in RECORD_COLUMNS order, in block order, before
-            that block's half of the buffer is drawn into again.
+            block's shots in RECORD_COLUMNS order, in block order.  The
+            columns are the block's own: the sink may keep them.
 
     Returns:
         SimSummary.
     """
     solved = solve_phases(config.target, config.w, config.theta4p)
     u = solved.realized.as_matrix()
-    buffers = np.empty((2, 10, SHOT_BLOCK))
     n_blocks = -(-config.n_shots // SHOT_BLOCK)
     total = _NO_SHOTS
-
-    def consume(q):
-        nonlocal total
-        shots = _propagate(q, config, solved.phases)
-        if record_sink is not None:
-            record_sink(_record_block(q, shots))
-        total = _merge(total, _block_moments(q, shots, u))
-
     # At huge input amplitudes shots and statistics overflow to inf or
     # NaN; the CLI's gate reports non-finite statistics, so numpy need
     # not warn about them on the way.  The helper thread does not share
     # this error state, but a draw's scalings of finite values cannot
-    # overflow.  The helper draws block k + 1 into buffers[1] while the
-    # caller draws and consumes block k from buffers[0], and draws k + 3
-    # only after k + 1 is consumed.  In-process, ``run`` on 2M Gaussian
-    # shots took 0.38 s (median of 10 fresh processes, 2-vCPU Xeon).
+    # overflow.  In-process, ``run`` on 2M Gaussian shots took 0.38 s
+    # (median of 10 fresh processes, 2-vCPU Xeon).
     with np.errstate(all="ignore"):
-        for q in in_turns(lambda k: _draw_block(config, k, buffers[k % 2]),
-                          n_blocks):
-            consume(q)
+        for q in in_turns(lambda k: _draw_block(config, k), n_blocks):
+            shots = _propagate(q, config, solved.phases)
+            if record_sink is not None:
+                record_sink(_record_block(q, shots))
+            total = _merge(total, _block_moments(q, shots, u))
         return _summarize(config, total, u, solved)
 
 

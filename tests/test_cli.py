@@ -88,7 +88,7 @@ def _written_csv(header, columns) -> str:
     out = io.StringIO()
     with (contextlib.redirect_stdout(out),
           cli._csv_writer(header, None) as write):
-        write(cli._csv_chunks(columns))
+        write(columns)
     return out.getvalue()
 
 
@@ -837,9 +837,10 @@ class TestGainSurfaceCommand:
 
 class TestSurfaceBands:
     """The surface commands write the rows of the whole grid.  The
-    evaluator's blocks of cells and the CSV chunks, bands of the grid, are
+    evaluator's blocks of cells and the CSV writer's chunks of rows are
     taken in turns by the caller and one helper thread (``core.in_turns``);
-    the bytes do not depend on which thread takes which band."""
+    the bytes depend neither on their sizes nor on which thread takes
+    which."""
 
     CUBIC = ("--gamma", "0.1", "--alpha", "11.180339887498949")
 
@@ -858,11 +859,12 @@ class TestSurfaceBands:
             cli._surface_spec(values, "opt_g", values["opt_mode"]),
             core.SqueezingSpec.from_db(values["db"]))
 
-    def _bands(self, capsys, monkeypatch, tmp_path, argv, small: bool):
+    def _sized_run(self, capsys, monkeypatch, tmp_path, argv, small: bool):
         """(exit code, stdout, stderr, files written) of ``argv``, run with
-        the default block and chunk sizes or with bands of a few cells and
-        rows each.  An argument ``@name`` names a file in a directory of
-        the run's own; manifests, which hold a time, are left out."""
+        the default block and chunk sizes or with blocks and chunks of a
+        few cells and rows each.  An argument ``@name`` names a file in a
+        directory of the run's own; manifests, which hold a time, are left
+        out."""
         workdir = tmp_path / ("small" if small else "default")
         workdir.mkdir()
         argv = [workdir / a[1:] if a.startswith("@") else a for a in argv]
@@ -878,7 +880,7 @@ class TestSurfaceBands:
                                 if not p.name.endswith(".manifest.json")}
 
     def _agree(self, capsys, monkeypatch, tmp_path, *argv):
-        runs = [self._bands(capsys, monkeypatch, tmp_path, argv, small)
+        runs = [self._sized_run(capsys, monkeypatch, tmp_path, argv, small)
                 for small in (False, True)]
         assert runs[0] == runs[1]
         return runs[0]
@@ -948,7 +950,7 @@ class TestSurfaceBands:
         assert files["gain.csv"].decode() == _csv_module_text(
             gkp.GainSurface.COLUMNS, gs.to_rows())
 
-    def test_first_band_without_a_valid_cell(self, capsys, tmp_path):
+    def test_first_row_without_a_valid_cell(self, capsys, tmp_path):
         code, out, err = _run(capsys, "gain-surface", "--nb", "3", "--nd",
                               "4", "--b-min", "0", "--b-max", "1", "--out",
                               str(tmp_path / "gain.csv"))
@@ -956,38 +958,12 @@ class TestSurfaceBands:
         summary = json.loads(out)
         assert (summary["argmax_b"], summary["n_invalid_baseline"]) == (0.5, 4)
 
-    def test_no_band_with_a_valid_cell(self, capsys, tmp_path):
+    def test_no_cell_with_a_valid_ratio(self, capsys, tmp_path):
         code, out, err = _run(capsys, "gain-surface", "--db=-45", "--out",
                               str(tmp_path / "gain.csv"))
         assert code == 0, err
         summary = json.loads(out)
         assert summary["max_ratio"] is summary["argmax_b"] is None
-
-    @pytest.mark.parametrize("why", ["one-cpu", "thread", "no-fork"])
-    def test_runs_in_one_process_when_it_may_not_fork(self, capsys,
-                                                      monkeypatch, why):
-        # The command starts no process, and nothing about the host changes
-        # its output: one usable CPU (no helper thread then), another
-        # running thread, or a platform without fork.
-        argv = ("error-surface", "--mode", "gaussian_optimized_phase",
-                "--nb", "5", "--nd", "5")
-        expected = _run(capsys, *argv)
-        stop = threading.Event()
-        other = threading.Thread(target=stop.wait)
-        with monkeypatch.context() as patch:
-            patch.setattr(errormodel, "_BLOCK_VALUES", 15 * 5)
-            patch.setattr(subprocess, "Popen", None)
-            if why == "one-cpu":
-                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
-                patch.setattr(core, "_current_cpu", lambda: 0)
-            elif why == "thread":
-                other.start()
-            else:
-                patch.delattr(os, "fork")
-            try:
-                assert _run(capsys, *argv) == expected
-            finally:
-                stop.set()
 
 
 class TestOneUsableCpu:

@@ -317,12 +317,15 @@ class TestHelperThread:
         assert mask == usable
 
     def test_only_core_builds_the_executor(self):
-        # ``in_turns`` is the one code that hands work to a thread.
-        names = dict(_names_by_module(skip="core.py"))
+        # ``in_turns`` is the one code that hands work to a thread, and no
+        # module starts a process.
+        names = dict(_names_by_module(skip=None))
+        processes = {"multiprocessing", "fork", "subprocess", "Popen"}
+        assert not names.pop("core.py") & processes
         assert {m for m, used in names.items() if "in_turns" in used} == {
             "cli.py", "errormodel.py", "simulate.py"}
         threads = {"ThreadPoolExecutor", "Thread", "threading", "submit",
-                   "multiprocessing", "fork"}
+                   *processes}
         assert not {m for m, used in names.items() if used & threads}
         tree = ast.parse(Path(core.__file__).read_text())
         assert [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
@@ -380,9 +383,9 @@ class TestInTurns:
 
     def test_helper_computes_ahead_by_one_item(self):
         # While the caller handles k, the helper computes k + 1; it starts
-        # k + 3 only once k + 1 has been handled, which lets simulate.run
-        # reuse one buffer per thread.  A short switch interval
-        # interleaves the two threads finely.
+        # k + 3 only once k + 1 has been handled, so at most three items
+        # are alive at once.  A short switch interval interleaves the two
+        # threads finely.
         events = []
 
         def fn(k):

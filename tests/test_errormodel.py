@@ -417,11 +417,11 @@ class TestErrorSurface:
         terms = (strong_weights, *errormodel._mode_terms(mode, cubic))
         whole = errormodel._best_phase(*spec.cells(), *terms)
         lo, hi = rows
-        band = [cells[lo * 11:hi * 11] for cells in spec.cells()]
+        part = [cells[lo * 11:hi * 11] for cells in spec.cells()]
         # Blocks of at most 7 searched cells or 105 fixed-phase ones, in
         # turns.
         monkeypatch.setattr(errormodel, "_BLOCK_VALUES", 15 * 7)
-        got = errormodel._best_phase(*band, *terms)
+        got = errormodel._best_phase(*part, *terms)
         assert got.tobytes() == whole[:, lo * 11:hi * 11].tobytes()
 
     @pytest.mark.parametrize("search", [False, True],

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from clustergauss import (
+    MODE_GAUSSIAN_FIXED,
     MODE_GAUSSIAN_OPTIMIZED,
     RECORD_COLUMNS,
     SHOT_BLOCK,
@@ -97,9 +98,9 @@ class TestDeterminism:
         drawn = []
         draw = simulate._draw_block
 
-        def tracked_draw(config, block, buffer):
+        def tracked_draw(config, block):
             drawn.append((block, threading.get_ident()))
-            return draw(config, block, buffer)
+            return draw(config, block)
 
         monkeypatch.setattr(simulate, "_draw_block", tracked_draw)
         running = threading.active_count()
@@ -244,7 +245,9 @@ class TestExactMap:
     variances deviated from ``error_vector_gaussian`` by at most 3.9e-16
     relative.  The 10 100 non-degenerate cells of each 101^2 optimized
     map deviated from the surface's ex and ey by at most 9.3e-16 relative
-    (weights 5,5,4,4; 4.4e-16 for 1,1,1,1 and 6.8e-16 for 0.3,2,7,0.5).
+    (weights 5,5,4,4; 4.4e-16 for 1,1,1,1 and 6.8e-16 for 0.3,2,7,0.5),
+    the 10 001 valid cells of each fixed-phase map by at most 1.18e-15
+    (4.3e-16 and 6.1e-16).
     """
 
     @pytest.mark.parametrize("weights", [(5.0, 5.0, 4.0, 4.0),
@@ -314,26 +317,34 @@ class TestExactMap:
                                          (1.0, 1.0, 1.0, 1.0),
                                          (0.3, 2.0, 7.0, 0.5)])
     def test_surface_cells_match_the_exact_map(self, weights, protocol_map):
-        # Every cell of a 101^2 optimized map at once: its phases solved at
-        # the cell's winning cot(theta4') for the target (1/d, b, 0, d).
+        # Every cell of a 101^2 map of each Gaussian mode at once: its
+        # phases solved at the cell's winning cot(theta4') for the target
+        # (1/d, b, 0, d).  The d = 0 row is degenerate; the fixed phase
+        # also loses the b = 0 poles, but for the removable cell
+        # (0, cross ratio).
         w = WeightConfig(*weights)
-        spec = ErrorSurfaceSpec((-5.0, 5.0), (-5.0, 5.0), 101, 101, w,
-                                MODE_GAUSSIAN_OPTIMIZED)
-        surf = error_surface(spec)
-        b, d = spec.cells()
-        u = errormodel._best_phase(b, d, w, 1.0, True)[0]
-        cells = np.isfinite(surf.err_inf.ravel()) & ~is_degenerate(d)
-        b, d, u = b[cells], d[cells], u[cells]
-        cot1, cot2p, cot3, _, pole = solve_cots(1.0 / d, b, 0.0, d, w, u)
-        assert not pole.any()
-        phases = SimpleNamespace(cot1=cot1[:, None], cot2p=cot2p[:, None],
-                                 cot3=cot3[:, None], cot4p=u[:, None])
-        _, lin = protocol_map(SimpleNamespace(w=w, cubic=None), phases)
-        var = np.tile([SQZ.var_x, SQZ.var_y], 4)
-        exact = (lin[..., 2:] ** 2 * var).sum(axis=-1) / SQZ.var_y
-        closed = np.stack([surf.ex.ravel()[cells], surf.ey.ravel()[cells]])
-        assert cells.sum() == 101 * 101 - 101
-        assert np.max(np.abs(closed - exact) / exact) <= 3e-15
+        for mode, n_cells in ((MODE_GAUSSIAN_OPTIMIZED, 101 * 101 - 101),
+                              (MODE_GAUSSIAN_FIXED, 101 * 101 - 200)):
+            spec = ErrorSurfaceSpec((-5.0, 5.0), (-5.0, 5.0), 101, 101, w,
+                                    mode)
+            surf = error_surface(spec)
+            b, d = spec.cells()
+            u = errormodel._best_phase(b, d, w,
+                                       *errormodel._mode_terms(mode, None))[0]
+            cells = np.isfinite(surf.err_inf.ravel()) & ~is_degenerate(d)
+            b, d, u = b[cells], d[cells], u[cells]
+            cot1, cot2p, cot3, _, pole = solve_cots(1.0 / d, b, 0.0, d, w, u)
+            assert not pole.any()
+            phases = SimpleNamespace(cot1=cot1[:, None], cot2p=cot2p[:, None],
+                                     cot3=cot3[:, None], cot4p=u[:, None])
+            _, lin = protocol_map(SimpleNamespace(w=w, cubic=None), phases)
+            var = np.tile([SQZ.var_x, SQZ.var_y], 4)
+            exact = (lin[..., 2:] ** 2 * var).sum(axis=-1) / SQZ.var_y
+            closed = np.stack([surf.ex.ravel()[cells],
+                               surf.ey.ravel()[cells]])
+            assert cells.sum() == n_cells, mode
+            worst = np.max(np.abs(closed - exact) / exact)
+            assert worst <= 3e-15, mode
 
 
 class TestCubicAgreement:
@@ -412,14 +423,14 @@ class TestStreamingReduction:
 
     @staticmethod
     def _serial_fold(cfg):
-        """(summary, record blocks) of every block drawn into one buffer."""
+        """(summary, record blocks) of every block drawn and used in
+        order on the calling thread."""
         solved = solve_phases(cfg.target, cfg.w, cfg.theta4p)
         u = solved.realized.as_matrix()
-        buffer = np.empty((10, SHOT_BLOCK))
         total, blocks = simulate._NO_SHOTS, []
         with np.errstate(all="ignore"):
             for k in range(-(-cfg.n_shots // SHOT_BLOCK)):
-                q = simulate._draw_block(cfg, k, buffer)
+                q = simulate._draw_block(cfg, k)
                 shots = simulate._propagate(q, cfg, solved.phases)
                 blocks.append(simulate._record_block(q, shots))
                 total = simulate._merge(
@@ -446,10 +457,10 @@ class TestStreamingReduction:
         summary, blocks = self._serial_fold(cfg)
         draw = simulate._draw_block
 
-        def delayed_draw(config, block, buffer):
+        def delayed_draw(config, block):
             if block % 2 == slow_parity:
                 time.sleep(0.002)
-            return draw(config, block, buffer)
+            return draw(config, block)
 
         monkeypatch.setattr(simulate, "_draw_block", delayed_draw)
         recorded = []
@@ -465,6 +476,31 @@ class TestStreamingReduction:
             assert len(got) == len(want) == len(RECORD_COLUMNS)
             for a, b in zip(got, want):
                 assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+
+    @pytest.mark.parametrize("variant", [VARIANT_GAUSSIAN, VARIANT_CUBIC])
+    def test_run_does_not_depend_on_the_lookahead(self, monkeypatch,
+                                                  strong_weights, variant):
+        # Every block drawn before the first is used: each block's samples
+        # are its own, however far ahead of their use they are drawn.
+        n_shots = 3 * SHOT_BLOCK + 5
+        if variant == VARIANT_GAUSSIAN:
+            cfg = _gauss_config(OP_TARGET, strong_weights, 1.1, n_shots,
+                                seed=6)
+        else:
+            cfg = _cubic_config(n_shots, seed=6,
+                                cubic=CubicConfig(gamma=0.1, alpha=5.0))
+        runs = []
+        for eager in (False, True):
+            with monkeypatch.context() as patch:
+                if eager:
+                    patch.setattr(simulate, "in_turns", lambda fn, n: iter(
+                        list(map(fn, range(n)))))
+                recorded = []
+                runs.append((run(cfg, record_sink=recorded.append).to_dict(),
+                             [[(c.shape, c.tobytes()) for c in columns]
+                              for columns in recorded]))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 4
 
     def test_summary_matches_direct_moments_of_records(self):
         # Several blocks, some discarded shots: recompute every moment the
